@@ -218,7 +218,7 @@ def cmd_prototiles(args) -> int:
         for v in violations:
             print(v, file=sys.stderr)
         return EXIT_BAD_INPUT
-    for tile in prototiles(grid, radius=args.radius):
+    for tile in prototiles(grid):
         print(f"{tile.to_string(grid.n, grid.double)} {tile.sense}")
     return EXIT_OK
 
@@ -421,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("prototiles", help="face types of a grid")
     t.add_argument("grid")
-    t.add_argument("--radius", type=int, default=6)
     t.set_defaults(func=cmd_prototiles)
 
     sc = sub.add_parser("search-colorings", help="color a toroidal patch")
@@ -476,10 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    threads = os.environ.get("GRIDCURVE_THREADS")
-    if threads is not None and not threads.isdigit():
-        print("GRIDCURVE_THREADS must be an integer", file=sys.stderr)
-        return EXIT_BAD_INPUT
     try:
         return args.func(args)
     except (CliError, ParseError, WordError, catalog.CatalogError,

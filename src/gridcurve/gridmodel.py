@@ -2,16 +2,19 @@
 
 A grid is a set of transitions (F, t, G): after drawing an edge of class F
 and turning t, the next edge has class G, and (F, t) determines G uniquely
-(likewise (t, G) determines F).  Realizing a grid walks these transitions
-outward from a seed edge and assigns a letter to every directed edge it
-reaches; faces of the realized patch give the prototiles.
+(likewise (t, G) determines F).  The face on either side of an edge
+therefore follows from the edge's letter alone: ``GridSpec.face_table``
+holds, per letter and side, the turn that continues the face and the
+face's boundary word.  Prototiles and face instances come from that table.
+Realizing a grid walks the transitions outward from a seed edge and assigns
+a letter to every directed edge it reaches; it is only for callers that
+need the concrete edges of a disc, such as the renderer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
 
 from .exactgeom import (
     Point,
@@ -28,6 +31,9 @@ EdgeKey = tuple  # ((coeff, ...), dir_k)
 CCW = "CCW"
 CW = "CW"
 DIGON = "DIGON"
+
+LEFT = "L"
+RIGHT = "R"
 
 
 class GridError(ValueError):
@@ -84,6 +90,14 @@ class GridSpec:
         return {(t.turn, t.dst): t.src for t in self.transitions}
 
     @cached_property
+    def arrivals(self) -> dict[str, tuple[Transition, ...]]:
+        """Transitions into each letter, in transition order."""
+        out: dict[str, list[Transition]] = {c: [] for c in self.letters}
+        for t in self.transitions:
+            out.setdefault(t.dst, []).append(t)
+        return {c: tuple(ts) for c, ts in out.items()}
+
+    @cached_property
     def turns_from(self) -> dict[str, tuple[int, ...]]:
         out: dict[str, list[int]] = {c: [] for c in self.letters}
         for t in self.transitions:
@@ -97,11 +111,94 @@ class GridSpec:
             out.setdefault((t.src, t.dst), []).append(t.turn)
         return {k: tuple(sorted(v)) for k, v in out.items()}
 
+    @cached_property
+    def face_table(self) -> "FaceTable":
+        return _build_face_table(self)
+
+    def face_cycle(
+        self, edge: EdgeKey, letter: str, side: str
+    ) -> list[tuple[EdgeKey, str]] | None:
+        """Edges and letters of the face on one side of an edge, starting
+        with that edge; None when the face does not close."""
+        tokens = self.face_table.word.get((letter, side))
+        if tokens is None:
+            return None
+        units = unit_coeffs(self.n)
+        pos, k = edge
+        out = []
+        for i in range(0, len(tokens), 2):
+            out.append(((pos, k), tokens[i]))
+            pos = add_vec(pos, units[k])
+            k = (k + tokens[i + 1]) % self.n
+        return out
+
     def has_transition(self, src: str, turn: int, dst: str) -> bool:
         return self.forward.get((src, normalize_turn(turn, self.n))) == dst
 
     def seed_letter(self) -> str:
         return self.letters[0]
+
+
+def face_key(turn: int, n: int) -> int:
+    """Order of turns for face traversal: the left face of an edge continues
+    with the largest key, the right face with the smallest.  U-turns sort
+    below every other turn, so the left face of an edge is always the
+    polygon, the right face the digon (when present)."""
+    half = n // 2
+    if n % 2 == 0 and turn == half:
+        return -half
+    return turn
+
+
+@dataclass(frozen=True)
+class FaceTable:
+    """The faces on either side of an edge, keyed by (letter, side).
+
+    ``turn`` holds the turn that continues the face past an edge of that
+    letter.  ``word`` holds the face's boundary tokens read from such an
+    edge (letter, turn, letter, turn, ...) and ``sense`` its sense; both
+    leave out faces that never close and left-side digons, just as a
+    realized patch has no such faces.
+    """
+
+    turn: dict[tuple[str, str], int]
+    word: dict[tuple[str, str], tuple]
+    sense: dict[tuple[str, str], str]
+
+
+def _build_face_table(spec: GridSpec) -> FaceTable:
+    n = spec.n
+    units = unit_coeffs(n)
+    turn: dict[tuple[str, str], int] = {}
+    for letter, turns in spec.turns_from.items():
+        if turns:
+            turn[(letter, LEFT)] = max(turns, key=lambda t: face_key(t, n))
+            turn[(letter, RIGHT)] = min(turns, key=lambda t: face_key(t, n))
+    word: dict[tuple[str, str], tuple] = {}
+    sense: dict[tuple[str, str], str] = {}
+    # after |letters| * n steps some (letter, direction) pair has repeated,
+    # so a walk that has not come back to its start by then never will
+    limit = len(spec.letters) * n
+    for letter, side in turn:
+        tokens: list = []
+        cur, dirk, pos = letter, 0, (0,) * phi(n)
+        while len(tokens) < 2 * limit and (cur, side) in turn:
+            t = turn[(cur, side)]
+            tokens += [cur, t]
+            pos = add_vec(pos, units[dirk])
+            cur, dirk = spec.forward[(cur, t)], (dirk + t) % n
+            if cur == letter and dirk == 0:
+                break
+        if cur != letter or dirk != 0 or any(pos):
+            continue
+        if len(tokens) == 4 and n % 2 == 0 and tokens[1] == n // 2:
+            if side == LEFT:
+                continue  # digons are right faces
+            sense[(letter, side)] = DIGON
+        else:
+            sense[(letter, side)] = CCW if sum(tokens[1::2]) > 0 else CW
+        word[(letter, side)] = tuple(tokens)
+    return FaceTable(turn, word, sense)
 
 
 def check_grid(spec: GridSpec) -> list[str]:
@@ -167,15 +264,6 @@ class Patch:
     def head(self, edge: EdgeKey) -> tuple:
         return self._head(edge)
 
-    def _face_key(self, turn: int) -> int:
-        # U-turns sort below every other turn for face traversal, so the
-        # left face of an edge is always the polygon, the right face the
-        # digon (when present).
-        half = self.n // 2
-        if self.n % 2 == 0 and turn == half:
-            return -half
-        return turn
-
     def successors(self, edge: EdgeKey) -> list[tuple[int, EdgeKey]]:
         h = self._head(edge)
         out = []
@@ -183,18 +271,6 @@ class Patch:
             t = normalize_turn(e2[1] - edge[1], self.n)
             out.append((t, e2))
         return out
-
-    def left_successor(self, edge: EdgeKey) -> EdgeKey | None:
-        succ = self.successors(edge)
-        if not succ:
-            return None
-        return max(succ, key=lambda te: self._face_key(te[0]))[1]
-
-    def right_successor(self, edge: EdgeKey) -> EdgeKey | None:
-        succ = self.successors(edge)
-        if not succ:
-            return None
-        return min(succ, key=lambda te: self._face_key(te[0]))[1]
 
     # -- faces ----------------------------------------------------------
 
@@ -204,34 +280,30 @@ class Patch:
         return self._faces
 
     def _build_faces(self) -> list["Face"]:
+        table = self.spec.face_table
         faces: list[Face] = []
-        for side, step in (("L", self.left_successor), ("R", self.right_successor)):
+        for side in (LEFT, RIGHT):
             seen: set[EdgeKey] = set()
             for start in self.edges:
                 if start in seen:
                     continue
+                key = (self.edges[start], side)
+                tokens = table.word.get(key)
+                if tokens is None:
+                    continue
+                # follow the face's turns through the patch's own edge keys;
+                # the last turn leads back to start
                 cycle = [start]
-                cur = start
-                complete = True
-                while True:
-                    nxt = step(cur)
+                for t in tokens[1:-2:2]:
+                    cur = cycle[-1]
+                    d = (cur[1] + t) % self.n
+                    nxt = next((e for e in self.out_at.get(self._head(cur), ()) if e[1] == d), None)
                     if nxt is None:
-                        complete = False
-                        break
-                    if nxt == start:
-                        break
-                    if nxt in cycle[1:] or len(cycle) > len(self.edges):
-                        complete = False
-                        break
+                        break  # the face runs off the rim
                     cycle.append(nxt)
-                    cur = nxt
-                for e in cycle:
-                    seen.add(e)
-                if complete:
-                    face = Face.from_cycle(self, cycle, side)
-                    if side == "L" and face.sense == DIGON:
-                        continue  # rim artifact; digons are right faces
-                    faces.append(face)
+                seen.update(cycle)
+                if 2 * len(cycle) == len(tokens):
+                    faces.append(Face(cycle, Word(tokens), table.sense[key], side, tuple(sorted(cycle))))
         uniq: dict[tuple, Face] = {}
         for f in faces:
             uniq.setdefault(f.edge_set_key, f)
@@ -243,7 +315,7 @@ class Patch:
         left: dict[EdgeKey, int] = {}
         right: dict[EdgeKey, int] = {}
         for idx, f in enumerate(faces):
-            target = left if f.side == "L" else right
+            target = left if f.side == LEFT else right
             for e in f.cycle:
                 target[e] = idx
         for e in self.edges:
@@ -265,28 +337,6 @@ class Face:
     sense: str
     side: str
     edge_set_key: tuple = field(repr=False, default=())
-
-    @staticmethod
-    def from_cycle(patch: Patch, cycle: list[EdgeKey], side: str) -> "Face":
-        n = patch.n
-        tokens: list = []
-        m = len(cycle)
-        for i, e in enumerate(cycle):
-            nxt = cycle[(i + 1) % m]
-            tokens.append(patch.edges[e])
-            tokens.append(normalize_turn(nxt[1] - e[1], n))
-        word = Word(tokens)
-        is_digon = (
-            m == 2
-            and n % 2 == 0
-            and (cycle[1][1] - cycle[0][1]) % n == n // 2
-            and cycle[1][0] == patch.head(cycle[0])
-        )
-        if is_digon:
-            sense = DIGON
-        else:
-            sense = CCW if sum(word.turns()) > 0 else CW
-        return Face(cycle, word, sense, side, tuple(sorted(cycle)))
 
 
 def realize(spec: GridSpec, radius: int) -> Patch:
@@ -313,9 +363,7 @@ def realize(spec: GridSpec, radius: int) -> Patch:
                 e2 = (head, (k + t) % n)
                 if patch._add(e2, dst, d):
                     new_frontier.append(e2)
-            for tr in spec.transitions:
-                if tr.dst != letter:
-                    continue
+            for tr in spec.arrivals.get(letter, ()):
                 k0 = (k - tr.turn) % n
                 tail0 = sub_vec(pos, units[k0])
                 e0 = (tail0, k0)
@@ -358,15 +406,15 @@ def _rotation_key(tokens: tuple) -> tuple:
     )
 
 
-def prototiles(spec: GridSpec, radius: int = 6) -> list[Prototile]:
-    """Enumerate the face types of the grid by realizing a patch."""
+def prototiles(spec: GridSpec) -> list[Prototile]:
+    """Enumerate the face types of the grid from its face table."""
     violations = check_grid(spec)
     if violations:
         raise GridError("; ".join(violations))
-    patch = realize(spec, radius)
+    table = spec.face_table
     seen: dict[tuple, Prototile] = {}
-    for face in patch.faces():
-        tokens = _canonical_rotation(face.word.tokens)
+    for key, word in table.word.items():
+        tokens = _canonical_rotation(word)
         if tokens in seen:
             continue
         m = len(tokens) // 2
@@ -378,7 +426,7 @@ def prototiles(spec: GridSpec, radius: int = 6) -> list[Prototile]:
                 exponent = m // p
                 break
         period = Word(tokens[: 2 * (m // exponent)])
-        seen[tokens] = Prototile(period, exponent, face.sense)
+        seen[tokens] = Prototile(period, exponent, table.sense[key])
     order = {CCW: 0, CW: 1, DIGON: 2}
     return sorted(
         seen.values(),

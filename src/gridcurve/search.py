@@ -33,7 +33,7 @@ from .gridmodel import (
     detect_translation_lattice,
     realize,
 )
-from .lsystem import CurveSet, order, subst_matrix
+from .lsystem import CurveSet, UnequalRowSums, order, subst_matrix
 from .validator import INVALID, check_self_avoiding, validate
 from .words import Word
 
@@ -537,7 +537,7 @@ def enumerate_curve_sets(
                 try:
                     if order(cs) != R:
                         return
-                except Exception:
+                except UnequalRowSums:
                     return
                 rep = validate(cs, coverage_k=coverage_k)
                 if rep.verdict == INVALID:

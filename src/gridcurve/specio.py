@@ -210,6 +210,8 @@ class _Parser:
         while True:
             t = self.peek()
             if t.text == ";":
+                if not letters:
+                    raise ParseError("expected letters, found ';'", t.line, t.col)
                 self.next()
                 break
             t = self.next()

@@ -28,15 +28,11 @@ from .exactgeom import (
     unit_coeffs,
 )
 from .gridmodel import (
-    CCW,
-    CW,
-    DIGON,
+    LEFT,
+    RIGHT,
     EdgeKey,
-    Face,
     GridSpec,
-    Patch,
     Prototile,
-    check_grid,
     prototiles,
     realize,
 )
@@ -219,75 +215,96 @@ def check_dekking1(cs: CurveSet, form: str = "transitions") -> tuple[bool, str |
     raise ValueError(f"unknown form {form!r}")
 
 
-def _patch_covering(grid: GridSpec, points_extent: float) -> Patch:
-    depth = int(math.ceil(points_extent * 2.2)) + 4
-    return realize(grid, depth)
-
-
-def _anchored_face_instance(grid: GridSpec, tile: Prototile) -> tuple[list, tuple, int]:
-    """Boundary tokens of a real occurrence of the tile in a realized patch,
-    with the tail and direction of its first edge."""
-    want = tile.boundary_word().tokens
-    patch = realize(grid, 6)
-    for face in patch.faces():
-        m = len(face.cycle)
-        for idx in range(m):
-            rot = face.cycle[idx:] + face.cycle[:idx]
-            tokens: list = []
-            for i, e in enumerate(rot):
-                nx = rot[(i + 1) % m]
-                tokens.append(patch.edges[e])
-                tokens.append(normalize_turn(nx[1] - e[1], grid.n))
-            if tuple(tokens) == want:
-                return tokens, rot[0][0], rot[0][1]
-    raise ValueError(f"tile {tile} does not occur in the realized patch")
+def _grid_letters(grid: GridSpec, tokens: tuple, edges: list) -> dict[EdgeKey, str]:
+    """The grid's letters on the traced edges of an iterate of a face
+    boundary anchored at the origin.  They are carried along the
+    transitions from the boundary's last edge, which arrives at the origin;
+    the curve's own letters need not match them."""
+    n = grid.n
+    out: dict[EdgeKey, str] = {}
+    letter, dirk = tokens[-2], -tokens[-1] % n
+    for p, d, _ in edges:
+        letter = grid.forward.get((letter, normalize_turn(d - dirk, n)))
+        if letter is None:
+            raise ValueError("tile boundary iterate leaves the grid")
+        out[(p, d)] = letter
+        dirk = d
+    return out
 
 
 def check_interior_filled(cs: CurveSet, tile: Prototile, k: int = 1) -> bool:
-    """Expand the tile boundary k times and flood-fill: every directed edge
-    with interior faces on both sides must be traversed."""
+    """Expand the tile boundary k times and flood the faces it encloses:
+    every directed edge with interior faces on both sides must be traversed.
+
+    The boundary is anchored at the origin with its first edge in direction
+    0; every edge of one letter sees the same grid around it, so this copy
+    stands for every occurrence of the tile.  Face instances are walked from
+    the face table on demand, starting on both sides of every curve edge,
+    and a component of faces joined across non-curve edges is flooded
+    until it is known to lie outside the curve.  It lies outside when one
+    of its faces does not close or reaches a vertex farther from the origin
+    than every curve vertex: the curve, and all it encloses, lies in that
+    disc.  A component that stays inside and crosses a non-curve edge holds
+    an edge that the curve leaves undrawn, and the answer is False.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     grid = cs.grid
     if grid is None:
         raise ValueError("needs a grid")
-    tokens, tail, dirk = _anchored_face_instance(grid, tile)
+    n = grid.n
+    tokens = tile.boundary_word().tokens
+    table = grid.face_table
+    if all(table.word.get((tokens[0], side)) != tokens for side in (LEFT, RIGHT)):
+        raise ValueError(f"tile {tile} is not a face of the grid")
+    origin = (0,) * phi(n)
     w = expand(cs, Word(tokens), k)
-    end, _, edges = trace_tokens(w.tokens, grid.n, tail, dirk)
-    if end != tail:
+    end, _, edges = trace_tokens(w.tokens, n, origin, 0)
+    if end != origin:
         raise ValueError("tile boundary iterate does not close (scale inconsistency)")
-    extent = max(abs(Point(grid.n, p).to_complex()) for p, _, _ in edges) + 1
-    curve: set[EdgeKey] = {(p, d) for p, d, _ in edges}
-    depth = int(math.ceil(extent * 1.6)) + 4
-    while True:
-        patch = realize(grid, depth)
-        if all(e in patch.edges for e in curve):
-            break
-        depth += max(4, depth // 2)
-        if depth > 40 * extent + 80:
-            raise ValueError("traced boundary leaves the realized patch")
-    left, right, faces = patch.face_maps()
-    # face flood fill from the unbounded side; -1 is the rim pseudo-face
-    adj: dict[int, set[int]] = {i: set() for i in range(-1, len(faces))}
-    for e in patch.edges:
-        if e in curve:
-            continue
-        a, b = left[e], right[e]
-        adj[a].add(b)
-        adj[b].add(a)
-    outside: set[int] = set()
-    todo = [-1]
-    while todo:
-        f = todo.pop()
-        if f in outside:
-            continue
-        outside.add(f)
-        todo.extend(adj[f] - outside)
-    for e in patch.edges:
-        if e in curve:
-            continue
-        if left[e] not in outside and right[e] not in outside:
-            return False
+    curve = _grid_letters(grid, tokens, edges)
+    radius = max(abs(Point(n, p).to_complex()) for p, _, _ in edges) + 1e-9
+    norms: dict[tuple, float] = {}
+
+    def beyond(pos: tuple) -> bool:
+        r = norms.get(pos)
+        if r is None:
+            r = norms[pos] = abs(Point(n, pos).to_complex())
+        return r > radius
+
+    outside: set[tuple[EdgeKey, str]] = set()  # (edge, side) of outer faces
+    visited: set[tuple[EdgeKey, str]] = set()
+    other = {LEFT: RIGHT, RIGHT: LEFT}
+    for start, start_letter in curve.items():
+        for start_side in (LEFT, RIGHT):
+            if (start, start_side) in visited:
+                continue
+            component: set[tuple[EdgeKey, str]] = set()
+            todo = [(start, start_letter, start_side)]
+            crossed = is_outside = False
+            while todo and not is_outside:
+                e, letter, side = todo.pop()
+                if (e, side) in component:
+                    continue
+                if (e, side) in outside:
+                    is_outside = True
+                    break
+                cycle = grid.face_cycle(e, letter, side)
+                if cycle is None:
+                    is_outside = True
+                    break
+                for e2, letter2 in cycle:
+                    component.add((e2, side))
+                    if beyond(e2[0]):
+                        is_outside = True
+                    if e2 not in curve:
+                        crossed = True
+                        todo.append((e2, letter2, other[side]))
+            visited |= component
+            if is_outside:
+                outside |= component
+            elif crossed:
+                return False
     return True
 
 
@@ -456,27 +473,29 @@ def check_coverage(cs: CurveSet, k: int = 3, r: float = 3.0) -> CoverageDiagnost
     if grid is None:
         raise ValueError("needs a grid")
     n = grid.n
-    patch = _patch_covering(grid, r + 1)
+    patch = realize(grid, int(math.ceil((r + 1) * 2.2)) + 4)
     origin = (0,) * phi(n)
     target = [
         e
         for e in patch.edges
         if abs(Point(n, e[0]).to_complex() + _unit_complex(n, e[1]) / 2) <= r
     ]
+    faces: dict[frozenset, tuple[list, tuple]] = {}
+    for e in patch.out_at.get(origin, ()):
+        letter = patch.edges[e]
+        for side in (LEFT, RIGHT):
+            cycle = grid.face_cycle(e, letter, side)
+            if cycle is not None:
+                tokens = grid.face_table.word[(letter, side)]
+                faces.setdefault(frozenset(e2 for e2, _ in cycle), (cycle, tokens))
     expander = _LazyExpander(cs, k, r)
-    for face in _faces_at_vertex(patch, origin):
+    for cycle, tokens in faces.values():
         # anchor the boundary at every edge of the cycle: each anchored
         # iterate grows from a different corner, so corner artifacts of one
         # anchoring are interior to another
-        m = len(face.cycle)
-        for idx in range(m):
-            rotated = face.cycle[idx:] + face.cycle[:idx]
-            tokens: list = []
-            for i, e in enumerate(rotated):
-                nx = rotated[(i + 1) % m]
-                tokens.append(patch.edges[e])
-                tokens.append(normalize_turn(nx[1] - e[1], n))
-            expander.run(Word(tokens), rotated[0][0], rotated[0][1])
+        for idx, ((tail, dirk), _) in enumerate(cycle):
+            rotated = tokens[2 * idx :] + tokens[: 2 * idx]
+            expander.run(Word(rotated), tail, dirk)
     missing = [e for e in target if e not in expander.covered]
     kasp = max(k, 8)
     aspects = _support_aspects(cs, kasp)
@@ -497,14 +516,6 @@ def check_coverage(cs: CurveSet, k: int = 3, r: float = 3.0) -> CoverageDiagnost
 
 def _unit_complex(n: int, k: int) -> complex:
     return Point(n, unit_coeffs(n)[k]).to_complex()
-
-
-def _faces_at_vertex(patch: Patch, vertex: tuple) -> list[Face]:
-    out = []
-    for face in patch.faces():
-        if any(e[0] == vertex for e in face.cycle):
-            out.append(face)
-    return out
 
 
 # -- scale analysis -------------------------------------------------------

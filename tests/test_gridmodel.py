@@ -6,14 +6,18 @@ from gridcurve.gridmodel import (
     CCW,
     CW,
     DIGON,
+    LEFT,
+    RIGHT,
     GridSpec,
     InconsistentColoring,
     Transition,
     check_grid,
     detect_translation_lattice,
+    face_key,
     prototiles,
     realize,
 )
+from gridcurve.specio import parse
 
 
 def T(s, t, d):
@@ -123,10 +127,11 @@ def test_prototile_turning(all_grids):
 
 def test_face_cover(all_grids):
     # interior edges border one CCW face on the left and one CW or digon
-    # face on the right
-    for name in ("square", "3464", "d-hexagon", "trihex", "3366"):
-        g = all_grids[name]
-        patch = realize(g, 6)
+    # face on the right; the face table continues each face with the
+    # extreme turn among the successors that the realized patch holds;
+    # radius 8 closes the dodecagons of d31212 around every edge of depth 2
+    for name, g in all_grids.items():
+        patch = realize(g, 8)
         left, right, faces = patch.face_maps()
         interior = [e for e, d in patch.depth.items() if d <= 2]
         for e in interior:
@@ -136,6 +141,19 @@ def test_face_cover(all_grids):
             assert faces[rf].sense in (CW, DIGON)
             if g.double:
                 assert faces[rf].sense == DIGON
+            turns = [t for t, _ in patch.successors(e)]
+            letter = patch.edges[e]
+            key = lambda t: face_key(t, g.n)
+            assert g.face_table.turn[(letter, LEFT)] == max(turns, key=key), (name, e)
+            assert g.face_table.turn[(letter, RIGHT)] == min(turns, key=key), (name, e)
+
+
+def test_face_table_is_lazy():
+    doc = parse("grid g { turn = 4; letters = F; transitions = F-F, F+F }")
+    g = doc.grids()["g"]
+    assert "face_table" not in g.__dict__
+    assert g.face_table.word[("F", LEFT)] == ("F", 1) * 4
+    assert g.face_table.sense[("F", RIGHT)] == CW
 
 
 def test_catalog_d488():
@@ -185,3 +203,10 @@ def test_translation_lattice_square():
     assert abs(abs(z1) ** 2 - 2) < 1e-9
     assert abs(abs(z2) ** 2 - 2) < 1e-9
     assert abs((z1 * z2.conjugate()).imag) > 1e-9
+
+
+def test_cli_prototiles(capsys):
+    from gridcurve import cli
+
+    assert cli.main(["prototiles", "d-hexagon"]) == 0
+    assert capsys.readouterr().out == "[A+]^6 CCW\n[A!]^2 DIGON\n"

@@ -157,3 +157,14 @@ def test_orbit_equinumerosity_all_catalog(all_grids):
         counts = tp.letter_counts()
         assert len(set(counts.values())) == 1, (name, counts)
         assert set(counts) == set(grid.letters)
+
+
+def test_order_errors_other_than_unequal_rows_propagate(monkeypatch):
+    import gridcurve.search as search
+
+    def broken(cs):
+        raise TypeError("broken order")
+
+    monkeypatch.setattr(search, "order", broken)
+    with pytest.raises(TypeError, match="broken order"):
+        enumerate_curve_sets(catalog.grid("square"), 5)

@@ -1,14 +1,18 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from gridcurve import catalog
-from gridcurve.gridmodel import prototiles
+from gridcurve.exactgeom import trace_tokens
+from gridcurve.gridmodel import prototiles, realize
 from gridcurve.lsystem import CurveSet, expand, subst_matrix
 from gridcurve.validator import (
     INVALID,
     VALID,
     VALID_WITH_CAVEATS,
+    _grid_letters,
     check_coverage,
     check_dekking1,
     check_grid_consistent,
@@ -197,6 +201,37 @@ def test_interior_filled_folding_pair():
     nonfilling = catalog.curveset("fold-r5")
     tile = tile_by_name(nonfilling.grid, "[L+R+]^2")
     assert not check_interior_filled(nonfilling, tile, 1)
+
+
+def test_interior_filled_pinned():
+    # every (curve-set, prototile) pair that validate reaches, against the
+    # answers of the earlier flood fill over a realized patch
+    pinned = json.loads(Path(__file__).with_name("interior_filled.json").read_text())
+    got = {}
+    for entry in catalog.CURVE_ENTRIES:
+        cs = catalog.curveset(entry.name)
+        if cs.grid is None or not check_grid_consistent(cs)[0] or not check_dekking1(cs)[0]:
+            continue
+        got[entry.name] = {
+            tile.to_string(cs.n, cs.grid.double): check_interior_filled(cs, tile, 1)
+            for tile in prototiles(cs.grid)
+        }
+    assert sum(map(len, got.values())) == 169
+    assert got == pinned
+
+
+def test_interior_fill_reads_grid_letters():
+    # on sq-set-r4 the iterate's letters differ from the grid's letters on
+    # the same edges; the faces must come from the grid's
+    cs = catalog.curveset("sq-set-r4")
+    patch = realize(cs.grid, 12)
+    for tile in prototiles(cs.grid):
+        tokens = tile.boundary_word().tokens
+        assert tokens[0] == cs.grid.seed_letter()  # anchored like the patch
+        _, _, edges = trace_tokens(expand(cs, Word(tokens), 1).tokens, cs.n)
+        letters = _grid_letters(cs.grid, tokens, edges)
+        assert letters == {e: patch.edges[e] for e in letters}
+        assert any(letters[(p, d)] != own for p, d, own in edges)
 
 
 def test_interior_filled_sausage_yet_no_coverage():
