@@ -12,7 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 def _divisors(n: int) -> list[int]:
@@ -337,40 +337,40 @@ def normalize_turn(t: int, n: int) -> int:
     return t
 
 
-class LatticeSolver:
-    """Integer membership tests for the lattice spanned by two exact vectors."""
+class Lattice:
+    """The lattice spanned by two exact vectors, kept in echelon form.
 
-    def __init__(self, v1: Point, v2: Point):
-        if v1.n != v2.n:
+    Euclid on the first column where a generator is non-zero leaves one
+    basis row with a positive pivot there and the other row zero there; the
+    second row's first non-zero entry, made positive, is the second pivot.
+    ``reduce`` takes each pivot coordinate modulo its pivot, in order, so
+    two points are congruent modulo the lattice iff their reductions are
+    equal (Hermite normal form; Cohen, *A Course in Computational Algebraic
+    Number Theory*, ch. 2).
+    """
+
+    def __init__(self, g1: Point, g2: Point):
+        if g1.n != g2.n:
             raise ValueError("mixed turn resolutions")
-        self.n = v1.n
-        self.v1 = v1
-        self.v2 = v2
-        rows = list(zip(v1.coeffs, v2.coeffs))
-        self._rows = rows
-        self._pair = None
-        for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                det = rows[i][0] * rows[j][1] - rows[i][1] * rows[j][0]
-                if det != 0:
-                    self._pair = (i, j, det)
-                    break
-            if self._pair:
-                break
-        if self._pair is None:
+        a, b = g1.coeffs, g2.coeffs
+        c1 = next((i for i, pair in enumerate(zip(a, b)) if any(pair)), None)
+        if c1 is None:
             raise ValueError("lattice vectors are collinear")
+        while b[c1]:
+            q = a[c1] // b[c1]
+            a, b = b, tuple(x - q * y for x, y in zip(a, b))
+        c2 = next((i for i, y in enumerate(b) if y), None)
+        if c2 is None:
+            raise ValueError("lattice vectors are collinear")
+        self.pivots = tuple(
+            (c, row if row[c] > 0 else tuple(-x for x in row))
+            for c, row in ((c1, a), (c2, b))
+        )
 
-    def decompose(self, p: Point) -> tuple[int, int] | None:
-        """Integers (a, b) with p = a*v1 + b*v2, or None."""
-        i, j, det = self._pair
-        pi, pj = p.coeffs[i], p.coeffs[j]
-        ri, rj = self._rows[i], self._rows[j]
-        a_num = pi * rj[1] - pj * ri[1]
-        b_num = ri[0] * pj - rj[0] * pi
-        if a_num % det or b_num % det:
-            return None
-        a, b = a_num // det, b_num // det
-        check = self.v1.scaled(a) + self.v2.scaled(b)
-        if check.coeffs != p.coeffs:
-            return None
-        return a, b
+    def reduce(self, coeffs: tuple[int, ...]) -> tuple[int, ...]:
+        """The canonical representative of coeffs modulo the lattice."""
+        for c, row in self.pivots:
+            q = coeffs[c] // row[c]
+            if q:
+                coeffs = tuple(x - q * y for x, y in zip(coeffs, row))
+        return coeffs

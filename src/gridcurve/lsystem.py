@@ -11,11 +11,11 @@ resolution).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .exactgeom import Point, normalize_turn, phi, trace_tokens
+from .exactgeom import Point, normalize_turn, trace_tokens
 from .gridmodel import GridSpec
 from .words import Word, WordError, parse_word
 

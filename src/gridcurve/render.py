@@ -11,11 +11,11 @@ its left.  Only svg, g, path, and polygon elements are emitted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .exactgeom import Point, normalize_turn, phi, trace_tokens, unit_coeffs
-from .gridmodel import DIGON, GridSpec, Patch, realize
+from .exactgeom import Point, normalize_turn, trace_tokens, unit_coeffs
+from .gridmodel import DIGON, GridSpec, realize
 from .words import Word
 
 LINE = "line"

@@ -12,29 +12,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .exactgeom import (
-    LatticeSolver,
+    Lattice,
     Point,
     add_vec,
+    conj_vec,
     normalize_turn,
     phi,
     rotate_vec,
     sub_vec,
-    trace_tokens,
     unit_coeffs,
 )
 from .gridmodel import (
     EdgeKey,
     GridSpec,
     Transition,
-    check_grid,
     detect_translation_lattice,
-    realize,
 )
-from .lsystem import CurveSet, UnequalRowSums, order, subst_matrix
-from .validator import INVALID, check_self_avoiding, validate
+from .lsystem import CurveSet, UnequalRowSums, order
+from .validator import INVALID, _chords_cross, validate
 from .words import Word
 
 
@@ -46,9 +44,9 @@ class SearchBudgetExceeded(RuntimeError):
 class TorusPatch:
     """The grid modulo the lattice spanned by R*v1 and C*v2.
 
-    Vertices are reduced exactly: a point is identified with an existing
-    representative when their difference decomposes integrally over the
-    lattice basis.
+    Every vertex is stored as its canonical representative modulo that
+    lattice (``Lattice.reduce``), so an edge of the quotient is looked up by
+    reducing its tail: ``index[(lattice.reduce(tail), direction)]``.
     """
 
     base: GridSpec
@@ -56,6 +54,7 @@ class TorusPatch:
     C: int
     v1: Point
     v2: Point
+    lattice: Lattice
     edges: list[tuple[tuple, int, str]] = field(default_factory=list)
     index: dict[EdgeKey, int] = field(default_factory=dict)
 
@@ -66,25 +65,15 @@ class TorusPatch:
             v1, v2 = detect_translation_lattice(base)
         else:
             v1, v2 = vectors
-        tp = TorusPatch(base, R, C, v1, v2)
+        tp = TorusPatch(base, R, C, v1, v2, Lattice(v1.scaled(R), v2.scaled(C)))
         tp._fill()
         return tp
 
     def _fill(self) -> None:
         n = self.base.n
         units = unit_coeffs(n)
-        solver = LatticeSolver(self.v1.scaled(self.R), self.v2.scaled(self.C))
-        reps: list[tuple] = []
-
-        def reduce_point(p: tuple) -> tuple:
-            pt = Point(n, p)
-            for q in reps:
-                if solver.decompose(pt - Point(n, q)) is not None:
-                    return q
-            reps.append(p)
-            return p
-
-        seed = (reduce_point((0,) * phi(n)), 0)
+        reduce = self.lattice.reduce
+        seed = ((0,) * phi(n), 0)
         self.index[seed] = 0
         self.edges.append((seed[0], 0, self.base.seed_letter()))
         frontier = [0]
@@ -92,15 +81,13 @@ class TorusPatch:
             new_frontier = []
             for ei in frontier:
                 pos, k, letter = self.edges[ei]
-                head = reduce_point(add_vec(pos, units[k]))
+                head = reduce(add_vec(pos, units[k]))
                 for t in self.base.turns_from.get(letter, ()):
                     dst = self.base.forward[(letter, t)]
                     self._claim((head, (k + t) % n), dst, new_frontier)
-                for tr in self.base.transitions:
-                    if tr.dst != letter:
-                        continue
+                for tr in self.base.arrivals.get(letter, ()):
                     k0 = (k - tr.turn) % n
-                    tail0 = reduce_point(sub_vec(pos, units[k0]))
+                    tail0 = reduce(sub_vec(pos, units[k0]))
                     self._claim((tail0, k0), tr.src, new_frontier)
             frontier = new_frontier
 
@@ -127,55 +114,41 @@ class TorusPatch:
 
     def successor(self, ei: int, t: int) -> int | None:
         n = self.base.n
-        units = unit_coeffs(n)
         pos, k, _ = self.edges[ei]
-        head = add_vec(pos, units[k])
-        head = self._find_rep(head)
+        head = self.lattice.reduce(add_vec(pos, unit_coeffs(n)[k]))
         return self.index.get((head, (k + t) % n))
-
-    def _find_rep(self, p: tuple) -> tuple:
-        n = self.base.n
-        solver = LatticeSolver(self.v1.scaled(self.R), self.v2.scaled(self.C))
-        pt = Point(n, p)
-        for (q, _k), _i in self.index.items():
-            if solver.decompose(pt - Point(n, q)) is not None:
-                return q
-        return p
 
     def symmetries(self, point_group: bool = True) -> list[list[int]]:
         """Edge permutations induced by maps x -> zeta^j x + u and, with the
-        point group enabled, x -> zeta^j conj(x) + u, that preserve the base
-        grid.  point_group=False keeps only the torus translations."""
-        from .exactgeom import conj_vec
-
+        point group enabled, x -> zeta^j conj(x) + u, that keep the torus
+        lattice and preserve the base grid.  point_group=False keeps only the
+        torus translations."""
         n = self.base.n
-        solver = LatticeSolver(self.v1.scaled(self.R), self.v2.scaled(self.C))
+        reduce = self.lattice.reduce
         vertices = {pos for pos, _, _ in self.edges}
         perms: list[list[int]] = []
         rot_range = range(n) if point_group else range(1)
         flips = (False, True) if point_group else (False,)
+        zero = (0,) * phi(n)
         for flip in flips:
             for j in rot_range:
+                def linear(p: tuple) -> tuple:
+                    return rotate_vec(conj_vec(p, n) if flip else p, j, n)
+
+                # the map acts on the torus, as a bijection, only if it
+                # keeps the lattice
+                if any(reduce(linear(row)) != zero for _, row in self.lattice.pivots):
+                    continue
+                moved = [(linear(pos), ((j - k) if flip else (k + j)) % n, letter)
+                         for pos, k, letter in self.edges]
                 for u in vertices:
                     perm: list[int] = []
-                    ok = True
-                    for pos, k, letter in self.edges:
-                        base_pos = conj_vec(pos, n) if flip else pos
-                        q = add_vec(rotate_vec(base_pos, j, n), u)
-                        k2 = ((j - k) if flip else (k + j)) % n
-                        target = None
-                        ptq = Point(n, q)
-                        for (rep, kk), idx in self.index.items():
-                            if kk != k2:
-                                continue
-                            if solver.decompose(ptq - Point(n, rep)) is not None:
-                                target = idx
-                                break
+                    for q, k2, letter in moved:
+                        target = self.index.get((reduce(add_vec(q, u)), k2))
                         if target is None or self.edges[target][2] != letter:
-                            ok = False
                             break
                         perm.append(target)
-                    if ok and len(set(perm)) == len(perm):
+                    else:
                         perms.append(perm)
         return perms
 
@@ -349,32 +322,22 @@ def search_colorings(
 
     out: list[Coloring] = []
     for canon, colors in sorted(results.items()):
-        minvec = _minimal_vector(torus, colors, R, C)
+        minvec = _minimal_vector(torus, colors)
         out.append(Coloring(torus, colors, m, minvec))
     return out
 
 
-def _minimal_vector(
-    torus: TorusPatch, colors: Sequence[int], R: int, C: int
-) -> tuple[int, int]:
-    n = torus.base.n
-    solver = LatticeSolver(torus.v1.scaled(torus.R), torus.v2.scaled(torus.C))
+def _minimal_vector(torus: TorusPatch, colors: Sequence[int]) -> tuple[int, int]:
+    reduce = torus.lattice.reduce
 
     def preserved(shift: Point) -> bool:
         for (pos, k, _), c in zip(torus.edges, colors):
-            q = add_vec(pos, shift.coeffs)
-            target = None
-            ptq = Point(n, q)
-            for (rep, kk), idx in torus.index.items():
-                if kk != k:
-                    continue
-                if solver.decompose(ptq - Point(n, rep)) is not None:
-                    target = idx
-                    break
+            target = torus.index.get((reduce(add_vec(pos, shift.coeffs)), k))
             if target is None or colors[target] != c:
                 return False
         return True
 
+    R, C = torus.R, torus.C
     r = next(d for d in range(1, R + 1) if R % d == 0 and preserved(torus.v1.scaled(d)))
     c = next(d for d in range(1, C + 1) if C % d == 0 and preserved(torus.v2.scaled(d)))
     return (r, c)
@@ -503,7 +466,6 @@ def enumerate_curve_sets(
                 out_pos = (4 * d2 + 1) % m4
                 chord = (in_pos, out_pos)
                 at = chords.get(pos, ())
-                from .validator import _chords_cross
                 for other in at:
                     if _chords_cross(chord, other, m4):
                         return

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 from .exactgeom import (
     Point,
@@ -23,7 +22,6 @@ from .exactgeom import (
     normalize_turn,
     phi,
     rotate_vec,
-    sub_vec,
     trace_tokens,
     unit_coeffs,
 )
@@ -38,7 +36,6 @@ from .gridmodel import (
 )
 from .lsystem import (
     CurveSet,
-    SubstMatrix,
     UnequalRowSums,
     expand,
     is_irreducible,
@@ -326,34 +323,50 @@ class CoverageDiagnostic:
         return self.missing == 0
 
 
+def _displacement_table(cs: CurveSet, kmax: int) -> list[dict[str, tuple]]:
+    """table[lv][X]: exact displacement of the lv-th iterate of X, lv <= kmax."""
+    n = cs.n
+    table = [{X: unit_coeffs(n)[0] for X in cs.letters}]
+    for _ in range(kmax):
+        prev = table[-1]
+        cur = {}
+        for X in cs.letters:
+            pos = (0,) * phi(n)
+            dirk = 0
+            for tok in cs.production(X).tokens:
+                if isinstance(tok, int):
+                    dirk = (dirk + tok) % n
+                else:
+                    pos = add_vec(pos, rotate_vec(prev[tok], dirk, n))
+            cur[X] = pos
+        table.append(cur)
+    return table
+
+
 class _LazyExpander:
     """Expansion of anchored words down to single edges, pruning whole
     subtrees that cannot reach the disc of interest.
 
-    Per-level displacement of every letter is exact; the reach bound is a
-    float over-approximation, so pruning never changes the answer.
+    Per-level displacement of every letter is exact (``delta``, from
+    ``_displacement_table``); the reach bound is a float over-approximation,
+    so pruning never changes the answer.
     """
 
-    def __init__(self, cs: CurveSet, k: int, r: float):
+    def __init__(self, cs: CurveSet, delta: list[dict[str, tuple]], k: int, r: float):
         self.cs = cs
         self.n = cs.n
+        self.delta = delta
         self.k = k
         self.r = r
-        self.units = unit_coeffs(self.n)
-        letters = cs.letters
-        zero = (0,) * phi(self.n)
-        # delta[lv][X]: exact displacement of the lv-th iterate of X
-        self.delta: list[dict[str, tuple]] = [
-            {X: self.units[0] for X in letters}
-        ]
-        self.reach: list[dict[str, float]] = [{X: 1.0 for X in letters}]
+        # reach[lv][X]: distance from the tail that the lv-th iterate of X
+        # can reach, at most
+        self.reach: list[dict[str, float]] = [{X: 1.0 for X in cs.letters}]
         for lv in range(1, k + 1):
-            d_prev = self.delta[lv - 1]
+            d_prev = delta[lv - 1]
             r_prev = self.reach[lv - 1]
-            d_cur: dict[str, tuple] = {}
             r_cur: dict[str, float] = {}
-            for X in letters:
-                pos = zero
+            for X in cs.letters:
+                pos = (0,) * phi(self.n)
                 dirk = 0
                 worst = 0.0
                 for tok in cs.production(X).tokens:
@@ -365,9 +378,7 @@ class _LazyExpander:
                             abs(Point(self.n, pos).to_complex()) + r_prev[tok],
                         )
                         pos = add_vec(pos, rotate_vec(d_prev[tok], dirk, self.n))
-                d_cur[X] = pos
                 r_cur[X] = worst
-            self.delta.append(d_cur)
             self.reach.append(r_cur)
         self.covered: set[EdgeKey] = set()
 
@@ -395,9 +406,12 @@ class _LazyExpander:
                 pos = add_vec(pos, rotate_vec(d_prev[tok], dirk, self.n))
 
 
-def _support_aspects(cs: CurveSet, kmax: int) -> dict[str, list[float]]:
+def _support_aspects(
+    cs: CurveSet, delta: list[dict[str, tuple]], kmax: int
+) -> dict[str, list[float]]:
     """Bounding-box aspect ratio of each letter's iterates, via support
-    values over the grid's direction fan (no expansion needed)."""
+    values over the grid's direction fan (no expansion needed); delta is
+    the displacement table up to level kmax - 1 at least."""
     n = cs.n
     if 360 % n:
         return {X: [1.0] * kmax for X in cs.letters}
@@ -411,7 +425,7 @@ def _support_aspects(cs: CurveSet, kmax: int) -> dict[str, list[float]]:
     prev = {X: [max(0.0, math.cos(a)) for a in angles] for X in letters}
     out: dict[str, list[float]] = {X: [] for X in letters}
     for lv in range(1, kmax + 1):
-        delta_prev = _level_delta(cs, lv - 1)
+        delta_prev = delta[lv - 1]
         cur: dict[str, list[float]] = {}
         for X in letters:
             prefixes: list[tuple[complex, str, int]] = []
@@ -442,30 +456,6 @@ def _support_aspects(cs: CurveSet, kmax: int) -> dict[str, list[float]]:
     return out
 
 
-_DELTA_CACHE: dict[CurveSet, list[dict[str, tuple]]] = {}
-
-
-def _level_delta(cs: CurveSet, lv: int) -> dict[str, tuple]:
-    table = _DELTA_CACHE.setdefault(cs, [])
-    if not table:
-        table.append({X: unit_coeffs(cs.n)[0] for X in cs.letters})
-    while len(table) <= lv:
-        prev = table[-1]
-        cur = {}
-        n = cs.n
-        for X in cs.letters:
-            pos = (0,) * phi(n)
-            dirk = 0
-            for tok in cs.production(X).tokens:
-                if isinstance(tok, int):
-                    dirk = (dirk + tok) % n
-                else:
-                    pos = add_vec(pos, rotate_vec(prev[tok], dirk, n))
-            cur[X] = pos
-        table.append(cur)
-    return table[lv]
-
-
 def check_coverage(cs: CurveSet, k: int = 3, r: float = 3.0) -> CoverageDiagnostic:
     """Expand the faces around the seed vertex k times; report grid edges
     within distance r of the seed that no iterate covers."""
@@ -488,7 +478,9 @@ def check_coverage(cs: CurveSet, k: int = 3, r: float = 3.0) -> CoverageDiagnost
             if cycle is not None:
                 tokens = grid.face_table.word[(letter, side)]
                 faces.setdefault(frozenset(e2 for e2, _ in cycle), (cycle, tokens))
-    expander = _LazyExpander(cs, k, r)
+    kasp = max(k, 8)
+    delta = _displacement_table(cs, kasp)
+    expander = _LazyExpander(cs, delta, k, r)
     for cycle, tokens in faces.values():
         # anchor the boundary at every edge of the cycle: each anchored
         # iterate grows from a different corner, so corner artifacts of one
@@ -497,8 +489,7 @@ def check_coverage(cs: CurveSet, k: int = 3, r: float = 3.0) -> CoverageDiagnost
             rotated = tokens[2 * idx :] + tokens[: 2 * idx]
             expander.run(Word(rotated), tail, dirk)
     missing = [e for e in target if e not in expander.covered]
-    kasp = max(k, 8)
-    aspects = _support_aspects(cs, kasp)
+    aspects = _support_aspects(cs, delta, kasp)
     rising = False
     for series in aspects.values():
         # bounded shapes oscillate below their early maximum; unbounded
@@ -565,8 +556,6 @@ def scale_analysis(cs: CurveSet, expected_order: int | None = None) -> ScaleAnal
 
 
 def _eigen_analysis(cs: CurveSet, r: int, out: ScaleAnalysis) -> None:
-    import cmath
-
     n = cs.n
     letters = cs.letters
     L = len(letters)

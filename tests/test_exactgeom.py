@@ -1,6 +1,8 @@
 import cmath
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from gridcurve.exactgeom import (
     DirectedEdge,
     Direction,
-    LatticeSolver,
+    Lattice,
     Point,
     canonicalize,
     cyclotomic,
@@ -177,9 +179,72 @@ def test_ring_division_exact():
         ring_div_exact((1, 0, 0, 0), (2, 0, 0, 0), n)
 
 
-def test_lattice_solver_roundtrip():
-    v1 = Point(4, (1, 1))
-    v2 = Point(4, (1, -1))
-    solver = LatticeSolver(v1, v2)
-    assert solver.decompose(v1.scaled(3) + v2.scaled(-2)) == (3, -2)
-    assert solver.decompose(Point(4, (1, 0))) is None
+def _in_lattice(d: tuple, g1: tuple, g2: tuple) -> bool:
+    """Oracle for membership: solve d = a*g1 + b*g2 over the rationals."""
+    for i, j in itertools.combinations(range(len(d)), 2):
+        det = g1[i] * g2[j] - g1[j] * g2[i]
+        if det:
+            a = Fraction(d[i] * g2[j] - d[j] * g2[i], det)
+            b = Fraction(g1[i] * d[j] - g1[j] * d[i], det)
+            return (a.denominator == b.denominator == 1
+                    and all(x == a * y + b * z for x, y, z in zip(d, g1, g2)))
+    raise AssertionError("collinear generators")
+
+
+def _generators(dim: int):
+    vec = st.tuples(*[st.integers(-6, 6)] * dim)
+    return st.tuples(vec, vec).filter(lambda g: any(
+        g[0][i] * g[1][j] != g[0][j] * g[1][i]
+        for i, j in itertools.combinations(range(dim), 2)))
+
+
+def _check_reduction(n, gens, p, q, a, b):
+    g1, g2 = gens
+    lat = Lattice(Point(n, g1), Point(n, g2))
+    shifted = tuple(x + a * y + b * z for x, y, z in zip(p, g1, g2))
+    assert lat.reduce(shifted) == lat.reduce(p)
+    assert _in_lattice(tuple(x - y for x, y in zip(lat.reduce(p), p)), g1, g2)
+    diff = tuple(x - y for x, y in zip(p, q))
+    assert (lat.reduce(p) == lat.reduce(q)) == _in_lattice(diff, g1, g2)
+
+
+COEFF = st.integers(-40, 40)
+
+
+@given(_generators(2), st.tuples(COEFF, COEFF), st.tuples(COEFF, COEFF),
+       st.integers(-5, 5), st.integers(-5, 5))
+@settings(max_examples=200, deadline=None)
+def test_lattice_reduce_square(gens, p, q, a, b):
+    _check_reduction(4, gens, p, q, a, b)
+
+
+@given(_generators(4), st.tuples(*[COEFF] * 4), st.tuples(*[COEFF] * 4),
+       st.integers(-5, 5), st.integers(-5, 5))
+@settings(max_examples=200, deadline=None)
+def test_lattice_reduce_rank2_in_z4(gens, p, q, a, b):
+    # n = 12: the torus lattice has rank 2 inside Z^4, so most points lie
+    # off the plane it spans and must still reduce consistently
+    _check_reduction(12, gens, p, q, a, b)
+
+
+@given(st.sampled_from([4, 12]), st.lists(st.integers(-6, 6), min_size=4, max_size=4),
+       st.integers(-4, 4), st.integers(-4, 4))
+def test_lattice_collinear_generators_raise(n, g, m1, m2):
+    g = tuple(g[: phi(n)])
+    with pytest.raises(ValueError, match="collinear"):
+        Lattice(Point(n, tuple(m1 * x for x in g)), Point(n, tuple(m2 * x for x in g)))
+
+
+def test_lattice_examples():
+    lat = Lattice(Point(4, (1, 1)), Point(4, (1, -1)))
+    assert lat.reduce((1, 0)) != lat.reduce((0, 0))
+    assert lat.reduce((3, 1)) == lat.reduce((0, 0))
+    assert lat.reduce((2, 5)) == lat.reduce((1, 0))
+    with pytest.raises(ValueError, match="collinear"):
+        Lattice(Point(4, (1, 1)), Point(4, (-2, -2)))
+    with pytest.raises(ValueError, match="collinear"):
+        Lattice(Point(12, (0, 2, 0, 4)), Point(12, (0, 0, 0, 0)))
+    with pytest.raises(ValueError, match="collinear"):
+        Lattice(Point(4, (0, 0)), Point(4, (0, 0)))
+    with pytest.raises(ValueError, match="mixed"):
+        Lattice(Point(4, (1, 0)), Point(6, (0, 1)))

@@ -1,0 +1,60 @@
+"""Source hygiene checks that need no linter: only the stdlib ast module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "gridcurve").glob("*.py"))
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each module-level import, with its line."""
+    out: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                out[name] = node.lineno
+    return out
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # names listed in __all__ count as used: they are re-exported
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return names
+
+
+def unused_imports(source: str) -> list[tuple[str, int]]:
+    tree = ast.parse(source)
+    used = _referenced_names(tree)
+    return sorted((name, line) for name, line in _imported_names(tree).items()
+                  if name not in used)
+
+
+def test_sources_found():
+    assert len(SOURCES) >= 10
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_scan_flags_only_unreferenced_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, sys as system\n"
+        "from typing import Iterable, Sequence\n"
+        "import xml.dom\n"
+        "def f(x: Sequence) -> int:\n"
+        "    return os.sep, xml.dom\n"
+    )
+    assert unused_imports(source) == [("Iterable", 3), ("system", 2)]

@@ -1,8 +1,12 @@
+import hashlib
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
 from gridcurve import catalog
+from gridcurve.exactgeom import normalize_turn
 from gridcurve.gridmodel import check_grid
 from gridcurve.search import (
     TorusPatch,
@@ -32,6 +36,59 @@ def test_torus_edge_count(square):
     assert len(tp) == 16  # 4 directed edges per fundamental cell
     tp = TorusPatch.build(square, 4, 6)
     assert len(tp) == 96
+
+
+def test_torus_symmetries_pinned(all_grids):
+    # every catalog grid on the 2x2 torus, pinned from the earlier
+    # reduction that scanned every representative
+    pinned = json.loads(Path(__file__).with_name("torus_symmetries.json").read_text())
+    got = {}
+    for name, grid in all_grids.items():
+        tp = TorusPatch.build(grid, 2, 2)
+        perms = tp.symmetries()
+        got[name] = {
+            "edges": len(tp),
+            "symmetries": len(perms),
+            "translations": len(tp.symmetries(point_group=False)),
+            "sha256": hashlib.sha256(json.dumps(sorted(perms)).encode()).hexdigest(),
+        }
+    assert len(got) == 32
+    assert got == pinned
+
+
+@pytest.mark.parametrize("name, R, C, count", [
+    ("square", 2, 3, 24),
+    ("triangle", 3, 2, 6),
+    ("d-hexagon", 2, 3, 12),
+    ("tri-abc-star", 3, 2, 6),
+])
+def test_torus_symmetries_are_automorphisms(name, R, C, count):
+    # on an R x C torus with R != C some rotations do not keep the lattice;
+    # every permutation returned must still commute with the successor map
+    # (with the turn negated for a reflection)
+    grid = catalog.grid(name)
+    tp = TorusPatch.build(grid, R, C)
+    turns = sorted({t.turn for t in grid.transitions})
+
+    def commutes(perm, sign):
+        for e in range(len(tp)):
+            for t in turns:
+                s = tp.successor(e, t)
+                if s is not None and perm[s] != tp.successor(perm[e], normalize_turn(sign * t, grid.n)):
+                    return False
+        return True
+
+    perms = tp.symmetries()
+    assert len(perms) == count
+    assert all(commutes(p, 1) or commutes(p, -1) for p in perms)
+    translations = tp.symmetries(point_group=False)
+    assert all(commutes(p, 1) for p in translations)
+    assert {tuple(p) for p in translations} <= {tuple(p) for p in perms}
+
+
+def test_non_symmetries_merge_no_colorings():
+    # a rotation that does not keep the 3x2 lattice once merged two of these
+    assert len(search_colorings(catalog.grid("tri-abc-star"), 3, 2, 3)) == 4
 
 
 def test_counts_two_colors(square):

@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -218,6 +220,15 @@ def test_interior_filled_pinned():
         }
     assert sum(map(len, got.values())) == 169
     assert got == pinned
+
+
+def test_validate_keeps_no_reference_to_the_curveset():
+    cs = catalog.curveset("sq-r5").with_name("tmp")
+    assert validate(cs).verdict == VALID
+    ref = weakref.ref(cs)
+    del cs
+    gc.collect()
+    assert ref() is None
 
 
 def test_interior_fill_reads_grid_letters():
