@@ -4,11 +4,13 @@ A grid is a set of transitions (F, t, G): after drawing an edge of class F
 and turning t, the next edge has class G, and (F, t) determines G uniquely
 (likewise (t, G) determines F).  The face on either side of an edge
 therefore follows from the edge's letter alone: ``GridSpec.face_table``
-holds, per letter and side, the turn that continues the face and the
-face's boundary word.  Prototiles and face instances come from that table.
-Realizing a grid walks the transitions outward from a seed edge and assigns
-a letter to every directed edge it reaches; it is only for callers that
-need the concrete edges of a disc, such as the renderer.
+holds, per letter and side, the turn that continues the face, the face's
+boundary word and its vertex sum.  Prototiles, face instances and face
+centres come from that table, and ``grid_letters`` carries the grid's
+letters along a traced path.  Realizing a grid walks the transitions
+outward from a seed edge and assigns a letter to every directed edge it
+reaches; it now serves only the coverage check's target disc and
+``detect_translation_lattice``.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ from functools import cached_property
 from .exactgeom import (
     Point,
     add_vec,
+    embed_vec,
     normalize_turn,
     phi,
+    rotate_vec,
     sub_vec,
     unit_coeffs,
 )
@@ -132,6 +136,17 @@ class GridSpec:
             k = (k + tokens[i + 1]) % self.n
         return out
 
+    def face_center(self, edge: EdgeKey, letter: str, side: str) -> complex | None:
+        """Mean of the vertices of the face on one side of an edge; None
+        when the face does not close."""
+        total = self.face_table.vertex_sum.get((letter, side))
+        if total is None:
+            return None
+        m = len(self.face_table.word[(letter, side)]) // 2
+        pos, k = edge
+        total = rotate_vec(total, k, self.n)  # read from an edge in direction k
+        return embed_vec(tuple(m * c + s for c, s in zip(pos, total)), self.n) / m
+
     def has_transition(self, src: str, turn: int, dst: str) -> bool:
         return self.forward.get((src, normalize_turn(turn, self.n))) == dst
 
@@ -156,14 +171,16 @@ class FaceTable:
 
     ``turn`` holds the turn that continues the face past an edge of that
     letter.  ``word`` holds the face's boundary tokens read from such an
-    edge (letter, turn, letter, turn, ...) and ``sense`` its sense; both
-    leave out faces that never close and left-side digons, just as a
-    realized patch has no such faces.
+    edge (letter, turn, letter, turn, ...), ``sense`` its sense, and
+    ``vertex_sum`` the exact sum of its vertices when that edge leaves the
+    origin in direction 0.  All three leave out faces that never close and
+    left-side digons, just as a realized patch has no such faces.
     """
 
     turn: dict[tuple[str, str], int]
     word: dict[tuple[str, str], tuple]
     sense: dict[tuple[str, str], str]
+    vertex_sum: dict[tuple[str, str], tuple[int, ...]]
 
 
 def _build_face_table(spec: GridSpec) -> FaceTable:
@@ -176,15 +193,18 @@ def _build_face_table(spec: GridSpec) -> FaceTable:
             turn[(letter, RIGHT)] = min(turns, key=lambda t: face_key(t, n))
     word: dict[tuple[str, str], tuple] = {}
     sense: dict[tuple[str, str], str] = {}
+    vertex_sum: dict[tuple[str, str], tuple[int, ...]] = {}
     # after |letters| * n steps some (letter, direction) pair has repeated,
     # so a walk that has not come back to its start by then never will
     limit = len(spec.letters) * n
     for letter, side in turn:
         tokens: list = []
         cur, dirk, pos = letter, 0, (0,) * phi(n)
+        total = pos  # sum of the tails walked so far
         while len(tokens) < 2 * limit and (cur, side) in turn:
             t = turn[(cur, side)]
             tokens += [cur, t]
+            total = add_vec(total, pos)
             pos = add_vec(pos, units[dirk])
             cur, dirk = spec.forward[(cur, t)], (dirk + t) % n
             if cur == letter and dirk == 0:
@@ -198,7 +218,31 @@ def _build_face_table(spec: GridSpec) -> FaceTable:
         else:
             sense[(letter, side)] = CCW if sum(tokens[1::2]) > 0 else CW
         word[(letter, side)] = tuple(tokens)
-    return FaceTable(turn, word, sense)
+        vertex_sum[(letter, side)] = total
+    return FaceTable(turn, word, sense, vertex_sum)
+
+
+def grid_letters(spec: GridSpec, edges: list, letter: str, dirk: int) -> list[str]:
+    """The grid's letters on a path of traced (tail, dir, letter) edges.
+
+    They are carried along the transitions from an edge of ``letter`` in
+    direction ``dirk`` that arrives at the first edge's tail; the path's
+    own letters need not match them.  A turn that the grid lacks after the
+    letter carried so far raises ValueError.
+    """
+    n = spec.n
+    out: list[str] = []
+    for i, (_, d, _) in enumerate(edges):
+        turn = normalize_turn(d - dirk, n)
+        nxt = spec.forward.get((letter, turn))
+        if nxt is None:
+            raise ValueError(
+                f"path leaves grid {spec.name!r} at edge {i}: "
+                f"no turn {format_turn(turn)} after {letter!r}"
+            )
+        out.append(nxt)
+        letter, dirk = nxt, d
+    return out
 
 
 def check_grid(spec: GridSpec) -> list[str]:
@@ -322,10 +366,6 @@ class Patch:
             left.setdefault(e, -1)
             right.setdefault(e, -1)
         return left, right, faces
-
-    def face_center(self, face: "Face") -> complex:
-        pts = [Point(self.n, e[0]).to_complex() for e in face.cycle]
-        return sum(pts) / len(pts)
 
 
 @dataclass

@@ -5,7 +5,10 @@ turns (U-turns become semicircular caps around the vertex).  Area mode
 assigns each edge a polygon: the quadrilateral spanned by tail, right face
 center, head, left face center on plain grids, or the triangle tail, head,
 left face center on double-edge grids, where the area of an edge lies on
-its left.  Only svg, g, path, and polygon elements are emitted.
+its left.  Face centers come from the grid's face table, so area mode does
+work linear in the drawn edges; a side whose face never closes, or is a
+digon, gets a point a quarter edge off the edge's midpoint instead.  Only
+svg, g, path, and polygon elements are emitted.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .exactgeom import Point, normalize_turn, trace_tokens, unit_coeffs
-from .gridmodel import DIGON, GridSpec, realize
+from .gridmodel import DIGON, LEFT, RIGHT, GridSpec, grid_letters
 from .words import Word
 
 LINE = "line"
@@ -174,28 +177,25 @@ def render_line(
     return doc.to_string()
 
 
-def _face_centers(grid: GridSpec, edges) -> tuple[dict, dict]:
-    """Left/right face centers for every traced edge, realized on demand."""
-    extent = max(abs(Point(grid.n, p).to_complex()) for p, _, _ in edges) + 1
-    depth = int(math.ceil(extent * 1.6)) + 4
-    patch = realize(grid, depth)
-    missing = [e for e in ((p, k) for p, k, _ in edges) if (e[0], e[1]) not in patch.edges]
-    while missing:
-        depth += max(4, depth // 2)
-        if depth > 40 * extent + 120:
-            raise ValueError("word leaves the realizable patch")
-        patch = realize(grid, depth)
-        missing = [e for e in ((p, k) for p, k, _ in edges) if e not in patch.edges]
-    left, right, faces = patch.face_maps()
-    centers = [patch.face_center(fc) if fc.sense != DIGON else None for fc in faces]
-    lmap: dict = {}
-    rmap: dict = {}
-    for p, k, _ in edges:
-        e = (p, k)
-        li, ri = left.get(e, -1), right.get(e, -1)
-        lmap[e] = centers[li] if li >= 0 else None
-        rmap[e] = centers[ri] if ri >= 0 else None
-    return lmap, rmap
+def _face_centers(grid: GridSpec, edges) -> list[tuple[complex | None, complex | None]]:
+    """Left and right face centers of every traced edge, from the face
+    table; None where the face never closes or is a digon.  The path
+    starts at the tail of the grid's seed edge, and the grid's letters on
+    it are carried from an edge that arrives there."""
+    arrivals = grid.arrivals.get(grid.seed_letter())
+    if not arrivals:
+        raise ValueError(f"no transition of grid {grid.name!r} arrives at its seed letter")
+    start = arrivals[0]
+    letters = grid_letters(grid, edges, start.src, -start.turn)
+    sense = grid.face_table.sense
+    out = []
+    for (pos, k, _), letter in zip(edges, letters):
+        out.append(tuple(
+            None if sense.get((letter, side)) == DIGON
+            else grid.face_center((pos, k), letter, side)
+            for side in (LEFT, RIGHT)
+        ))
+    return out
 
 
 def render_area(
@@ -205,21 +205,20 @@ def render_area(
     tags: Sequence[int] | None = None,
 ) -> str:
     """Per-edge polygons; lozenges on plain grids, left-triangles on
-    double-edge grids.  Rim edges without a face center fall back to
-    half-width quadrilaterals."""
+    double-edge grids.  A side whose face never closes, or is a digon,
+    falls back to a half-width quadrilateral corner.  The word starts at
+    the grid's seed vertex; a turn the grid lacks raises ValueError."""
     n = grid.n
     _, _, edges = trace_tokens(word.tokens, n)
     doc = SvgDoc()
     if not edges:
         return doc.to_string()
-    lmap, rmap = _face_centers(grid, edges)
+    centers = _face_centers(grid, edges)
     units = [Point(n, unit_coeffs(n)[k]).to_complex() for k in range(n)]
     s = style.scale
-    for i, (pos, k, letter) in enumerate(edges):
+    for i, ((pos, k, letter), (lc, rc)) in enumerate(zip(edges, centers)):
         a = Point(n, pos).to_complex()
         b = a + units[k]
-        lc = lmap[(pos, k)]
-        rc = rmap[(pos, k)]
         normal = units[k] * 1j  # unit left normal
         if lc is None:
             lc = (a + b) / 2 + normal * 0.25

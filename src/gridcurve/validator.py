@@ -31,6 +31,7 @@ from .gridmodel import (
     EdgeKey,
     GridSpec,
     Prototile,
+    grid_letters,
     prototiles,
     realize,
 )
@@ -212,23 +213,6 @@ def check_dekking1(cs: CurveSet, form: str = "transitions") -> tuple[bool, str |
     raise ValueError(f"unknown form {form!r}")
 
 
-def _grid_letters(grid: GridSpec, tokens: tuple, edges: list) -> dict[EdgeKey, str]:
-    """The grid's letters on the traced edges of an iterate of a face
-    boundary anchored at the origin.  They are carried along the
-    transitions from the boundary's last edge, which arrives at the origin;
-    the curve's own letters need not match them."""
-    n = grid.n
-    out: dict[EdgeKey, str] = {}
-    letter, dirk = tokens[-2], -tokens[-1] % n
-    for p, d, _ in edges:
-        letter = grid.forward.get((letter, normalize_turn(d - dirk, n)))
-        if letter is None:
-            raise ValueError("tile boundary iterate leaves the grid")
-        out[(p, d)] = letter
-        dirk = d
-    return out
-
-
 def check_interior_filled(cs: CurveSet, tile: Prototile, k: int = 1) -> bool:
     """Expand the tile boundary k times and flood the faces it encloses:
     every directed edge with interior faces on both sides must be traversed.
@@ -259,7 +243,10 @@ def check_interior_filled(cs: CurveSet, tile: Prototile, k: int = 1) -> bool:
     end, _, edges = trace_tokens(w.tokens, n, origin, 0)
     if end != origin:
         raise ValueError("tile boundary iterate does not close (scale inconsistency)")
-    curve = _grid_letters(grid, tokens, edges)
+    # the grid's letters, carried from the boundary's last edge, which
+    # arrives at the origin
+    letters = grid_letters(grid, edges, tokens[-2], -tokens[-1])
+    curve = {(p, d): letter for (p, d, _), letter in zip(edges, letters)}
     radius = max(abs(Point(n, p).to_complex()) for p, _, _ in edges) + 1e-9
     norms: dict[tuple, float] = {}
 

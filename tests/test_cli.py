@@ -21,3 +21,33 @@ def test_search_colorings_bad_torus(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "--torus expects RxC" in err
+
+
+def test_render_golden(capsys):
+    # both outputs are pinned from the patch-based area renderer
+    pins = {
+        "line": "ecac87f1954c601314d0830d3961cb11ffdf978e9299b9cca19d1b46d9715b73",
+        "area": "3636e52961055553a650385a70ffc250e2237057e95cefc993e11adac02aef94",
+    }
+    for mode, pin in pins.items():
+        argv = ["render", "catalog:sq-r5", "--axiom", "F", "-k", "3", "--mode", mode]
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == pin, mode
+
+
+def test_render_area_needs_a_grid(capsys):
+    argv = ["render", "catalog:nofit-1", "--axiom", "F", "-k", "1", "--mode", "area"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "area mode needs a grid" in err
+
+
+def test_render_area_leaving_the_grid(capsys):
+    argv = ["render", "catalog:sq-r5", "--axiom", "F++F", "-k", "1", "--mode", "area"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: path leaves grid 'square'")

@@ -128,8 +128,9 @@ def test_prototile_turning(all_grids):
 def test_face_cover(all_grids):
     # interior edges border one CCW face on the left and one CW or digon
     # face on the right; the face table continues each face with the
-    # extreme turn among the successors that the realized patch holds;
-    # radius 8 closes the dodecagons of d31212 around every edge of depth 2
+    # extreme turn among the successors that the realized patch holds, and
+    # its exact centre is the mean of the patch face's tails; radius 8
+    # closes the dodecagons of d31212 around every edge of depth 2
     for name, g in all_grids.items():
         patch = realize(g, 8)
         left, right, faces = patch.face_maps()
@@ -146,6 +147,10 @@ def test_face_cover(all_grids):
             key = lambda t: face_key(t, g.n)
             assert g.face_table.turn[(letter, LEFT)] == max(turns, key=key), (name, e)
             assert g.face_table.turn[(letter, RIGHT)] == min(turns, key=key), (name, e)
+            for side, face in ((LEFT, faces[lf]), (RIGHT, faces[rf])):
+                tails = [Point(g.n, f[0]).to_complex() for f in face.cycle]
+                center = g.face_center(e, letter, side)
+                assert abs(center - sum(tails) / len(tails)) < 1e-9, (name, e, side)
 
 
 def test_face_table_is_lazy():

@@ -1,9 +1,11 @@
+import hashlib
 import re
 
 import pytest
 
-from gridcurve import catalog
-from gridcurve.gridmodel import prototiles
+from gridcurve import catalog, gridmodel
+from gridcurve.exactgeom import Point, phi
+from gridcurve.gridmodel import DIGON, LEFT, RIGHT, GridSpec, Transition, prototiles, realize
 from gridcurve.lsystem import expand, expand_tagged
 from gridcurve.render import (
     AREA,
@@ -12,12 +14,13 @@ from gridcurve.render import (
     BY_ORIENTATION,
     LINE,
     RenderStyle,
+    _face_centers,
     check_svg,
     render_area,
     render_line,
     render_points,
 )
-from gridcurve.words import parse_word
+from gridcurve.words import Word, parse_word
 
 
 def polygon_areas(svg):
@@ -109,6 +112,76 @@ def test_area_partition_dsquare_tile():
     assert len(areas) == 16
     # the sixteen left-triangles tile the 2x2 square
     assert sum(areas) / 1000.0 ** 2 == pytest.approx(4.0, rel=1e-6)
+
+
+# SVG digests of area renders of the curve-set's first letter at depth k,
+# pinned from the patch-based renderer
+AREA_PINS = {
+    ("sq-r5", 5): "6f0a87c5ba436d7893a7c503c239beb713e993d306e60b7130560a81a9186dc9",
+    ("gosper", 4): "6a8d34b97988e48a157e2b3decf853992e4ab3b67ddddcdf3145ed261e2522a9",
+    ("dtri-r4", 5): "b55419142d931bb98a93d0d5a8ca7ecd436952373d50a00c9ffd823bad6a2a5b",
+}
+
+
+@pytest.mark.parametrize("name, k", AREA_PINS, ids=lambda v: str(v))
+def test_area_realizes_no_patch(monkeypatch, name, k):
+    def no_patch(*args):
+        raise AssertionError("render_area realized a patch")
+
+    monkeypatch.setattr(gridmodel, "realize", no_patch)
+    cs = catalog.curveset(name)
+    w = expand(cs, Word((cs.letters[0],)), k)
+    svg = render_area(w, cs.grid, RenderStyle(mode=AREA))
+    assert svg.count("<polygon") == w.nletters()
+    assert hashlib.sha256(svg.encode()).hexdigest() == AREA_PINS[(name, k)]
+
+
+def test_area_rim_faces_sq_r29():
+    # every face beside the curve closes on the square grid, so every
+    # polygon is a full lozenge of area 1/2; a patch around the curve cut
+    # off two faces at its rim and drew a half-width corner (580,1290)
+    cs = catalog.curveset("sq-r29")
+    w = expand(cs, Word((cs.letters[0],)), 2)
+    svg = render_area(w, cs.grid, RenderStyle(mode=AREA, scale=40.0))
+    areas = polygon_areas(svg)
+    assert len(areas) == 29 ** 2
+    assert areas == pytest.approx([0.5 * 40.0 ** 2] * len(areas), rel=1e-9)
+    assert "580.0000,1300.0000" in svg and "580.0000,1290.0000" not in svg
+
+
+def test_area_turn_off_grid_raises():
+    # square is directed: no edge of it leaves a vertex the way it came
+    with pytest.raises(ValueError, match="leaves grid 'square' at edge 1"):
+        render_area(parse_word("F++F"), catalog.grid("square"), RenderStyle(mode=AREA))
+    # no edge arrives at the seed edge, so no letter can be carried onto it
+    g = GridSpec("g", 4, ("A", "B"), (Transition("A", 1, "B"), Transition("B", 1, "B")))
+    with pytest.raises(ValueError, match="arrives at its seed letter"):
+        render_area(parse_word("A"), g, RenderStyle(mode=AREA))
+
+
+def test_area_axiom_starting_with_a_turn(all_grids):
+    # a one-edge word that turns to direction k first draws the grid's edge
+    # (origin, k), whatever its letter; its face centres are those of the
+    # realized patch's faces, and digons fall back
+    for name, g in all_grids.items():
+        patch = realize(g, 8)
+        left, right, faces = patch.face_maps()
+        origin = (0,) * phi(g.n)
+        for (pos, k), letter in patch.edges.items():
+            if pos != origin:
+                continue
+            want = []
+            for side_map in (left, right):
+                face = faces[side_map[(pos, k)]]
+                tails = [Point(g.n, e[0]).to_complex() for e in face.cycle]
+                want.append(None if face.sense == DIGON else sum(tails) / len(tails))
+            got = _face_centers(g, [(pos, k, g.seed_letter())])
+            assert len(got) == 1
+            for expected, center, side in zip(want, got[0], (LEFT, RIGHT)):
+                assert (expected is None) == (center is None), (name, k, side)
+                assert expected is None or abs(expected - center) < 1e-9, (name, k, side)
+            word = Word((k, letter)) if k else Word((letter,))
+            assert render_area(word, g, RenderStyle(mode=AREA)).count("<polygon") == 1
 
 
 def test_orientation_coloring_3446():

@@ -8,13 +8,12 @@ import pytest
 
 from gridcurve import catalog
 from gridcurve.exactgeom import trace_tokens
-from gridcurve.gridmodel import prototiles, realize
+from gridcurve.gridmodel import grid_letters, prototiles, realize
 from gridcurve.lsystem import CurveSet, expand, subst_matrix
 from gridcurve.validator import (
     INVALID,
     VALID,
     VALID_WITH_CAVEATS,
-    _grid_letters,
     check_coverage,
     check_dekking1,
     check_grid_consistent,
@@ -240,9 +239,9 @@ def test_interior_fill_reads_grid_letters():
         tokens = tile.boundary_word().tokens
         assert tokens[0] == cs.grid.seed_letter()  # anchored like the patch
         _, _, edges = trace_tokens(expand(cs, Word(tokens), 1).tokens, cs.n)
-        letters = _grid_letters(cs.grid, tokens, edges)
-        assert letters == {e: patch.edges[e] for e in letters}
-        assert any(letters[(p, d)] != own for p, d, own in edges)
+        letters = grid_letters(cs.grid, edges, tokens[-2], -tokens[-1])
+        assert letters == [patch.edges[(p, d)] for p, d, _ in edges]
+        assert any(letter != own for letter, (_, _, own) in zip(letters, edges))
 
 
 def test_interior_filled_sausage_yet_no_coverage():
