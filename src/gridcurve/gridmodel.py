@@ -9,14 +9,17 @@ boundary word and its vertex sum.  Prototiles, face instances and face
 centres come from that table, and ``grid_letters`` carries the grid's
 letters along a traced path.  Realizing a grid walks the transitions
 outward from a seed edge and assigns a letter to every directed edge it
-reaches; it now serves only the coverage check's target disc and
-``detect_translation_lattice``.
+reaches.  It serves ``detect_translation_lattice`` and
+``GridSpec.target_disc``, which realizes once per grid and radius the
+disc that the coverage check must see covered.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .exactgeom import (
     Point,
@@ -119,6 +122,21 @@ class GridSpec:
     def face_table(self) -> "FaceTable":
         return _build_face_table(self)
 
+    @cached_property
+    def _target_discs(self) -> dict[float, "TargetDisc"]:
+        return {}
+
+    def target_disc(self, r: float) -> "TargetDisc":
+        """The coverage target of radius r, built on the first call per r.
+
+        Only a disc that was built stores: a colouring that contradicts
+        itself raises InconsistentColoring on every call.
+        """
+        disc = self._target_discs.get(r)
+        if disc is None:
+            disc = self._target_discs[r] = _build_target_disc(self, r)
+        return disc
+
     def face_cycle(
         self, edge: EdgeKey, letter: str, side: str
     ) -> list[tuple[EdgeKey, str]] | None:
@@ -220,6 +238,44 @@ def _build_face_table(spec: GridSpec) -> FaceTable:
         word[(letter, side)] = tuple(tokens)
         vertex_sum[(letter, side)] = total
     return FaceTable(turn, word, sense, vertex_sum)
+
+
+class TargetDisc(NamedTuple):
+    """What a coverage check of radius r looks at around the origin.
+
+    ``edges`` holds the directed edges whose midpoints lie within r of the
+    origin, in the order ``realize`` reaches them.  ``anchored_faces``
+    holds the boundary word of every face at the origin once per edge of
+    the face, rotated to start there, as (tokens, tail, direction): each
+    anchored iterate grows from a different corner, so the corner
+    artifacts of one anchoring are interior to another.
+    """
+
+    edges: tuple[EdgeKey, ...]
+    anchored_faces: tuple[tuple[tuple, tuple, int], ...]
+
+
+def _build_target_disc(spec: GridSpec, r: float) -> TargetDisc:
+    n = spec.n
+    patch = realize(spec, int(math.ceil((r + 1) * 2.2)) + 4)
+    half_units = [embed_vec(u, n) / 2 for u in unit_coeffs(n)]
+    edges = tuple(
+        e for e in patch.edges if abs(embed_vec(e[0], n) + half_units[e[1]]) <= r
+    )
+    faces: dict[frozenset, tuple[list, tuple]] = {}
+    for e in patch.out_at.get((0,) * phi(n), ()):
+        letter = patch.edges[e]
+        for side in (LEFT, RIGHT):
+            cycle = spec.face_cycle(e, letter, side)
+            if cycle is not None:
+                tokens = spec.face_table.word[(letter, side)]
+                faces.setdefault(frozenset(e2 for e2, _ in cycle), (cycle, tokens))
+    anchored = tuple(
+        (tokens[2 * i :] + tokens[: 2 * i], tail, dirk)
+        for cycle, tokens in faces.values()
+        for i, ((tail, dirk), _) in enumerate(cycle)
+    )
+    return TargetDisc(edges, anchored)
 
 
 def grid_letters(spec: GridSpec, edges: list, letter: str, dirk: int) -> list[str]:

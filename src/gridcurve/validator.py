@@ -15,12 +15,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import add
 
 from .exactgeom import (
     Point,
+    _embed_basis,
     add_vec,
+    embed_vec,
+    mul_vec,
     normalize_turn,
     phi,
+    ring_div_exact,
     rotate_vec,
     trace_tokens,
     unit_coeffs,
@@ -33,7 +38,6 @@ from .gridmodel import (
     Prototile,
     grid_letters,
     prototiles,
-    realize,
 )
 from .lsystem import (
     CurveSet,
@@ -310,23 +314,39 @@ class CoverageDiagnostic:
         return self.missing == 0
 
 
-def _displacement_table(cs: CurveSet, kmax: int) -> list[dict[str, tuple]]:
-    """table[lv][X]: exact displacement of the lv-th iterate of X, lv <= kmax."""
+def _walk(
+    tokens: tuple, level: dict[str, tuple[tuple, int]], n: int, pos: tuple, dirk: int = 0
+) -> tuple[list[tuple[str, int, tuple]], tuple, int]:
+    """Walk a word whose letters stand for their iterates at one level.
+
+    ``level[X]`` is the displacement and net turn of X's iterate (a row of
+    ``_displacement_table``).  Returns (letter, direction, tail) for every
+    letter, then the end point and the end direction.  An iterate starts in
+    the direction of every turn before it in the expanded word, and those
+    include the net turns of the iterates before it.
+    """
+    out = []
+    for tok in tokens:
+        if isinstance(tok, int):
+            dirk = (dirk + tok) % n
+        else:
+            out.append((tok, dirk, pos))
+            disp, turn = level[tok]
+            pos = add_vec(pos, rotate_vec(disp, dirk, n))
+            dirk = (dirk + turn) % n
+    return out, pos, dirk
+
+
+def _displacement_table(cs: CurveSet, kmax: int) -> list[dict[str, tuple[tuple, int]]]:
+    """table[lv][X]: exact displacement and net turn (mod n) of the lv-th
+    iterate of X, lv <= kmax."""
     n = cs.n
-    table = [{X: unit_coeffs(n)[0] for X in cs.letters}]
+    origin = (0,) * phi(n)
+    table = [{X: (unit_coeffs(n)[0], 0) for X in cs.letters}]
     for _ in range(kmax):
         prev = table[-1]
-        cur = {}
-        for X in cs.letters:
-            pos = (0,) * phi(n)
-            dirk = 0
-            for tok in cs.production(X).tokens:
-                if isinstance(tok, int):
-                    dirk = (dirk + tok) % n
-                else:
-                    pos = add_vec(pos, rotate_vec(prev[tok], dirk, n))
-            cur[X] = pos
-        table.append(cur)
+        table.append({X: _walk(cs.production(X).tokens, prev, n, origin)[1:]
+                      for X in cs.letters})
     return table
 
 
@@ -334,67 +354,81 @@ class _LazyExpander:
     """Expansion of anchored words down to single edges, pruning whole
     subtrees that cannot reach the disc of interest.
 
+    The children of the lv-th iterate of a letter X whose first edge points
+    in direction d form one row: per letter of X's production, the child
+    letter, its direction, the exact offset of its tail from X's tail and
+    that offset's embedding.  A row is built on its first visit and reused
+    for every later (lv, X, d).  Descent runs on an explicit stack that
+    carries each subtree's exact tail, for the covered (tail, direction)
+    keys, and its float embedding, for the prune test.
+
     Per-level displacement of every letter is exact (``delta``, from
-    ``_displacement_table``); the reach bound is a float over-approximation,
-    so pruning never changes the answer.
+    ``_displacement_table``); the reach bound is a float over-approximation
+    with a margin of one edge, so pruning never changes which edges of the
+    disc are covered.
     """
 
-    def __init__(self, cs: CurveSet, delta: list[dict[str, tuple]], k: int, r: float):
+    def __init__(self, cs: CurveSet, delta: list[dict[str, tuple[tuple, int]]], k: int, r: float):
         self.cs = cs
         self.n = cs.n
         self.delta = delta
         self.k = k
-        self.r = r
+        self.origin = (0,) * phi(self.n)
+        self.rows: dict[tuple[int, str, int], list[tuple[str, int, tuple, complex]]] = {}
         # reach[lv][X]: distance from the tail that the lv-th iterate of X
-        # can reach, at most
-        self.reach: list[dict[str, float]] = [{X: 1.0 for X in cs.letters}]
+        # can reach, at most; offsets keep their length under rotation, so
+        # the rows of direction 0 give it
+        reach: list[dict[str, float]] = [{X: 1.0 for X in cs.letters}]
         for lv in range(1, k + 1):
-            d_prev = delta[lv - 1]
-            r_prev = self.reach[lv - 1]
-            r_cur: dict[str, float] = {}
-            for X in cs.letters:
-                pos = (0,) * phi(self.n)
-                dirk = 0
-                worst = 0.0
-                for tok in cs.production(X).tokens:
-                    if isinstance(tok, int):
-                        dirk = (dirk + tok) % self.n
-                    else:
-                        worst = max(
-                            worst,
-                            abs(Point(self.n, pos).to_complex()) + r_prev[tok],
-                        )
-                        pos = add_vec(pos, rotate_vec(d_prev[tok], dirk, self.n))
-                r_cur[X] = worst
-            self.reach.append(r_cur)
+            below = reach[-1]
+            reach.append({
+                X: max((abs(z) + below[Y] for Y, _, _, z in self._row(lv, X, 0)), default=0.0)
+                for X in cs.letters
+            })
+        # limit[lv][X]: a subtree whose tail lies farther out is pruned
+        self.limit = [{X: r + far + 1.0 for X, far in level.items()} for level in reach]
         self.covered: set[EdgeKey] = set()
 
-    def run(self, word: Word, anchor: tuple, dirk: int) -> None:
-        pos = anchor
-        for tok in word.tokens:
-            if isinstance(tok, int):
-                dirk = (dirk + tok) % self.n
-            else:
-                self._descend(tok, self.k, pos, dirk)
-                pos = add_vec(pos, rotate_vec(self.delta[self.k][tok], dirk, self.n))
+    def _row(self, lv: int, letter: str, dirk: int) -> list[tuple[str, int, tuple, complex]]:
+        children, _, _ = _walk(
+            self.cs.production(letter).tokens, self.delta[lv - 1], self.n, self.origin, dirk
+        )
+        row = [(Y, d, p, embed_vec(p, self.n)) for Y, d, p in children]
+        self.rows[(lv, letter, dirk)] = row
+        return row
 
-    def _descend(self, letter: str, lv: int, pos: tuple, dirk: int) -> None:
-        if abs(Point(self.n, pos).to_complex()) > self.r + self.reach[lv][letter] + 1.0:
+    def run(self, tokens: tuple, anchor: tuple, dirk: int) -> None:
+        for letter, d, pos in _walk(tokens, self.delta[self.k], self.n, anchor, dirk)[0]:
+            self._descend(letter, pos, d)
+
+    def _descend(self, letter: str, pos: tuple, dirk: int) -> None:
+        z = embed_vec(pos, self.n)
+        if abs(z) > self.limit[self.k][letter]:
             return
-        if lv == 0:
+        if self.k == 0:
             self.covered.add((pos, dirk))
             return
-        d_prev = self.delta[lv - 1]
-        for tok in self.cs.production(letter).tokens:
-            if isinstance(tok, int):
-                dirk = (dirk + tok) % self.n
-            else:
-                self._descend(tok, lv - 1, pos, dirk)
-                pos = add_vec(pos, rotate_vec(d_prev[tok], dirk, self.n))
+        rows, limit, covered = self.rows, self.limit, self.covered
+        stack = [(self.k, letter, pos, z, dirk)]
+        while stack:
+            lv, X, pos, z, dirk = stack.pop()
+            row = rows.get((lv, X, dirk))
+            if row is None:
+                row = self._row(lv, X, dirk)
+            below = limit[lv - 1]
+            for Y, dY, offset, z_offset in row:
+                zY = z + z_offset
+                if abs(zY) > below[Y]:
+                    continue
+                pY = tuple(map(add, pos, offset))  # add_vec, inlined: once per node
+                if lv == 1:
+                    covered.add((pY, dY))
+                else:
+                    stack.append((lv - 1, Y, pY, zY, dY))
 
 
 def _support_aspects(
-    cs: CurveSet, delta: list[dict[str, tuple]], kmax: int
+    cs: CurveSet, delta: list[dict[str, tuple[tuple, int]]], kmax: int
 ) -> dict[str, list[float]]:
     """Bounding-box aspect ratio of each letter's iterates, via support
     values over the grid's direction fan (no expansion needed); delta is
@@ -411,19 +445,13 @@ def _support_aspects(
     # support in direction a is max(0, cos a)
     prev = {X: [max(0.0, math.cos(a)) for a in angles] for X in letters}
     out: dict[str, list[float]] = {X: [] for X in letters}
+    origin = (0,) * phi(n)
     for lv in range(1, kmax + 1):
         delta_prev = delta[lv - 1]
         cur: dict[str, list[float]] = {}
         for X in letters:
-            prefixes: list[tuple[complex, str, int]] = []
-            pos = (0,) * phi(n)
-            dirk = 0
-            for tok in cs.production(X).tokens:
-                if isinstance(tok, int):
-                    dirk = (dirk + tok) % n
-                else:
-                    prefixes.append((Point(n, pos).to_complex(), tok, dirk))
-                    pos = add_vec(pos, rotate_vec(delta_prev[tok], dirk, n))
+            children, _, _ = _walk(cs.production(X).tokens, delta_prev, n, origin)
+            prefixes = [(embed_vec(p, n), tok, dirk) for tok, dirk, p in children]
             vals = []
             for ai, a in enumerate(angles):
                 ca, sa = math.cos(a), math.sin(a)
@@ -445,37 +473,22 @@ def _support_aspects(
 
 def check_coverage(cs: CurveSet, k: int = 3, r: float = 3.0) -> CoverageDiagnostic:
     """Expand the faces around the seed vertex k times; report grid edges
-    within distance r of the seed that no iterate covers."""
+    within distance r of the seed that no iterate covers.
+
+    The target edges and the anchored faces at the origin come from the
+    grid's ``target_disc(r)``, realized once per grid and radius; the
+    iterates are walked by ``_LazyExpander`` without being expanded.
+    """
     grid = cs.grid
     if grid is None:
         raise ValueError("needs a grid")
-    n = grid.n
-    patch = realize(grid, int(math.ceil((r + 1) * 2.2)) + 4)
-    origin = (0,) * phi(n)
-    target = [
-        e
-        for e in patch.edges
-        if abs(Point(n, e[0]).to_complex() + _unit_complex(n, e[1]) / 2) <= r
-    ]
-    faces: dict[frozenset, tuple[list, tuple]] = {}
-    for e in patch.out_at.get(origin, ()):
-        letter = patch.edges[e]
-        for side in (LEFT, RIGHT):
-            cycle = grid.face_cycle(e, letter, side)
-            if cycle is not None:
-                tokens = grid.face_table.word[(letter, side)]
-                faces.setdefault(frozenset(e2 for e2, _ in cycle), (cycle, tokens))
+    disc = grid.target_disc(r)
     kasp = max(k, 8)
     delta = _displacement_table(cs, kasp)
     expander = _LazyExpander(cs, delta, k, r)
-    for cycle, tokens in faces.values():
-        # anchor the boundary at every edge of the cycle: each anchored
-        # iterate grows from a different corner, so corner artifacts of one
-        # anchoring are interior to another
-        for idx, ((tail, dirk), _) in enumerate(cycle):
-            rotated = tokens[2 * idx :] + tokens[: 2 * idx]
-            expander.run(Word(rotated), tail, dirk)
-    missing = [e for e in target if e not in expander.covered]
+    for tokens, tail, dirk in disc.anchored_faces:
+        expander.run(tokens, tail, dirk)
+    missing = [e for e in disc.edges if e not in expander.covered]
     aspects = _support_aspects(cs, delta, kasp)
     rising = False
     for series in aspects.values():
@@ -488,12 +501,8 @@ def check_coverage(cs: CurveSet, k: int = 3, r: float = 3.0) -> CoverageDiagnost
         if len(series) >= 2 and series[-1] == float("inf") == series[-2]:
             rising = True
     return CoverageDiagnostic(
-        k, r, len(missing), len(target), aspects, rising, missing[:8]
+        k, r, len(missing), len(disc.edges), aspects, rising, missing[:8]
     )
-
-
-def _unit_complex(n: int, k: int) -> complex:
-    return Point(n, unit_coeffs(n)[k]).to_complex()
 
 
 # -- scale analysis -------------------------------------------------------
@@ -578,8 +587,6 @@ def _eigen_analysis(cs: CurveSet, r: int, out: ScaleAnalysis) -> None:
         return mat
 
     def mat_mul(a, b):
-        from .exactgeom import mul_vec
-
         zerov = (0,) * phi(n)
         out_m = [[zerov for _ in letters] for _ in letters]
         for i in range(L):
@@ -634,8 +641,6 @@ def _ring_elements_near(z: complex, norm_target: int, n: int) -> list[Point]:
     bound = int(math.isqrt(norm_target)) * 2 + 1
     if (2 * bound + 1) ** deg > 2_000_000:
         return []
-    from .exactgeom import _embed_basis
-
     basis = _embed_basis(n)
     out = []
     rng = range(-bound, bound + 1)
@@ -654,8 +659,6 @@ def _ring_elements_near(z: complex, norm_target: int, n: int) -> list[Point]:
 
 
 def _det_is_zero(mat: list[list[tuple]], lam: Point, n: int) -> bool:
-    from .exactgeom import mul_vec
-
     L = len(mat)
     work = [[Point(n, mat[i][j]) for j in range(L)] for i in range(L)]
     for i in range(L):
@@ -686,8 +689,6 @@ def _ring_div(num: Point, den: Point) -> Point:
     quotient exists."""
     if den.coeffs == unit_coeffs(den.n)[0]:
         return num
-    from .exactgeom import ring_div_exact
-
     return Point(num.n, ring_div_exact(num.coeffs, den.coeffs, num.n))
 
 

@@ -51,3 +51,21 @@ def test_render_area_leaving_the_grid(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: path leaves grid 'square'")
+
+
+def test_validate_golden(capsys):
+    # exit 0 for a valid set, 2 when a report says Invalid; stdout pinned
+    # from the recursive coverage expander
+    runs = [
+        (["validate", "catalog:sq-r5"], 0,
+         "245b7b8834c748c656dee923f79ffbb5c70a45262a70fe22d986cadc090205cc"),
+        (["validate", "catalog:sausage"], 2,
+         "1130af00356d16d594b51405964d91dbf376020917bd6a5b9f700e4e2e23c96d"),
+        (["validate", "catalog:fischer", "--json"], 2,
+         "3997ccde884bf2c9777ef58d6b5a675b0bca21ee0c6994f9e48c5d42aea7464f"),
+    ]
+    for argv, code, pin in runs:
+        assert cli.main(argv) == code, argv
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == pin, argv

@@ -8,10 +8,10 @@ import pytest
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "gridcurve").glob("*.py"))
 
 
-def _imported_names(tree: ast.Module) -> dict[str, int]:
-    """Name bound by each module-level import, with its line."""
+def _imported_names(body: list[ast.stmt]) -> dict[str, int]:
+    """Name bound by each import among these statements, with its line."""
     out: dict[str, int] = {}
-    for node in tree.body:
+    for node in body:
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -33,10 +33,18 @@ def _referenced_names(tree: ast.Module) -> set[str]:
 
 
 def unused_imports(source: str) -> list[tuple[str, int]]:
+    """Module-level imports that nothing references, and imports in a
+    function body that nothing in that function references."""
     tree = ast.parse(source)
     used = _referenced_names(tree)
-    return sorted((name, line) for name, line in _imported_names(tree).items()
-                  if name not in used)
+    out = {(name, line) for name, line in _imported_names(tree.body).items()
+           if name not in used}
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            local = {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
+            out |= {(name, line) for name, line in _imported_names(func.body).items()
+                    if name not in local}
+    return sorted(out)
 
 
 def test_sources_found():
@@ -58,3 +66,17 @@ def test_scan_flags_only_unreferenced_imports():
         "    return os.sep, xml.dom\n"
     )
     assert unused_imports(source) == [("Iterable", 3), ("system", 2)]
+
+
+def test_scan_flags_unreferenced_function_imports():
+    source = (
+        "import os\n"
+        "def f():\n"
+        "    from math import pi, tau\n"
+        "    import re\n"
+        "    return pi + os.sep.count(re.escape('x'))\n"
+        "def g():\n"
+        "    import os\n"
+        "    return 1\n"
+    )
+    assert unused_imports(source) == [("os", 7), ("tau", 3)]

@@ -6,14 +6,24 @@ from pathlib import Path
 
 import pytest
 
-from gridcurve import catalog
+from gridcurve import catalog, gridmodel
 from gridcurve.exactgeom import trace_tokens
-from gridcurve.gridmodel import grid_letters, prototiles, realize
+from gridcurve.gridmodel import (
+    GridSpec,
+    InconsistentColoring,
+    Transition,
+    check_grid,
+    grid_letters,
+    prototiles,
+    realize,
+)
 from gridcurve.lsystem import CurveSet, expand, subst_matrix
 from gridcurve.validator import (
     INVALID,
     VALID,
     VALID_WITH_CAVEATS,
+    _displacement_table,
+    _LazyExpander,
     check_coverage,
     check_dekking1,
     check_grid_consistent,
@@ -23,6 +33,8 @@ from gridcurve.validator import (
     validate,
 )
 from gridcurve.words import Word, parse_word
+
+GRID_SETS = [e.name for e in catalog.CURVE_ENTRIES if catalog.curveset(e.name).grid is not None]
 
 
 # -- self-avoidance ----------------------------------------------------------
@@ -222,8 +234,12 @@ def test_interior_filled_pinned():
 
 
 def test_validate_keeps_no_reference_to_the_curveset():
+    # the grid outlives the curve-set, and keeps its face table and the
+    # coverage target disc that validate built
     cs = catalog.curveset("sq-r5").with_name("tmp")
+    grid = cs.grid
     assert validate(cs).verdict == VALID
+    assert 3.0 in grid._target_discs
     ref = weakref.ref(cs)
     del cs
     gc.collect()
@@ -265,6 +281,77 @@ def test_coverage_ju19():
     cov = check_coverage(catalog.curveset("ju19"), 3, 3.0)
     assert cov.missing == 0
     assert not cov.rising_aspect
+
+
+def test_coverage_pinned():
+    # (missing, total, missing_sample) at each catalog coverage_k, pinned
+    # from the earlier recursive expander
+    pinned = json.loads(Path(__file__).with_name("coverage.json").read_text())
+    got = {}
+    for name in GRID_SETS:
+        k = catalog.entry(name).coverage_k
+        cov = check_coverage(catalog.curveset(name), k, 3.0)
+        got[name] = {"k": k, "missing": cov.missing, "total": cov.total,
+                     "missing_sample": [[list(p), d] for p, d in cov.missing_sample]}
+    assert len(got) == 63
+    assert got == pinned
+
+
+@pytest.mark.parametrize("name", GRID_SETS)
+def test_lazy_expander_matches_full_expansion(name):
+    # inside the target disc, the pruned walk covers exactly the edges of
+    # the expanded and traced face words; outside it, pruning may drop
+    # edges whose tails sit on the threshold
+    cs = catalog.curveset(name)
+    disc = cs.grid.target_disc(3.0)
+    target = set(disc.edges)
+    for k in (1, 2):
+        delta = _displacement_table(cs, k)
+        for tokens, tail, dirk in disc.anchored_faces:
+            expander = _LazyExpander(cs, delta, k, 3.0)
+            expander.run(tokens, tail, dirk)
+            _, _, edges = trace_tokens(expand(cs, Word(tokens), k).tokens, cs.n, tail, dirk)
+            traced = {(p, d) for p, d, _ in edges} & target
+            assert expander.covered & target == traced, (k, tokens, tail, dirk)
+
+
+def test_displacement_table_follows_net_turns():
+    # fold-r9's productions turn by a half turn, so the second letter of an
+    # iterate starts half a turn away from where its production alone says
+    cs = catalog.curveset("fold-r9")
+    assert {cs.production(X).net_turn() % cs.n for X in cs.letters} == {2}
+    for lv, level in enumerate(_displacement_table(cs, 3)):
+        for X, (disp, turn) in level.items():
+            end, end_dir, _ = trace_tokens(expand(cs, Word((X,)), lv).tokens, cs.n)
+            assert (disp, turn) == (end, end_dir), (lv, X)
+
+
+def test_coverage_raises_on_every_call_for_a_contradictory_coloring():
+    # every (letter, turn) and (turn, letter) pair is unique, yet walking
+    # the transitions forces two letters onto one edge
+    grid = GridSpec("contradictory", 4, ("A", "B"),
+                    (Transition("A", 1, "A"), Transition("B", -1, "A"), Transition("B", 0, "B")))
+    assert check_grid(grid) == []
+    cs = CurveSet.make("c", grid, {"A": parse_word("A"), "B": parse_word("B")})
+    for _ in range(2):
+        with pytest.raises(InconsistentColoring):
+            check_coverage(cs, 2, 3.0)
+
+
+def test_target_disc_realized_once_per_radius(monkeypatch):
+    base = catalog.grid("square")
+    grid = GridSpec(base.name, base.n, base.letters, base.transitions)
+    cs = CurveSet.make("c", grid, dict(catalog.curveset("sq-r5").prod))
+    calls = []
+    real = gridmodel.realize
+    monkeypatch.setattr(gridmodel, "realize", lambda *a: calls.append(a) or real(*a))
+    first = check_coverage(cs, 2, 3.0)
+    again = check_coverage(cs, 3, 3.0)
+    assert len(calls) == 1
+    assert grid.target_disc(3.0) is grid.target_disc(3.0)
+    assert first.total == again.total
+    assert check_coverage(cs, 2, 2.0).total < first.total
+    assert len(calls) == 2
 
 
 def test_coverage_keili():
