@@ -13,20 +13,25 @@ have counterexamples and are encoded as such in the test suite.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import product
 from operator import add
 
 from .exactgeom import (
     Point,
-    _embed_basis,
     add_vec,
+    charpoly,
+    dot_vec,
     embed_vec,
-    mul_vec,
+    embedding_reps,
+    galois_apply,
     normalize_turn,
     phi,
     ring_div_exact,
     rotate_vec,
+    round_from_embeddings,
     trace_tokens,
     unit_coeffs,
 )
@@ -508,6 +513,12 @@ def check_coverage(cs: CurveSet, k: int = 3, r: float = 3.0) -> CoverageDiagnost
 # -- scale analysis -------------------------------------------------------
 
 
+# Bounds of the exact-eigenvalue fallback.  Hitting one leaves the scale
+# eigenvalue undetermined (ScaleAnalysis.undetermined), never absent.
+_TURN_PERIOD_LEVELS = 4  # turn vectors tried per turn unit: 4n levels in all
+_ROOT_ITERATIONS = 500  # Durand-Kerner sweeps per embedding
+
+
 @dataclass
 class ScaleAnalysis:
     common_turn: bool
@@ -517,14 +528,22 @@ class ScaleAnalysis:
     eigen: Point | None = None
     eigen_period: int = 1
     eigen_ok: bool = False
+    undetermined: str | None = None
 
 
 def scale_analysis(cs: CurveSet, expected_order: int | None = None) -> ScaleAnalysis:
     """Strong form: all non-constant displacements equal, |lambda|^2 = order.
 
-    Fallback diagnostic for families with per-letter displacements: the
-    exact displacement substitution has an eigenvalue of squared modulus
-    order^p over its turn period p (verified in exact arithmetic).
+    Fallback for families with per-letter displacements: follow the net
+    turns of the iterates to their period p and take the product M of the
+    exact displacement matrices over one period.  ``eigen`` is a dominant
+    eigenvalue of M (largest modulus) with |eigen|^2 = order^p.  Both
+    properties that define it are checked exactly: its squared norm is the
+    rational integer order^p, and det(M - eigen*I) = 0 by fraction-free
+    elimination over Z[zeta].  When several dominant eigenvalues pass, the
+    one with the smallest argument in [0, 2*pi) is reported.  The turn
+    period search and the numeric root finder are bounded; hitting a bound,
+    or a nilpotent M, sets ``undetermined`` to the reason instead.
     """
     n = cs.n
     try:
@@ -552,28 +571,88 @@ def scale_analysis(cs: CurveSet, expected_order: int | None = None) -> ScaleAnal
 
 
 def _eigen_analysis(cs: CurveSet, r: int, out: ScaleAnalysis) -> None:
+    """Set ``out.eigen`` from the period matrix M, or ``out.undetermined``.
+
+    An element of Z[zeta] is fixed by its images under one Galois map
+    zeta -> zeta^k per complex-conjugate pair: its power-basis coefficients
+    solve a real phi(n) x phi(n) system.  An eigenvalue lambda is a root of
+    the characteristic polynomial chi of M, and sigma_k(lambda) a root of
+    sigma_k(chi) of the same squared modulus order^p.  So a dominant root
+    of chi and one root on that circle per other embedding, solved for and
+    rounded, make a candidate, and only the exact checks accept it.
+    """
+    n = cs.n
+    periodic = _period_matrix(cs)
+    if periodic is None:
+        out.undetermined = (
+            "net turns of the iterates do not repeat within "
+            f"{_TURN_PERIOD_LEVELS * n + 1} levels")
+        return
+    prod_mat, period = periodic
+    poly = charpoly(prod_mat, n)
+    while not any(poly[-1]):  # roots at zero are never the answer
+        poly.pop()
+    if len(poly) == 1:
+        out.undetermined = "the displacement matrix is nilpotent"
+        return
+    target = r ** period
+    circle = math.sqrt(target)
+    choices = []
+    for k in embedding_reps(n):
+        clusters = _root_clusters([embed_vec(galois_apply(c, k, n), n) for c in poly])
+        if clusters is None:
+            out.undetermined = (
+                f"root finder did not converge in {_ROOT_ITERATIONS} iterations")
+            return
+        if k == 1:  # the clusters that may hold a root of largest modulus
+            top = max(lo for _, lo, _ in clusters)
+            clusters = [cl for cl in clusters if cl[2] >= top]
+        # sigma_k(lambda) has the rational squared modulus order^p as well
+        choices.append([z for zs, lo, hi in clusters if lo <= circle <= hi for z in zs])
+    tried = set()
+    found = []
+    for zs in product(*choices):
+        coeffs = round_from_embeddings(zs, n)
+        if coeffs in tried:
+            continue
+        tried.add(coeffs)
+        cand = Point(n, coeffs)
+        if cand.norm2_int() == target and _det_is_zero(prod_mat, cand, n):
+            found.append(cand)
+    if found:
+        out.eigen = min(found, key=lambda lam: _argument(lam.to_complex()))
+        out.eigen_period = period
+        out.eigen_ok = True
+
+
+def _period_matrix(cs: CurveSet) -> tuple[list[list[tuple]], int] | None:
+    """Product of the exact displacement matrices over one period of the
+    net turns of the iterates, with that period; None when the turns do
+    not repeat within the period bound."""
     n = cs.n
     letters = cs.letters
-    L = len(letters)
-    # per-level net turns mod n
-    tau = {X: cs.production(X).net_turn() % n for X in letters}
-    seen = [dict(tau)]
-    for _ in range(4 * n):
-        nxt = {}
-        for X in letters:
-            s = sum(tau[Y] for Y in cs.production(X).letters())
-            nxt[X] = (s + cs.production(X).net_turn()) % n
-        tau = nxt
+    zerov = (0,) * phi(n)
+
+    def next_turns(tv: dict[str, int]) -> dict[str, int]:
+        """Net turn of each letter's iterate one level up, mod n."""
+        return {
+            X: (sum(tv[Y] for Y in cs.production(X).letters())
+                + cs.production(X).net_turn()) % n
+            for X in letters
+        }
+
+    seen = [next_turns(dict.fromkeys(letters, 0))]
+    for _ in range(_TURN_PERIOD_LEVELS * n):
+        tau = next_turns(seen[-1])
         if tau in seen:
             k0 = seen.index(tau)
             period = len(seen) - k0
             break
-        seen.append(dict(tau))
+        seen.append(tau)
     else:
-        return
+        return None
 
     def level_matrix(tv: dict[str, int]) -> list[list[tuple]]:
-        zerov = (0,) * phi(n)
         mat = [[zerov for _ in letters] for _ in letters]
         for xi, X in enumerate(letters):
             pre = 0
@@ -582,80 +661,88 @@ def _eigen_analysis(cs: CurveSet, r: int, out: ScaleAnalysis) -> None:
                     pre = (pre + tok) % n
                 else:
                     yi = letters.index(tok)
-                    mat[xi][yi] = add_vec(mat[xi][yi], unit_coeffs(n)[(pre) % n])
+                    mat[xi][yi] = add_vec(mat[xi][yi], unit_coeffs(n)[pre])
                     pre = (pre + tv[tok]) % n
         return mat
 
     def mat_mul(a, b):
-        zerov = (0,) * phi(n)
-        out_m = [[zerov for _ in letters] for _ in letters]
-        for i in range(L):
-            for j in range(L):
-                acc = zerov
-                for t in range(L):
-                    if any(a[i][t]) and any(b[t][j]):
-                        acc = add_vec(acc, mul_vec(a[i][t], b[t][j], n))
-                out_m[i][j] = acc
-        return out_m
+        cols = list(zip(*b))
+        return [[dot_vec(row, col, n) for col in cols] for row in a]
 
     prod_mat = None
     tv = seen[k0]
-    cur_tv = dict(tv)
     for _ in range(period):
-        m_lv = level_matrix(cur_tv)
+        m_lv = level_matrix(tv)
         prod_mat = m_lv if prod_mat is None else mat_mul(m_lv, prod_mat)
-        nxt = {}
-        for X in letters:
-            s = sum(cur_tv[Y] for Y in cs.production(X).letters())
-            nxt[X] = (s + cs.production(X).net_turn()) % n
-        cur_tv = nxt
+        tv = next_turns(tv)
+    return prod_mat, period
 
-    # numeric dominant eigenvalue, then exact verification
-    cm = [
-        [Point(n, prod_mat[i][j]).to_complex() for j in range(L)]
-        for i in range(L)
+
+def _root_clusters(coeffs: list[complex]) -> list[tuple[list[complex], float, float]] | None:
+    """Roots of a monic polynomial (leading coefficient first), as clusters
+    of approximations with an interval that holds the moduli of their roots;
+    None when ``_ROOT_ITERATIONS`` Durand-Kerner sweeps do not settle them.
+
+    An approximation is settled once its residual is within the rounding
+    error of Horner's rule, which approximations of a multiple root reach
+    too.  The disc of radius d*|W_i| around approximation z_i, where W_i is
+    its Weierstrass correction p(z_i) / prod(z_i - z_j), holds a root, and
+    a connected union of k such discs holds exactly k roots (Gerschgorin's
+    theorem on diag(z) - 1*W^T, whose characteristic polynomial is p).  Each
+    cluster is one such union, so a multiple root is one cluster.
+    """
+    d = len(coeffs) - 1
+    radius = 1 + max(abs(c) for c in coeffs[1:])
+    zs = [radius * (0.4 + 0.9j) ** i for i in range(d)]
+    eps = 16 * d * 2.0 ** -52
+
+    def residual(z: complex) -> tuple[complex, float]:
+        val, bound = 0j, 0.0
+        for c in coeffs:
+            val = val * z + c
+            bound = bound * abs(z) + abs(c)
+        return val, eps * bound
+
+    def others(i: int, z: complex) -> complex:
+        den = 1 + 0j
+        for j, w in enumerate(zs):
+            if j != i:
+                den *= z - w
+        return den
+
+    for _ in range(_ROOT_ITERATIONS):
+        settled = True
+        for i, z in enumerate(zs):
+            val, noise = residual(z)
+            if abs(val) > noise:
+                settled = False
+                den = others(i, z)
+                zs[i] = z - val / den if den else z + noise * 1j
+        if settled:
+            break
+    else:
+        return None
+    clusters: list[list[tuple[complex, float]]] = []
+    for i, z in enumerate(zs):
+        val, noise = residual(z)
+        den = abs(others(i, z))
+        disc = (z, d * max(abs(val), noise) / den if den else math.inf)
+        near, far = [], []
+        for cl in clusters:
+            touches = any(abs(z - w) <= disc[1] + rho for w, rho in cl)
+            (near if touches else far).append(cl)
+        clusters = far + [[disc] + [x for cl in near for x in cl]]
+    return [
+        ([z for z, _ in cl], min(abs(z) - rho for z, rho in cl),
+         max(abs(z) + rho for z, rho in cl))
+        for cl in clusters
     ]
-    v = [complex(1, 0.1 * (i + 1)) for i in range(L)]
-    for _ in range(2000):
-        w = [sum(cm[i][j] * v[j] for j in range(L)) for i in range(L)]
-        norm = max(abs(x) for x in w)
-        if norm == 0:
-            return
-        v = [x / norm for x in w]
-    lam_num = sum(
-        (sum(cm[i][j] * v[j] for j in range(L))) * v[i].conjugate() for i in range(L)
-    ) / sum(v[i] * v[i].conjugate() for i in range(L))
-    target = r ** period
-    for cand in _ring_elements_near(lam_num, target, n):
-        if cand.norm2_int() == target and _det_is_zero(prod_mat, cand, n):
-            out.eigen = cand
-            out.eigen_period = period
-            out.eigen_ok = True
-            return
 
 
-def _ring_elements_near(z: complex, norm_target: int, n: int) -> list[Point]:
-    """Ring elements within floating tolerance of z, coefficients bounded by
-    the norm target.  Empty when the search box would be unreasonable."""
-    deg = phi(n)
-    bound = int(math.isqrt(norm_target)) * 2 + 1
-    if (2 * bound + 1) ** deg > 2_000_000:
-        return []
-    basis = _embed_basis(n)
-    out = []
-    rng = range(-bound, bound + 1)
-
-    def rec(i: int, acc: complex, coeffs: tuple):
-        if abs(acc - z) <= (deg - i) * bound * 1.05 + 1e-6:
-            if i == deg:
-                if abs(acc - z) <= 1e-6 * max(1.0, abs(z)):
-                    out.append(Point(n, coeffs))
-                return
-            for c in rng:
-                rec(i + 1, acc + c * basis[i], coeffs + (c,))
-
-    rec(0, 0j, ())
-    return out
+def _argument(z: complex) -> float:
+    """Argument in [0, 2*pi), with rounding noise below zero read as 0."""
+    a = cmath.phase(z)
+    return a + 2 * math.pi if a < -1e-9 else max(a, 0.0)
 
 
 def _det_is_zero(mat: list[list[tuple]], lam: Point, n: int) -> bool:
@@ -811,6 +898,8 @@ def validate(
                 "per-letter displacements differ; exact scale eigenvalue of "
                 f"squared modulus order^{scale.eigen_period} exists"
             )
+        elif scale.undetermined:
+            reasons.append(f"scale eigenvalue undetermined: {scale.undetermined}")
         else:
             reasons.append("no common displacement of squared length equal to the order")
     filled: dict[str, bool] = {}

@@ -1,6 +1,7 @@
 """Golden runs of CLI verbs through cli.main(argv), with catalog inputs."""
 
 import hashlib
+import json
 
 from gridcurve import cli
 
@@ -69,3 +70,46 @@ def test_validate_golden(capsys):
         out, err = capsys.readouterr()
         assert err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == pin, argv
+
+
+def test_dimension_golden(capsys):
+    assert cli.main(["dimension", "catalog:ju19"]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == ("A 2.000000000\nB 2.000000000\n", "")
+
+
+def test_matrix_golden(capsys):
+    assert cli.main(["matrix", "catalog:ju19"]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == ("[[13,6],[12,7]]\norder 19\nirreducible yes\n", "")
+    assert cli.main(["matrix", "catalog:ju19", "--json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out) == {
+        "letters": ["A", "B"], "matrix": [[13, 6], [12, 7]],
+        "irreducible": True, "order": 19,
+    }
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_validate_conjugate_pair_eigenvalue(capsys):
+    # only the reason line differs from the power-iteration fallback, which
+    # found no eigenvalue here and said "no common displacement ..."
+    assert cli.main(["validate", "catalog:3464-fhg-r9"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (
+        "curveset: 3464-fhg-r9\n"
+        "gridConsistent: yes\n"
+        "selfAvoiding: yes\n"
+        "scaleConsistent: no\n"
+        "order: 9\n"
+        "irreducible: yes\n"
+        "constants: -\n"
+        "interiorFilled: [F++G++H++]^2=yes, [f++++h++++g++++]^1=yes, [F---f---]^2=yes, "
+        "[G---g---]^2=yes, [H---h---]^2=yes\n"
+        "coverage: k=3 r=3.0 missing=0/51 risingAspect=no\n"
+        "verdict: ValidWithCaveats\n"
+        "reason: per-letter displacements differ; exact scale eigenvalue of "
+        "squared modulus order^1 exists\n"
+    )

@@ -14,11 +14,16 @@ from gridcurve.exactgeom import (
     Lattice,
     Point,
     canonicalize,
+    charpoly,
     cyclotomic,
     embed_vec,
+    embedding_reps,
+    galois_apply,
+    mul_vec,
     normalize_turn,
     phi,
     ring_div_exact,
+    round_from_embeddings,
     trace_tokens,
     unit_coeffs,
 )
@@ -248,3 +253,49 @@ def test_lattice_examples():
         Lattice(Point(4, (0, 0)), Point(4, (0, 0)))
     with pytest.raises(ValueError, match="mixed"):
         Lattice(Point(4, (1, 0)), Point(6, (0, 1)))
+
+
+def _leibniz_det(mat, n):
+    """det over Z[zeta] by the permutation expansion, as a reference."""
+    size = len(mat)
+    total = (0,) * phi(n)
+    for perm in itertools.permutations(range(size)):
+        term = unit_coeffs(n)[0]
+        for i, j in enumerate(perm):
+            term = mul_vec(term, mat[i][j], n)
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        sign = -1 if inversions % 2 else 1
+        total = tuple(t + sign * c for t, c in zip(total, term))
+    return total
+
+
+@pytest.mark.parametrize("n", NS)
+def test_charpoly_matches_determinant(n):
+    rng = random.Random(n)
+    deg = phi(n)
+    one = unit_coeffs(n)[0]
+    for size in (1, 2, 3, 4):
+        mat = [[tuple(rng.randint(-2, 2) for _ in range(deg)) for _ in range(size)]
+               for _ in range(size)]
+        poly = charpoly(mat, n)
+        assert len(poly) == size + 1 and poly[0] == one
+        for _ in range(3):
+            lam = tuple(rng.randint(-3, 3) for _ in range(deg))
+            value = (0,) * deg
+            for c in poly:  # Horner at lam
+                value = tuple(x + y for x, y in zip(mul_vec(value, lam, n), c))
+            shifted = [[tuple((lam[k] if i == j else 0) - mat[i][j][k] for k in range(deg))
+                        for j in range(size)] for i in range(size)]
+            assert value == _leibniz_det(shifted, n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 9, 12])
+def test_round_from_embeddings_recovers_ring_elements(n):
+    rng = random.Random(100 + n)
+    assert embedding_reps(n)[0] == 1 and 2 * len(embedding_reps(n)) == phi(n)
+    for _ in range(50):
+        a = tuple(rng.randint(-40, 40) for _ in range(phi(n)))
+        images = [embed_vec(galois_apply(a, k, n), n) for k in embedding_reps(n)]
+        assert round_from_embeddings(images, n) == a
+        nudged = [z + 0.01 * cmath.exp(1j * rng.random() * 6.3) for z in images]
+        assert round_from_embeddings(nudged, n) == a

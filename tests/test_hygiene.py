@@ -47,6 +47,27 @@ def unused_imports(source: str) -> list[tuple[str, int]]:
     return sorted(out)
 
 
+def unreferenced_private_functions(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """Module-level functions named with one leading underscore that no
+    statement of any of the modules references, outside their own body."""
+    defined = []
+    refs: dict[tuple[str, str | None], set[str]] = {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                own = node.name
+                if own.startswith("_") and not own.startswith("__"):
+                    defined.append((module, own))
+            refs.setdefault((module, own), set()).update(
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+    return sorted(
+        (module, name) for module, name in defined
+        if not any(name in used for key, used in refs.items() if key != (module, name))
+    )
+
+
 def test_sources_found():
     assert len(SOURCES) >= 10
 
@@ -80,3 +101,26 @@ def test_scan_flags_unreferenced_function_imports():
         "    return 1\n"
     )
     assert unused_imports(source) == [("os", 7), ("tau", 3)]
+
+
+def test_no_unreferenced_private_functions():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    assert unreferenced_private_functions(sources) == []
+
+
+def test_scan_flags_unreferenced_private_functions():
+    sources = {
+        "a.py": (
+            "def _used_here(): return 1\n"
+            "def _used_elsewhere(): return 2\n"
+            "def _only_itself(k): return _only_itself(k - 1) if k else 0\n"
+            "def _unused(): return 3\n"
+            "def __dunder__(): return 4\n"
+            "def public(): return _used_here()\n"
+            "class K:\n"
+            "    def _method(self): return 5\n"
+        ),
+        "b.py": "from . import a\nx = a._used_elsewhere()\n",
+    }
+    assert unreferenced_private_functions(sources) == [
+        ("a.py", "_only_itself"), ("a.py", "_unused")]

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from gridcurve import catalog, gridmodel
-from gridcurve.exactgeom import trace_tokens
+from gridcurve import catalog, gridmodel, validator
+from gridcurve.exactgeom import Point, trace_tokens, unit_coeffs
 from gridcurve.gridmodel import (
     GridSpec,
     InconsistentColoring,
@@ -17,13 +17,15 @@ from gridcurve.gridmodel import (
     prototiles,
     realize,
 )
-from gridcurve.lsystem import CurveSet, expand, subst_matrix
+from gridcurve.lsystem import CurveSet, UnequalRowSums, expand, order, subst_matrix
 from gridcurve.validator import (
     INVALID,
     VALID,
     VALID_WITH_CAVEATS,
     _displacement_table,
     _LazyExpander,
+    _det_is_zero,
+    _period_matrix,
     check_coverage,
     check_dekking1,
     check_grid_consistent,
@@ -392,6 +394,133 @@ def test_scale_fold_r5_mismatch():
     assert sa.common_lambda is not None
     assert sa.lambda_norm == 9  # versus order 5: provably not edge-covering
     assert not sa.eigen_ok
+
+
+def test_scale_eigen_pinned(monkeypatch):
+    # every catalog curve-set that reaches the exact-eigenvalue fallback
+    reached = []
+    inner = validator._eigen_analysis
+    monkeypatch.setattr(validator, "_eigen_analysis",
+                        lambda cs, r, out: (reached.append(cs.name), inner(cs, r, out)))
+    got = {}
+    for entry in catalog.CURVE_ENTRIES:
+        sa = scale_analysis(catalog.curveset(entry.name))
+        if entry.name in reached:
+            got[entry.name] = [sa.eigen_ok, sa.eigen and list(sa.eigen.coeffs), sa.eigen_period]
+    doc = json.loads(Path(__file__).with_name("scale_eigen.json").read_text())
+    assert len(got) == 26
+    assert got == doc["pins"]
+    assert set(doc["changed"]) == {"3464-fhg-r9"}
+
+
+def test_scale_eigen_conjugate_pair_smallest_argument():
+    # 3*zeta^2 and 3*zeta^10 are both dominant, of squared modulus 9
+    cs = catalog.curveset("3464-fhg-r9")
+    mat, period = _period_matrix(cs)
+    assert period == 1
+    pair = [Point(12, unit_coeffs(12)[k]).scaled(3) for k in (2, 10)]
+    for lam in pair:
+        assert lam.norm2_int() == 9
+        assert _det_is_zero(mat, lam, 12)
+    sa = scale_analysis(cs)
+    assert sa.eigen_ok and sa.eigen == pair[0]
+    assert sa.eigen.coeffs == (0, 0, 3, 0)
+    assert sa.undetermined is None
+
+
+def _period_one_eigen_sets() -> list[str]:
+    out = []
+    for entry in catalog.CURVE_ENTRIES:
+        cs = catalog.curveset(entry.name)
+        try:
+            order(cs)
+        except UnequalRowSums:
+            continue
+        sa = scale_analysis(cs)
+        if sa.eigen_ok and sa.eigen_period == 1:
+            out.append(entry.name)
+    return out
+
+
+PERIOD_ONE_EIGEN_SETS = _period_one_eigen_sets()
+
+
+def test_period_one_eigen_sets_include_the_large_orders():
+    assert {"3464-r9", "ju19", "3464-r37", "d31212-r27"} <= set(PERIOD_ONE_EIGEN_SETS)
+
+
+@pytest.mark.parametrize("name", PERIOD_ONE_EIGEN_SETS)
+def test_scale_eigen_of_second_iterate_is_the_square(name):
+    cs = catalog.curveset(name)
+    lam = scale_analysis(cs).eigen
+    twice = CurveSet.make(
+        f"{name}^2", cs.grid, {X: expand(cs, Word((X,)), 2) for X in cs.letters}, cs.turn)
+    assert order(twice) == order(cs) ** 2
+    sa = scale_analysis(twice)
+    assert sa.eigen_ok, sa.undetermined
+    assert sa.eigen == lam * lam
+    assert sa.eigen_period == 1
+
+
+@pytest.mark.parametrize("roots", [
+    [3, 3, 3, 3, 1, 1],
+    [3, 3, 3, 3, 3, 3],
+    [3j, -3j, 3, -3, 1, 1],
+    [2 + 1j, 2 + 1j, 2 + 1j, 2 - 1j, 0.5],
+    [5, -4, 1],
+])
+def test_root_clusters_hold_multiple_roots(roots):
+    coeffs = [1 + 0j]
+    for r in roots:  # expand prod(x - r), leading coefficient first
+        coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    clusters = validator._root_clusters(coeffs)
+    assert sum(len(zs) for zs, _, _ in clusters) == len(roots)
+    for r in set(roots):
+        holding = [(zs, lo, hi) for zs, lo, hi in clusters
+                   if lo <= abs(r) <= hi and min(abs(z - r) for z in zs) < 0.05]
+        assert len(holding) == 1
+        assert len(holding[0][0]) == roots.count(r)
+
+
+def test_root_clusters_iteration_bound(monkeypatch):
+    monkeypatch.setattr(validator, "_ROOT_ITERATIONS", 3)
+    assert validator._root_clusters([1, -12, 54, -108, 81]) is None  # (x - 3)^4
+
+
+def test_scale_undetermined_turn_period():
+    # net turns mod 3 run through 24 distinct vectors before repeating
+    prods = {
+        "A": Word(("C",)),
+        "B": Word(("B", "C")),
+        "C": Word(("A", 1, "A", "A", "A", "B", "B", "B", "C", "C")),
+    }
+    sa = scale_analysis(CurveSet.make("long-period", None, prods, 3))
+    assert not sa.strong and not sa.eigen_ok
+    assert sa.undetermined == "net turns of the iterates do not repeat within 13 levels"
+
+
+def test_scale_undetermined_nilpotent_matrix():
+    # F, U-turn, F: the two edges cancel, so the displacement matrix is zero
+    cs = CurveSet.make("there-and-back", None, {"A": Word(("A", 2, "A", 2))}, 4)
+    assert _period_matrix(cs) == ([[(0, 0)]], 1)
+    sa = scale_analysis(cs)
+    assert sa.undetermined == "the displacement matrix is nilpotent"
+    assert not sa.eigen_ok
+
+
+@pytest.mark.parametrize("knob, why", [
+    ("_ROOT_ITERATIONS", "root finder did not converge in 0 iterations"),
+    ("_TURN_PERIOD_LEVELS", "net turns of the iterates do not repeat within 1 levels"),
+])
+def test_validate_reports_undetermined_scale(monkeypatch, knob, why):
+    before = validate(catalog.curveset("ju19"))
+    monkeypatch.setattr(validator, knob, 0)
+    report = validate(catalog.curveset("ju19"))
+    assert not report.scale.eigen_ok
+    assert report.scale.undetermined == why
+    assert f"scale eigenvalue undetermined: {why}" in report.reasons
+    assert not any(r.startswith("no common displacement") for r in report.reasons)
+    assert report.verdict == before.verdict
 
 
 # -- validate ----------------------------------------------------------------
