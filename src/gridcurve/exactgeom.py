@@ -264,30 +264,6 @@ def round_from_embeddings(images: Sequence[complex], n: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class Direction:
-    """Direction k*2*pi/n on a grid with turn resolution n."""
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError(f"turn resolution must be >= 3, got {self.n}")
-        object.__setattr__(self, "k", self.k % self.n)
-
-    def turned(self, t: int) -> "Direction":
-        return Direction(self.n, (self.k + t) % self.n)
-
-    def reversed(self) -> "Direction":
-        if self.n % 2:
-            raise ValueError("reversal needs even turn resolution")
-        return Direction(self.n, (self.k + self.n // 2) % self.n)
-
-    def angle(self) -> float:
-        return 2 * math.pi * self.k / self.n
-
-
-@dataclass(frozen=True)
 class Point:
     """Exact lattice point: integer coordinates over the power basis of zeta_n."""
 
@@ -297,10 +273,6 @@ class Point:
     @staticmethod
     def zero(n: int) -> "Point":
         return Point(n, (0,) * phi(n))
-
-    @staticmethod
-    def unit(direction: Direction) -> "Point":
-        return Point(direction.n, unit_coeffs(direction.n)[direction.k])
 
     def _check(self, other: "Point") -> None:
         if self.n != other.n:
@@ -351,23 +323,6 @@ class Point:
         return abs(self.to_complex())
 
 
-@dataclass(frozen=True)
-class DirectedEdge:
-    """Unit edge from tail in the given direction; head = tail + unit(dir)."""
-
-    tail: Point
-    dir: Direction
-
-    def head(self) -> Point:
-        return self.tail + Point.unit(self.dir)
-
-    def reversed(self) -> "DirectedEdge":
-        return DirectedEdge(self.head(), self.dir.reversed())
-
-    def midpoint(self) -> complex:
-        return self.tail.to_complex() + Point.unit(self.dir).to_complex() / 2
-
-
 def trace_tokens(
     tokens: Iterable[str | int],
     n: int,
@@ -392,14 +347,89 @@ def trace_tokens(
     return pos, d, edges
 
 
-def trace(word, start: Point, start_dir: Direction):
-    """Trace a word into DirectedEdges; see trace_tokens for the raw variant."""
-    n = start.n
-    if start_dir.n != n:
-        raise ValueError("direction and start point disagree on n")
-    pos, d, raw = trace_tokens(word.tokens, n, start.coeffs, start_dir.k)
-    edges = [DirectedEdge(Point(n, p), Direction(n, k)) for p, k, _ in raw]
-    return Point(n, pos), Direction(n, d), edges
+REPEATS_EDGE = "repeats a directed edge"
+REDRAWS_SEGMENT = "redraws a segment (opposite direction)"
+STROKES_CROSS = "strokes cross at a vertex"
+
+
+def _chords_cross(a: tuple[int, int], b: tuple[int, int], m: int) -> bool:
+    """Strict interleaving of two chords on the cycle Z_m."""
+    a1, a2 = a
+    b1, b2 = b
+
+    def inside(x: int) -> bool:
+        return (x - a1) % m < (a2 - a1) % m and x != a1
+
+    i1, i2 = inside(b1), inside(b2)
+    return i1 != i2
+
+
+class StrokeSet:
+    """The edges of a walk drawn so far, for Dekking's self-avoidance rules
+    (Dekking, "Recurrent sets", Adv. Math. 1982), grown and shrunk one edge
+    at a time.
+
+    ``push(tail, d, prev_d)`` adds the unit edge from ``tail`` in direction
+    ``d``, entered from an edge in direction ``prev_d`` (None for the first
+    edge of a walk).  It returns None, or the rule the edge breaks and
+    leaves the set as it was: ``REPEATS_EDGE`` for a directed edge drawn
+    before, ``REDRAWS_SEGMENT`` for a segment drawn before the other way
+    round (allowed once per direction on double-edge grids), and
+    ``STROKES_CROSS`` when the stroke through ``tail`` interleaves with an
+    earlier stroke through the same vertex.  ``pop()`` undoes the last
+    successful push.
+
+    A stroke is a chord on a cycle of 4n lanes around its vertex, from the
+    in-lane of the arriving edge to the out-lane of the leaving one, so
+    that the two lanes of an anti-parallel edge pair stay distinct.
+    """
+
+    def __init__(self, n: int, double: bool):
+        self.n = n
+        self.lanes = 4 * n
+        self.units = unit_coeffs(n)
+        # the reverse of direction d is d + n/2; odd n has no reverse edges
+        self.reverse = n // 2 if not double and n % 2 == 0 else None
+        self.edges: set[tuple[tuple[int, ...], int]] = set()
+        self.chords: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        self.pushed: list[tuple[tuple[int, ...], int, bool]] = []
+
+    def chord(self, in_d: int, out_d: int) -> tuple[int, int]:
+        return ((4 * in_d + 2 * self.n - 1) % self.lanes, (4 * out_d + 1) % self.lanes)
+
+    def crosses(self, vertex: tuple[int, ...], in_d: int, out_d: int) -> bool:
+        """Whether a stroke through vertex, in along in_d and out along
+        out_d, interleaves with a stroke already there."""
+        chord = self.chord(in_d, out_d)
+        return any(_chords_cross(chord, other, self.lanes)
+                   for other in self.chords.get(vertex, ()))
+
+    def push(self, tail: tuple[int, ...], d: int, prev_d: int | None) -> str | None:
+        edge = (tail, d)
+        if edge in self.edges:
+            return REPEATS_EDGE
+        if self.reverse is not None and (
+                add_vec(tail, self.units[d]), (d + self.reverse) % self.n) in self.edges:
+            return REDRAWS_SEGMENT
+        if prev_d is not None:
+            chord = self.chord(prev_d, d)
+            at = self.chords.setdefault(tail, [])
+            for other in at:
+                if _chords_cross(chord, other, self.lanes):
+                    return STROKES_CROSS
+            at.append(chord)
+        self.edges.add(edge)
+        self.pushed.append((tail, d, prev_d is not None))
+        return None
+
+    def pop(self) -> None:
+        tail, d, stroked = self.pushed.pop()
+        self.edges.remove((tail, d))
+        if stroked:
+            at = self.chords[tail]
+            at.pop()
+            if not at:
+                del self.chords[tail]
 
 
 def normalize_turn(t: int, n: int) -> int:

@@ -129,41 +129,14 @@ def expand(cs: CurveSet, axiom: Word, k: int) -> Word:
 
 def expand_tagged(cs: CurveSet, axiom: Word, k: int) -> tuple[Word, list[int]]:
     """Expand and tag every letter of the result with the index of the
-    first-iterate edge it descends from (ancestor coloring)."""
-    first = expand(cs, axiom, min(k, 1))
+    first-iterate edge it descends from (ancestor coloring): tag i repeats
+    once per letter of the (k-1)-th iterate of first-iterate letter i."""
+    word = expand(cs, axiom, k)
     if k == 0:
-        return first, list(range(first.nletters()))
-    tokens = list(first.tokens)
-    tags: list[int] = []
-    i = 0
-    for tok in tokens:
-        if isinstance(tok, str):
-            tags.append(i)
-            i += 1
-    prod = {c: w.tokens for c, w in cs.productions}
-    for _ in range(k - 1):
-        out: list = []
-        newtags: list[int] = []
-        ti = 0
-        for tok in tokens:
-            if isinstance(tok, int):
-                if out and isinstance(out[-1], int):
-                    out[-1] += tok
-                else:
-                    out.append(tok)
-            else:
-                repl = prod[tok]
-                tag = tags[ti]
-                ti += 1
-                if out and isinstance(out[-1], int) and isinstance(repl[0], int):
-                    out[-1] += repl[0]
-                    out.extend(repl[1:])
-                else:
-                    out.extend(repl)
-                newtags.extend(tag for t in repl if isinstance(t, str))
-        tokens = out
-        tags = newtags
-    return Word(tokens), tags
+        return word, list(range(word.nletters()))
+    first = expand(cs, axiom, 1).letters()
+    sizes = {c: expand(cs, Word((c,)), k - 1).nletters() for c in set(first)}
+    return word, [i for i, c in enumerate(first) for _ in range(sizes[c])]
 
 
 @dataclass(frozen=True)
@@ -210,39 +183,28 @@ def order(cs: CurveSet) -> int:
     return values.pop()
 
 
-def is_irreducible(m: SubstMatrix) -> bool:
-    """True iff the letter-dependency digraph is strongly connected."""
-    k = len(m.letters)
-    # arc c -> r whenever letter r occurs in the production of c
-    fwd = [[r for r in range(k) if m.entries[r][c] > 0] for c in range(k)]
-    bwd = [[c for c in range(k) if m.entries[r][c] > 0] for r in range(k)]
-
-    def reach(adj):
-        seen = {0}
-        todo = [0]
-        while todo:
-            v = todo.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        return seen
-
-    return len(reach(fwd)) == k and len(reach(bwd)) == k
-
-
-def reachable_letters(m: SubstMatrix, letter: str) -> list[str]:
-    start = m.letters.index(letter)
-    k = len(m.letters)
-    fwd = [[r for r in range(k) if m.entries[r][c] > 0] for c in range(k)]
+def _reach(entries: Sequence[Sequence[int]], start: int) -> set[int]:
+    """Letter indices reachable from start along the arcs c -> r, one for
+    each r with entries[r][c] > 0 (r occurs in the production of c)."""
     seen = {start}
     todo = [start]
     while todo:
         v = todo.pop()
-        for w in fwd[v]:
-            if w not in seen:
+        for w, row in enumerate(entries):
+            if w not in seen and row[v] > 0:
                 seen.add(w)
                 todo.append(w)
+    return seen
+
+
+def is_irreducible(m: SubstMatrix) -> bool:
+    """True iff the letter-dependency digraph is strongly connected."""
+    k = len(m.letters)
+    return len(_reach(m.entries, 0)) == k and len(_reach(tuple(zip(*m.entries)), 0)) == k
+
+
+def reachable_letters(m: SubstMatrix, letter: str) -> list[str]:
+    seen = _reach(m.entries, m.letters.index(letter))
     return [c for i, c in enumerate(m.letters) if i in seen]
 
 

@@ -17,8 +17,10 @@ from typing import Sequence
 from .exactgeom import (
     Lattice,
     Point,
+    StrokeSet,
     add_vec,
     conj_vec,
+    embed_vec,
     normalize_turn,
     phi,
     rotate_vec,
@@ -32,7 +34,7 @@ from .gridmodel import (
     detect_translation_lattice,
 )
 from .lsystem import CurveSet, UnequalRowSums, order
-from .validator import INVALID, _chords_cross, validate
+from .validator import INVALID, validate
 from .words import Word
 
 
@@ -380,10 +382,14 @@ def enumerate_curve_sets(
 ) -> SearchResult:
     """Depth-first enumeration of curve-sets of the given order.
 
-    Productions are built along grid transitions with a common displacement
-    target of squared length R, pruned by partial self-avoidance and
-    distance; emitted sets pass validation.  Mirror-image duplicates are
-    removed when the transition set is closed under turn negation.
+    Productions are built edge by edge along grid transitions towards a
+    common displacement target of squared length R.  A branch is pruned
+    when its next edge breaks a self-avoidance rule of the ``StrokeSet``
+    that ``check_self_avoiding`` also uses, or when the target is further
+    than the letters left; emitted sets pass validation.  ``nodes`` counts
+    the prefixes visited, over all targets and letters; past ``budget`` the
+    result is marked incomplete.  Mirror-image duplicates are removed when
+    the transition set is closed under turn negation.
     """
     constraints = constraints or {}
     n = grid.n
@@ -403,86 +409,47 @@ def enumerate_curve_sets(
     max_len = R * len(letters) - (len(letters) - 1)
 
     def word_candidates(letter: str, target: tuple, remaining: dict[str, int]):
-        """Yield production words for one letter, given remaining per-letter
-        occurrence budgets (row-sum bookkeeping)."""
-        nonlocal nodes, complete
-        target_pt = Point(n, target)
+        """Production words for one letter, given remaining per-letter
+        occurrence budgets (row-sum bookkeeping), each with its letter
+        counts.  One token list (a turn before every letter, 0 before the
+        first), one count table and one ``StrokeSet`` grow and shrink with
+        the walk; a word is copied only when it reaches the target."""
+        target_z = embed_vec(target, n)
         out: list[tuple[Word, dict[str, int]]] = []
+        tokens: list = []
+        counts = dict.fromkeys(letters, 0)
+        strokes = StrokeSet(n, grid.double)
 
-        def rec(tokens: list, pos: tuple, dirk: int, counts: dict[str, int],
-                segs: dict, seen_edges: set, chords: dict, prev_dir: int | None):
+        def grow(pos: tuple, dirk: int, drawn: int):
             nonlocal nodes, complete
             nodes += 1
             if nodes > budget:
                 complete = False
                 return
-            tot = sum(counts.values())
-            if tokens and isinstance(tokens[-1], str):
-                if pos == target and (dirk % n) == 0 and tot >= 1:
-                    out.append((Word(tuple(tokens)), dict(counts)))
-                # continue growing regardless
-            room = max_len - tot
-            if room <= 0:
+            if drawn and pos == target and dirk == 0:
+                out.append((Word(tokens[1:]), {L: c for L, c in counts.items() if c}))
+            room = max_len - drawn
+            if room <= 0 or abs(embed_vec(pos, n) - target_z) > room + 1e-9:
                 return
-            dist = abs(Point(n, pos).to_complex() - target_pt.to_complex())
-            if dist > room + 1e-9:
-                return
-            cur_letter = tokens[-1] if tokens and isinstance(tokens[-1], str) else None
-            if cur_letter is None:
-                next_letters = letters  # first letter: anything
-                turn_opts = [None]
+            if drawn:
+                last = tokens[-1]
+                steps = [(t, grid.forward[(last, t)]) for t in grid.turns_from[last]]
             else:
-                turn_opts = grid.turns_from[cur_letter]
-            if cur_letter is None:
-                for L in letters:
-                    if remaining.get(L, 0) - counts.get(L, 0) <= 0:
-                        continue
-                    _try(tokens, None, L, pos, dirk, counts, segs, seen_edges,
-                         chords)
-            else:
-                for t in turn_opts:
-                    L = grid.forward[(cur_letter, t)]
-                    if remaining.get(L, 0) - counts.get(L, 0) <= 0:
-                        continue
-                    _try(tokens, t, L, pos, dirk, counts, segs, seen_edges,
-                         chords)
+                steps = [(0, L) for L in letters]
+            for t, L in steps:
+                if remaining.get(L, 0) - counts[L] <= 0:
+                    continue
+                d = (dirk + t) % n
+                if strokes.push(pos, d, dirk if drawn else None) is not None:
+                    continue
+                tokens.extend((t, L))
+                counts[L] += 1
+                grow(add_vec(pos, units[d]), d, drawn + 1)
+                counts[L] -= 1
+                del tokens[-2:]
+                strokes.pop()
 
-        def _try(tokens, turn, L, pos, dirk, counts, segs, seen_edges, chords):
-            d2 = dirk if turn is None else (dirk + turn) % n
-            edge = (pos, d2)
-            if edge in seen_edges:
-                return
-            head = add_vec(pos, units[d2])
-            skey = (pos, head) if pos <= head else (head, pos)
-            orient = 1 if pos <= head else -1
-            prevo = segs.get(skey)
-            if prevo is not None and (prevo == orient or not grid.double):
-                return
-            # vertex chord check
-            m4 = 4 * n
-            new_chords = None
-            if turn is not None:
-                in_pos = (4 * dirk + 2 * n - 1) % m4
-                out_pos = (4 * d2 + 1) % m4
-                chord = (in_pos, out_pos)
-                at = chords.get(pos, ())
-                for other in at:
-                    if _chords_cross(chord, other, m4):
-                        return
-                new_chords = dict(chords)
-                new_chords[pos] = tuple(at) + (chord,)
-            toks2 = list(tokens)
-            if turn is not None:
-                toks2.append(turn)
-            toks2.append(L)
-            counts2 = dict(counts)
-            counts2[L] = counts2.get(L, 0) + 1
-            segs2 = dict(segs)
-            segs2[skey] = 2 if prevo is not None else orient
-            rec(toks2, head, d2, counts2, segs2, seen_edges | {edge},
-                new_chords if new_chords is not None else chords, dirk)
-
-        rec([], (0,) * phi(n), 0, {}, {}, set(), {}, None)
+        grow((0,) * phi(n), 0, 0)
         return out
 
     targets = _lambda_targets(n, R)

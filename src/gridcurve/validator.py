@@ -20,14 +20,17 @@ from itertools import product
 from operator import add
 
 from .exactgeom import (
+    REDRAWS_SEGMENT,
+    REPEATS_EDGE,
+    STROKES_CROSS,
     Point,
+    StrokeSet,
     add_vec,
     charpoly,
     dot_vec,
     embed_vec,
     embedding_reps,
     galois_apply,
-    normalize_turn,
     phi,
     ring_div_exact,
     rotate_vec,
@@ -67,27 +70,22 @@ class SelfAvoidReport:
         return self.ok
 
 
-def _chords_cross(a: tuple[int, int], b: tuple[int, int], m: int) -> bool:
-    """Strict interleaving of two chords on the cycle Z_m."""
-    a1, a2 = a
-    b1, b2 = b
-
-    def inside(x: int) -> bool:
-        return (x - a1) % m < (a2 - a1) % m and x != a1
-
-    i1, i2 = inside(b1), inside(b2)
-    return i1 != i2
+_VIOLATIONS = {
+    REPEATS_EDGE: "edge {i} repeats a directed edge",
+    REDRAWS_SEGMENT: "edge {i} redraws a segment (opposite direction)",
+    STROKES_CROSS: "strokes cross at a vertex before edge {i}",
+}
 
 
 def check_self_avoiding(
     word: Word, grid: GridSpec | None, n: int | None = None, closed: bool = False
 ) -> SelfAvoidReport:
-    """No repeated directed edge, no doubly drawn segment (one traversal per
-    direction allowed on double-edge grids), no two visits of a vertex whose
-    stroke chords interleave around it.
-
-    Chords live on a refined cycle of 4n spoke positions so that the two
-    lanes of an anti-parallel edge pair stay distinct.
+    """Push the word's edges, in order, onto a ``StrokeSet``: no repeated
+    directed edge, no doubly drawn segment, no two visits of a vertex whose
+    strokes interleave around it.  Double-edge grids, and words checked
+    without a grid, may draw a segment once in each direction.  A closed
+    word must also end where it starts, and its last and first edges make
+    one more stroke through that base vertex.
     """
     if grid is not None:
         n = grid.n
@@ -95,73 +93,25 @@ def check_self_avoiding(
         for L in word.letters():
             if L not in grid.letters:
                 return SelfAvoidReport(False, f"letter {L!r} outside grid alphabet")
-        for t in word.turns():
-            if abs(normalize_turn(t, n)) * 2 > n and normalize_turn(t, n) != n // 2:
-                return SelfAvoidReport(False, f"turn {t} outside grid range")
     else:
         if n is None:
             raise ValueError("need a grid or a turn resolution")
         double = True
-    _, _, edges = trace_tokens(word.tokens, n)
-    if not edges:
-        return SelfAvoidReport(True)
-    seen: set[EdgeKey] = set()
-    segments: dict[tuple, int] = {}
-    chords: dict[tuple, list[tuple[int, int]]] = {}
-    units = unit_coeffs(n)
-    m = 4 * n
-    half_open: dict[tuple, int] = {}
-
-    def seg_key(tail: tuple, d: int) -> tuple[tuple, int]:
-        head = add_vec(tail, units[d])
-        if tail <= head:
-            return (tail, head), +1
-        return (head, tail), -1
-
-    for i, (tail, d, letter) in enumerate(edges):
-        ek = (tail, d)
-        if ek in seen:
-            return SelfAvoidReport(False, f"edge {i} repeats a directed edge")
-        seen.add(ek)
-        key, orient = seg_key(tail, d)
-        prev = segments.get(key)
-        if prev is not None:
-            if prev == orient or not double:
-                which = "same direction" if prev == orient else "opposite direction"
-                return SelfAvoidReport(False, f"edge {i} redraws a segment ({which})")
-            segments[key] = 2  # both directions used up
-            if orient == 2:
-                return SelfAvoidReport(False, f"edge {i} redraws a segment (third pass)")
-        else:
-            segments[key] = orient
-        # chord bookkeeping at the tail vertex: out-lane of this edge plus
-        # in-lane of the previous edge when the walk passes through tail
-        out_pos = (4 * d + 1) % m
-        if i > 0:
-            ptail, pd, _ = edges[i - 1]
-            in_pos = (4 * pd + 2 * n - 1) % m
-            chord = (in_pos, out_pos)
-            at = chords.setdefault(tail, [])
-            for other in at:
-                if _chords_cross(chord, other, m):
-                    return SelfAvoidReport(
-                        False, f"strokes cross at a vertex before edge {i}"
-                    )
-            at.append(chord)
-        else:
-            half_open[tail] = out_pos
-    if closed:
-        last_tail, last_d, _ = edges[-1]
-        endpoint = add_vec(last_tail, units[last_d])
-        first_tail, first_d, _ = edges[0]
-        if endpoint != first_tail:
+    end, _, edges = trace_tokens(word.tokens, n)
+    strokes = StrokeSet(n, double)
+    push = strokes.push
+    prev_d = None
+    for i, (tail, d, _) in enumerate(edges):
+        broken = push(tail, d, prev_d)
+        if broken is not None:
+            return SelfAvoidReport(False, _VIOLATIONS[broken].format(i=i))
+        prev_d = d
+    if closed and edges:
+        base, first_d, _ = edges[0]
+        if end != base:
             return SelfAvoidReport(False, "closed word does not return to start")
-        chord = ((4 * last_d + 2 * n - 1) % m, (4 * first_d + 1) % m)
-        at = chords.setdefault(endpoint, [])
-        for other in at:
-            if _chords_cross(chord, other, m):
-                return SelfAvoidReport(False, "strokes cross at the base vertex")
-        at.append(chord)
+        if strokes.crosses(base, prev_d, first_d):
+            return SelfAvoidReport(False, "strokes cross at the base vertex")
     return SelfAvoidReport(True)
 
 

@@ -113,3 +113,36 @@ def test_validate_conjugate_pair_eigenvalue(capsys):
         "reason: per-letter displacements differ; exact scale eigenvalue of "
         "squared modulus order^1 exists\n"
     )
+
+
+def test_search_curves_golden(capsys):
+    # stdout pinned from the word DFS that copied its state at every node
+    assert cli.main(["search-curves", "--grid", "triangle", "--order", "9"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "8 curve-sets, complete\n"
+    assert out.count("curveset found-") == 8
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f63e4dfd1be1d265857e809cfb78bcc2197760db9ff773fe9654b1f33ea819d1")
+
+
+def test_search_curves_budget_exceeded(capsys):
+    argv = ["search-curves", "--grid", "d-square", "--order", "5", "--budget", "50"]
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "0 curve-sets, budget exceeded\n")
+
+
+def test_expand_golden(capsys):
+    assert cli.main(["expand", "catalog:sq-r5", "--axiom", "F", "-k", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == ("F+F+F-F-F+F+F+F-F-F+F+F+F-F-F-F+F+F-F-F-F+F+F-F-F\n", "")
+
+
+def test_render_ancestor_colors_golden(capsys):
+    # pinned from the expand_tagged that re-expanded with its own tag lists
+    argv = ["render", "catalog:tri-r13-1", "--axiom", "F", "-k", "2", "--colors", "ancestor"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b33b3dea411f9aa547ae677ca6047889cd9a05e9d42222dff57ef0d60af9879a")

@@ -1,18 +1,21 @@
 import cmath
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcurve.exactgeom import (
-    DirectedEdge,
-    Direction,
+    REPEATS_EDGE,
+    STROKES_CROSS,
     Lattice,
     Point,
+    StrokeSet,
     canonicalize,
     charpoly,
     cyclotomic,
@@ -27,6 +30,7 @@ from gridcurve.exactgeom import (
     trace_tokens,
     unit_coeffs,
 )
+from gridcurve import catalog
 from gridcurve.words import parse_word
 
 NS = [3, 4, 6, 8, 12]
@@ -40,11 +44,15 @@ def test_cyclotomic_polynomials():
     assert phi(3) == 2 and phi(12) == 4
 
 
+def unit(n: int, k: int) -> Point:
+    return Point(n, unit_coeffs(n)[k])
+
+
 def test_unit_examples():
-    assert Point.unit(Direction(4, 0)).coeffs == (1, 0)
-    assert Point.unit(Direction(4, 2)).coeffs == (-1, 0)
+    assert unit(4, 0).coeffs == (1, 0)
+    assert unit(4, 2).coeffs == (-1, 0)
     # zeta_6^4 = -zeta_6; the float oracle pins the coefficients
-    p = Point.unit(Direction(6, 4))
+    p = unit(6, 4)
     assert p.coeffs == (0, -1)
     assert abs(p.to_complex() - cmath.exp(2j * cmath.pi * 4 / 6)) < 1e-12
 
@@ -53,14 +61,14 @@ def test_unit_examples():
 def test_full_polygon_closes(n):
     s = Point.zero(n)
     for k in range(n):
-        s = s + Point.unit(Direction(n, k))
+        s = s + unit(n, k)
     assert s.is_zero()
 
 
 def test_add_identities():
-    p = Point.unit(Direction(12, 5))
+    p = unit(12, 5)
     assert (p + Point.zero(12)).coeffs == p.coeffs
-    q = Point.unit(Direction(12, 0)) + Point.unit(Direction(12, 6))
+    q = unit(12, 0) + unit(12, 6)
     assert q.is_zero()
 
 
@@ -100,23 +108,6 @@ def test_embedding_fidelity_bulk():
             for j, c in enumerate(coeffs)
         )
         assert abs(Point(n, coeffs).to_complex() - direct) < 1e-9
-
-
-@pytest.mark.parametrize("n", [4, 6, 8, 12])
-def test_reversal_involution(n):
-    rng = random.Random(n)
-    for _ in range(50):
-        tail = Point(n, tuple(rng.randint(-5, 5) for _ in range(phi(n))))
-        e = DirectedEdge(tail, Direction(n, rng.randrange(n)))
-        back = e.reversed().reversed()
-        assert back.tail.coeffs == e.tail.coeffs
-        assert back.dir == e.dir
-
-
-def test_reversal_needs_even_n():
-    e = DirectedEdge(Point.zero(3), Direction(3, 0))
-    with pytest.raises(ValueError):
-        e.reversed()
 
 
 def test_trace_terdragon():
@@ -299,3 +290,55 @@ def test_round_from_embeddings_recovers_ring_elements(n):
         assert round_from_embeddings(images, n) == a
         nudged = [z + 0.01 * cmath.exp(1j * rng.random() * 6.3) for z in images]
         assert round_from_embeddings(nudged, n) == a
+
+
+def push_walk(strokes: StrokeSet, edges, prev_d=None) -> list:
+    """Push every edge of a walk, each entered from the edge before it; a
+    rejected push leaves the set as it was."""
+    verdicts = []
+    for tail, d, _ in edges:
+        verdicts.append(strokes.push(tail, d, prev_d))
+        prev_d = d
+    return verdicts
+
+
+def test_stroke_set_pop_undoes_push():
+    doc = json.loads(Path(__file__).with_name("self_avoid.json").read_text())
+    grids = {}
+    for case in doc["cases"]:
+        grid = grids.setdefault(case["grid"], catalog.grid(case["grid"]))
+        if any(tok not in grid.letters for tok in case["tokens"] if isinstance(tok, str)):
+            continue
+        _, _, edges = trace_tokens(case["tokens"], grid.n)
+        strokes = StrokeSet(grid.n, grid.double)
+        verdicts = push_walk(strokes, edges)
+        pushed = verdicts.count(None)
+        assert len(strokes.pushed) == pushed
+        # pop the later half, push it again: the same verdicts
+        half = len(edges) // 2
+        for _ in range(verdicts[half:].count(None)):
+            strokes.pop()
+        prev_d = edges[half - 1][1] if half else None
+        assert push_walk(strokes, edges[half:], prev_d) == verdicts[half:]
+        for _ in range(pushed):
+            strokes.pop()
+        assert not (strokes.pushed or strokes.edges or strokes.chords), case
+        assert push_walk(strokes, edges) == verdicts, case
+
+
+def test_stroke_set_rules():
+    strokes = StrokeSet(4, double=False)
+    assert strokes.push((0, 0), 0, None) is None
+    assert strokes.push((0, 0), 0, None) == REPEATS_EDGE
+    # the square grid has one direction per segment; the double one two
+    assert strokes.push((1, 0), 2, 0) == "redraws a segment (opposite direction)"
+    double = StrokeSet(4, double=True)
+    assert double.push((0, 0), 0, None) is None
+    assert double.push((1, 0), 2, 0) is None
+    # through the origin north to south, then west to east: the strokes cross
+    cross = StrokeSet(4, double=False)
+    assert cross.push((0, 1), 3, None) is None
+    assert cross.push((0, 0), 3, 3) is None
+    assert cross.push((-1, 0), 0, None) is None
+    assert cross.push((0, 0), 0, 0) == STROKES_CROSS
+    assert cross.crosses((0, 0), 0, 0) and not cross.crosses((0, 0), 3, 3)

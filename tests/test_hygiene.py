@@ -68,6 +68,18 @@ def unreferenced_private_functions(sources: dict[str, str]) -> list[tuple[str, s
     )
 
 
+def private_imports(source: str) -> list[tuple[str, int]]:
+    """Names with one leading underscore that a relative import takes from
+    another module of the package, anywhere in the source."""
+    return sorted(
+        (alias.name, node.lineno)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    )
+
+
 def test_sources_found():
     assert len(SOURCES) >= 10
 
@@ -124,3 +136,23 @@ def test_scan_flags_unreferenced_private_functions():
     }
     assert unreferenced_private_functions(sources) == [
         ("a.py", "_only_itself"), ("a.py", "_unused")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_imports_between_modules(path):
+    assert private_imports(path.read_text()) == []
+
+
+def test_scan_flags_private_imports():
+    source = (
+        "from .validator import INVALID, _chords_cross, validate\n"
+        "from . import _helpers\n"
+        "from ._impl import public\n"
+        "from os import _exit\n"
+        "from .words import __version__\n"
+        "def f():\n"
+        "    from .exactgeom import _power_reps as reps\n"
+        "    return reps\n"
+    )
+    assert private_imports(source) == [
+        ("_chords_cross", 1), ("_helpers", 2), ("_power_reps", 7)]

@@ -187,6 +187,20 @@ def test_enumerate_dsquare_order5_includes_printed():
     assert "A+A0A!A+A" in words
 
 
+def test_enumerate_pinned():
+    # nodes, completeness and results, pinned from the word DFS that copied
+    # its state at every node; the last case is cut by its budget
+    doc = json.loads(Path(__file__).with_name("enumerate_pins.json").read_text())
+    for case in doc["cases"]:
+        grid = catalog.grid(case["grid"])
+        budget = {} if case["budget"] is None else {"budget": case["budget"]}
+        res = enumerate_curve_sets(grid, case["order"], **budget)
+        got = [sorted([L, w.to_string(grid.n, grid.double)] for L, w in cs.productions)
+               for cs in res.curvesets]
+        assert (res.nodes, res.complete, got) == (
+            case["nodes"], case["complete"], case["curvesets"]), case["grid"]
+
+
 def test_enumerate_soundness():
     res = enumerate_curve_sets(catalog.grid("d-square"), 4)
     for cs in res.curvesets:

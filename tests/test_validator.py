@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import re
 import weakref
 from pathlib import Path
 
@@ -89,6 +90,21 @@ def test_letter_outside_grid():
     sq = catalog.grid("square")
     rep = check_self_avoiding(parse_word("F+G"), sq)
     assert not rep.ok and "alphabet" in rep.violation
+
+
+def test_self_avoiding_pinned():
+    # seeded random walks, open and closed, on five grids; pinned from the
+    # implementation that kept its own edge, segment and chord tables
+    doc = json.loads(Path(__file__).with_name("self_avoid.json").read_text())
+    grids = {name: catalog.grid(name) for name in
+             ("square", "triangle", "d-square", "d-hexagon", "3464")}
+    assert {c["grid"] for c in doc["cases"]} == set(grids)
+    for case in doc["cases"]:
+        rep = check_self_avoiding(Word(case["tokens"]), grids[case["grid"]],
+                                  closed=case["closed"])
+        assert (rep.ok, rep.violation) == (case["ok"], case["violation"]), case
+    kinds = {re.sub(r"\d+", "#", c["violation"] or "") for c in doc["cases"]}
+    assert len(kinds) == 7  # every verdict check_self_avoiding can give
 
 
 # -- grid consistency --------------------------------------------------------
