@@ -20,7 +20,6 @@ from .exactgeom import (
     StrokeSet,
     add_vec,
     conj_vec,
-    embed_vec,
     normalize_turn,
     phi,
     rotate_vec,
@@ -34,7 +33,7 @@ from .gridmodel import (
     detect_translation_lattice,
 )
 from .lsystem import CurveSet, UnequalRowSums, order
-from .validator import INVALID, validate
+from .validator import is_invalid
 from .words import Word
 
 
@@ -385,11 +384,18 @@ def enumerate_curve_sets(
     Productions are built edge by edge along grid transitions towards a
     common displacement target of squared length R.  A branch is pruned
     when its next edge breaks a self-avoidance rule of the ``StrokeSet``
-    that ``check_self_avoiding`` also uses, or when the target is further
-    than the letters left; emitted sets pass validation.  ``nodes`` counts
-    the prefixes visited, over all targets and letters; past ``budget`` the
-    result is marked incomplete.  Mirror-image duplicates are removed when
-    the transition set is closed under turn negation.
+    that ``check_self_avoiding`` also uses, or when the target lies more
+    edges away than the letters left.  That distance is exact up to
+    self-avoidance: one table per target, by breadth-first search backwards
+    over ``grid.arrivals``, gives the fewest edges from each (head,
+    direction, letter) to the target in direction 0, so it never
+    over-estimates and prunes no word that reaches the target.  A candidate
+    set is kept unless ``is_invalid`` says its validation verdict would be
+    Invalid; that runs only the hard checks and stops at the first failure.
+    ``nodes`` counts the prefixes visited, over all targets and letters;
+    the search stops at node budget + 1 and marks the result incomplete.
+    Mirror-image duplicates are removed when the transition set is closed
+    under turn negation.
     """
     constraints = constraints or {}
     n = grid.n
@@ -408,28 +414,45 @@ def enumerate_curve_sets(
 
     max_len = R * len(letters) - (len(letters) - 1)
 
-    def word_candidates(letter: str, target: tuple, remaining: dict[str, int]):
-        """Production words for one letter, given remaining per-letter
+    def distances_to(target: tuple) -> dict[tuple, int]:
+        """Fewest further edges from (head, direction of the last edge, last
+        letter) to an end state (target, 0, any letter), ignoring
+        self-avoidance and letter budgets.  A drawn edge leaves at most
+        max_len - 1, so farther states are left out."""
+        dist = {(target, 0, L): 0 for L in letters}
+        frontier = list(dist)
+        for d in range(1, max_len):
+            reached = []
+            for pos, k, L in frontier:
+                tail = sub_vec(pos, units[k])
+                for tr in grid.arrivals[L]:
+                    state = (tail, (k - tr.turn) % n, tr.src)
+                    if state not in dist:
+                        dist[state] = d
+                        reached.append(state)
+            frontier = reached
+        return dist
+
+    def word_candidates(target: tuple, dist: dict[tuple, int], remaining: dict[str, int]):
+        """Production words towards the target, given remaining per-letter
         occurrence budgets (row-sum bookkeeping), each with its letter
         counts.  One token list (a turn before every letter, 0 before the
         first), one count table and one ``StrokeSet`` grow and shrink with
         the walk; a word is copied only when it reaches the target."""
-        target_z = embed_vec(target, n)
         out: list[tuple[Word, dict[str, int]]] = []
         tokens: list = []
         counts = dict.fromkeys(letters, 0)
         strokes = StrokeSet(n, grid.double)
 
         def grow(pos: tuple, dirk: int, drawn: int):
-            nonlocal nodes, complete
+            nonlocal nodes
             nodes += 1
             if nodes > budget:
-                complete = False
-                return
+                raise SearchBudgetExceeded(f"over {budget} nodes")
             if drawn and pos == target and dirk == 0:
                 out.append((Word(tokens[1:]), {L: c for L, c in counts.items() if c}))
             room = max_len - drawn
-            if room <= 0 or abs(embed_vec(pos, n) - target_z) > room + 1e-9:
+            if room <= 0 or (drawn and dist.get((pos, dirk, tokens[-1]), room + 1) > room):
                 return
             if drawn:
                 last = tokens[-1]
@@ -450,14 +473,16 @@ def enumerate_curve_sets(
                 strokes.pop()
 
         grow((0,) * phi(n), 0, 0)
+        grow = None  # the closure refers to itself; free the walk's state now
         return out
 
     targets = _lambda_targets(n, R)
     free_letters = [L for L in letters if L not in constraints]
 
     for target in targets:
+        dist = distances_to(target)
+
         def assign(idx: int, remaining: dict[str, int], acc: dict[str, Word]):
-            nonlocal complete
             if idx == len(free_letters):
                 prods = dict(acc)
                 for L, w in constraints.items():
@@ -468,8 +493,7 @@ def enumerate_curve_sets(
                         return
                 except UnequalRowSums:
                     return
-                rep = validate(cs, coverage_k=coverage_k)
-                if rep.verdict == INVALID:
+                if is_invalid(cs, coverage_k=coverage_k):
                     return
 
                 def sortable(ps):
@@ -480,7 +504,7 @@ def enumerate_curve_sets(
                 key = sortable(prods)
                 if sign_symmetric:
                     mirrored = {
-                        L: Word(tuple(-t if isinstance(t, int) else t
+                        L: Word(tuple(normalize_turn(-t, n) if isinstance(t, int) else t
                                       for t in w.tokens))
                         for L, w in prods.items()
                     }
@@ -495,7 +519,7 @@ def enumerate_curve_sets(
                 results.append(cs.with_name(f"found-{len(results) + 1}"))
                 return
             L = free_letters[idx]
-            for w, counts in word_candidates(L, target, remaining):
+            for w, counts in word_candidates(target, dist, remaining):
                 rem2 = dict(remaining)
                 ok = True
                 for X, c in counts.items():
@@ -511,7 +535,11 @@ def enumerate_curve_sets(
         for L, w in constraints.items():
             for X in w.letters():
                 rem0[X] -= 1
-        assign(0, rem0, {})
+        try:
+            assign(0, rem0, {})
+        except SearchBudgetExceeded:
+            complete = False
+            break
 
     results.sort(key=lambda cs: tuple(sorted(
         (L, w.to_string(n, grid.double)) for L, w in cs.productions)))

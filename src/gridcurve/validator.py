@@ -803,6 +803,30 @@ class ValidationReport:
         }
 
 
+def _iterates_self_avoid(cs: CurveSet) -> bool:
+    """Without a grid: the first three iterates of every letter self-avoid."""
+    return all(
+        check_self_avoiding(expand(cs, Word((X,)), k), None, cs.n).ok
+        for X in cs.letters
+        for k in (1, 2, 3)
+    )
+
+
+def is_invalid(cs: CurveSet, coverage_k: int = 3) -> bool:
+    """True exactly when ``validate(cs, coverage_k).verdict`` is INVALID.
+    Only the hard checks run, cheapest first, and the first failure
+    decides: equal row sums, grid consistency, Dekking-1, then coverage.  The report-only diagnostics (scale, irreducibility, filled
+    interiors) are skipped."""
+    if cs.grid is None:
+        return not _iterates_self_avoid(cs)
+    try:
+        order(cs)
+    except UnequalRowSums:
+        return True
+    return not (check_grid_consistent(cs)[0] and check_dekking1(cs)[0]
+                and check_coverage(cs, coverage_k).ok)
+
+
 def validate(
     cs: CurveSet,
     coverage_k: int = 3,
@@ -821,11 +845,7 @@ def validate(
     irr = is_irreducible(subst_matrix(cs))
 
     if cs.grid is None:
-        ok_letters = all(
-            check_self_avoiding(expand(cs, Word((X,)), k), None, cs.n).ok
-            for X in cs.letters
-            for k in (1, 2, 3)
-        )
+        ok_letters = _iterates_self_avoid(cs)
         reasons.append("no grid: grid validation not applicable")
         verdict = VALID_WITH_CAVEATS if ok_letters else INVALID
         if not ok_letters:

@@ -126,10 +126,16 @@ def test_search_curves_golden(capsys):
 
 
 def test_search_curves_budget_exceeded(capsys):
+    # the distance prune finishes the first target's words within 50 nodes
     argv = ["search-curves", "--grid", "d-square", "--order", "5", "--budget", "50"]
     assert cli.main(argv) == 3
     out, err = capsys.readouterr()
-    assert (out, err) == ("", "0 curve-sets, budget exceeded\n")
+    assert err == "1 curve-sets, budget exceeded\n"
+    assert out == (
+        "grid d-square {\n  turn = 4;\n  letters = A;\n  double;\n"
+        "  transitions = A-A, A0A, A+A, A!A\n}\n\n"
+        "curveset found-1 on d-square {\n  A |--> A+A+A-A-A\n}\n"
+    )
 
 
 def test_expand_golden(capsys):
@@ -146,3 +152,47 @@ def test_render_ancestor_colors_golden(capsys):
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "b33b3dea411f9aa547ae677ca6047889cd9a05e9d42222dff57ef0d60af9879a")
+
+
+def test_numsys_golden(capsys):
+    # the twindragon system: radix -1+i, digits 0 and 1
+    argv = ["numsys", "--ring", "g", "--radix=-1,1", "--digits", "0,0 1,0",
+            "--check", "--expand", "3,2", "--region", "6"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == (
+        "digits 2  norm 2  complete-residue-system yes\n"
+        "3+2i = [1+0i 0+0i 0+0i 1+0i] (least significant first)\n"
+        "64 points at depth 6\n", "")
+
+
+def test_transform_drop_golden(capsys):
+    # dropping d488-r5's constant letters leaves the printed d-square curve
+    argv = ["transform", "--op", "drop", "--input", "catalog:d488-r5",
+            "--drop", "Bb", "--target-n", "4"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == ("A |--> A+A0A!A+A\n", "")
+    argv = ["transform", "--op", "drop", "--input", "catalog:d488-r5", "--drop", "A"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: letters ['A'] are not constants\n")
+
+
+def test_catalog_golden(capsys):
+    assert cli.main(["catalog", "show", "ju19"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (
+        "grid 3464 {\n  turn = 12;\n  letters = AB;\n"
+        "  transitions = A---B, A++A, B---A, B++++B\n}\n\n"
+        "curveset ju19 on 3464 {\n"
+        "  A |--> A++A++A++A---B---A---B++++B++++B---A++A++A++A---B---A---B++++B"
+        "---A---B++++B---A---B++++B++++B---A\n"
+        "  B |--> B---A++A++A---B++++B++++B---A---B---A++A---B++++B\n}\n"
+    )
+    assert cli.main(["catalog", "list"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "023c5f278726dd403d82ecb6a5e898419353cc9d9ba32b6a6d6e9b7cdf6622f4")

@@ -13,7 +13,7 @@ from gridcurve.search import (
     enumerate_curve_sets,
     search_colorings,
 )
-from gridcurve.validator import INVALID, validate
+from gridcurve.validator import INVALID, is_invalid, validate
 
 
 @pytest.fixture(scope="module")
@@ -187,11 +187,33 @@ def test_enumerate_dsquare_order5_includes_printed():
     assert "A+A0A!A+A" in words
 
 
+# nodes of the word DFS that pruned by Euclidean distance, keyed by
+# (grid, order, budget); the exact distance prune may only lower them
+EUCLIDEAN_PRUNE_NODES = {
+    ("triangle", 9, None): 6509,
+    ("square", 13, None): 6364,
+    ("d-square", 5, None): 612,
+    ("d-triangle", 4, None): 375,
+    ("d-hexagon", 4, None): 75,
+    ("trihex", 4, None): 40,
+    ("3464", 3, None): 265,
+    ("d488", 2, None): 305,
+    ("d-trihex", 3, None): 778,
+    ("d-square", 10, None): 127156,
+    ("d-triangle", 7, None): 63374,
+    ("d-square", 5, 50): 61,
+}
+
+
 def test_enumerate_pinned():
-    # nodes, completeness and results, pinned from the word DFS that copied
-    # its state at every node; the last case is cut by its budget
+    # nodes, completeness and results; the productions of every complete
+    # case are those of the Euclidean-pruned DFS (after the mirror fix for
+    # d-triangle 7), its node count is no higher, and the last case is cut
+    # by its budget
     doc = json.loads(Path(__file__).with_name("enumerate_pins.json").read_text())
     for case in doc["cases"]:
+        key = (case["grid"], case["order"], case["budget"])
+        assert case["nodes"] <= EUCLIDEAN_PRUNE_NODES[key], key
         grid = catalog.grid(case["grid"])
         budget = {} if case["budget"] is None else {"budget": case["budget"]}
         res = enumerate_curve_sets(grid, case["order"], **budget)
@@ -207,9 +229,50 @@ def test_enumerate_soundness():
         assert validate(cs).verdict != INVALID
 
 
-def test_enumerate_budget():
-    res = enumerate_curve_sets(catalog.grid("d-square"), 5, budget=50)
-    assert not res.complete
+@pytest.mark.parametrize("name, R, budget", [
+    ("d-square", 5, 50),
+    ("d-square", 5, 211),
+    ("d-triangle", 7, 2000),
+    ("triangle", 9, 1000),
+])
+def test_enumerate_budget_stops_exactly(name, R, budget):
+    res = enumerate_curve_sets(catalog.grid(name), R, budget=budget)
+    assert (res.complete, res.nodes) == (False, budget + 1)
+
+
+def test_enumerate_budget_equal_to_nodes_completes():
+    res = enumerate_curve_sets(catalog.grid("d-square"), 5, budget=212)
+    assert (res.complete, res.nodes, len(res.curvesets)) == (True, 212, 5)
+
+
+@pytest.mark.parametrize("name, R, count", [("d-triangle", 7, 35), ("d-square", 8, 6)])
+def test_enumerate_mirror_images_are_normalized(name, R, count):
+    # every turn in (-n/2, n/2]: a mirrored U-turn must come out as +n/2
+    grid = catalog.grid(name)
+    res = enumerate_curve_sets(grid, R)
+    assert len(res.curvesets) == count
+    turns = {t for cs in res.curvesets for _, w in cs.productions
+             for t in w.tokens if isinstance(t, int)}
+    assert all(-grid.n < 2 * t <= grid.n for t in turns)
+    assert grid.n // 2 in turns
+
+
+def test_is_invalid_matches_validate_on_search_candidates(monkeypatch):
+    import gridcurve.search as search
+
+    seen = []
+
+    def recording(cs, coverage_k=3):
+        seen.append((cs, coverage_k))
+        return is_invalid(cs, coverage_k=coverage_k)
+
+    monkeypatch.setattr(search, "is_invalid", recording)
+    for name, R in (("triangle", 9), ("square", 13), ("d-square", 5)):
+        enumerate_curve_sets(catalog.grid(name), R)
+    assert len(seen) == 324
+    got = [is_invalid(cs, k) for cs, k in seen]
+    assert got == [validate(cs, coverage_k=k).verdict == INVALID for cs, k in seen]
+    assert sum(got) == 292
 
 
 def test_enumerate_determinism():

@@ -32,6 +32,7 @@ from gridcurve.validator import (
     check_grid_consistent,
     check_interior_filled,
     check_self_avoiding,
+    is_invalid,
     scale_analysis,
     validate,
 )
@@ -548,6 +549,17 @@ def test_validate_counterexamples_invalid():
         assert rep.verdict == INVALID, name
         assert rep.interior_filled and all(rep.interior_filled.values())
         assert not rep.irreducible
+
+
+def test_is_invalid_matches_validate_on_catalog():
+    kinds = set()
+    for entry in catalog.CURVE_ENTRIES:
+        cs = catalog.curveset(entry.name)
+        verdict = validate(cs, coverage_k=entry.coverage_k).verdict
+        assert is_invalid(cs, entry.coverage_k) == (verdict == INVALID), entry.name
+        kinds.add(verdict)
+    # both answers occur: the two Invalid entries fail only coverage
+    assert kinds == {VALID, VALID_WITH_CAVEATS, INVALID}
 
 
 def test_validate_generic_mode():
