@@ -384,18 +384,23 @@ def enumerate_curve_sets(
     Productions are built edge by edge along grid transitions towards a
     common displacement target of squared length R.  A branch is pruned
     when its next edge breaks a self-avoidance rule of the ``StrokeSet``
-    that ``check_self_avoiding`` also uses, or when the target lies more
-    edges away than the letters left.  That distance is exact up to
-    self-avoidance: one table per target, by breadth-first search backwards
-    over ``grid.arrivals``, gives the fewest edges from each (head,
-    direction, letter) to the target in direction 0, so it never
-    over-estimates and prunes no word that reaches the target.  A candidate
-    set is kept unless ``is_invalid`` says its validation verdict would be
-    Invalid; that runs only the hard checks and stops at the first failure.
-    ``nodes`` counts the prefixes visited, over all targets and letters;
-    the search stops at node budget + 1 and marks the result incomplete.
-    Mirror-image duplicates are removed when the transition set is closed
-    under turn negation.
+    that ``check_self_avoiding`` also uses, in the word itself or in
+    w t w for a self-transition (L, t, L) of its letter, which Dekking-1
+    draws and whose second copy is known edge by edge as w grows.  It is
+    also pruned when the target lies more edges away than the letters left.
+    That distance is exact up to self-avoidance: one table per target, by
+    breadth-first search backwards over ``grid.arrivals``, gives the fewest
+    edges from each (head, direction, letter) to the target in direction 0,
+    so it never over-estimates and prunes no word that reaches the target.
+    A candidate set is kept unless ``is_invalid`` says its validation
+    verdict would be Invalid; that runs only the hard checks and stops at
+    the first failure.  ``nodes`` counts the prefixes visited, over all
+    targets and letters; the search stops at node budget + 1 and marks the
+    result incomplete.  Mirror-image duplicates are removed when the
+    transition set is closed under turn negation.  Each mirror class is
+    reported by a set that passed ``is_invalid``, the one that sorts first
+    when both images did: on double grids the stroke lanes are chiral at a
+    U-turn, so the mirror image of a valid set can be Invalid.
     """
     constraints = constraints or {}
     n = grid.n
@@ -403,8 +408,8 @@ def enumerate_curve_sets(
     units = unit_coeffs(n)
     nodes = 0
     complete = True
-    results: list[CurveSet] = []
-    seen_keys: set = set()
+    # mirror class -> (sort key, curve-set) of the set reported for it
+    found: dict[tuple, tuple[tuple, CurveSet]] = {}
 
     sign_symmetric = all(
         any(t2.src == t.src and t2.dst == t.dst and
@@ -413,6 +418,9 @@ def enumerate_curve_sets(
     )
 
     max_len = R * len(letters) - (len(letters) - 1)
+
+    def sortable(prods: dict[str, Word]) -> tuple:
+        return tuple(sorted((L, w.to_string(n, grid.double)) for L, w in prods.items()))
 
     def distances_to(target: tuple) -> dict[tuple, int]:
         """Fewest further edges from (head, direction of the last edge, last
@@ -433,18 +441,30 @@ def enumerate_curve_sets(
             frontier = reached
         return dist
 
-    def word_candidates(target: tuple, dist: dict[tuple, int], remaining: dict[str, int]):
+    def word_candidates(target: tuple, dist: dict[tuple, int], remaining: dict[str, int],
+                        self_turns: list[int]):
         """Production words towards the target, given remaining per-letter
         occurrence budgets (row-sum bookkeeping), each with its letter
         counts.  One token list (a turn before every letter, 0 before the
-        first), one count table and one ``StrokeSet`` grow and shrink with
-        the walk; a word is copied only when it reaches the target."""
+        first) and one count table grow and shrink with the walk; a word is
+        copied only when it reaches the target.
+
+        Each self-transition (L, t, L) of the letter draws w t w in
+        Dekking-1.  Every word ends at the target in direction 0, so the
+        copy of w after the turn is known edge by edge as w grows: it starts
+        at the target, rotated by t, and its first stroke turns off
+        direction 0.  One ``StrokeSet`` per self-transition turn holds the
+        prefix of w and that of its copy (one set holds w alone when there
+        is no self-transition).  A refused push is a conflict between two
+        strokes of every extension's w t w, so the branch is pruned."""
         out: list[tuple[Word, dict[str, int]]] = []
         tokens: list = []
         counts = dict.fromkeys(letters, 0)
-        strokes = StrokeSet(n, grid.double)
+        walks = ([(StrokeSet(n, grid.double), turn) for turn in self_turns]
+                 or [(StrokeSet(n, grid.double), None)])
 
-        def grow(pos: tuple, dirk: int, drawn: int):
+        def grow(pos: tuple, dirk: int, drawn: int, twins: tuple):
+            # twins: the head of each walk's copy of w (unused for w alone)
             nonlocal nodes
             nodes += 1
             if nodes > budget:
@@ -463,21 +483,36 @@ def enumerate_curve_sets(
                 if remaining.get(L, 0) - counts[L] <= 0:
                     continue
                 d = (dirk + t) % n
-                if strokes.push(pos, d, dirk if drawn else None) is not None:
-                    continue
-                tokens.extend((t, L))
-                counts[L] += 1
-                grow(add_vec(pos, units[d]), d, drawn + 1)
-                counts[L] -= 1
-                del tokens[-2:]
-                strokes.pop()
+                pushed = []
+                for (strokes, turn), twin in zip(walks, twins):
+                    if strokes.push(pos, d, dirk if drawn else None) is not None:
+                        break
+                    pushed.append(strokes)
+                    if turn is not None:
+                        # the copy's first edge follows w's last, in direction 0
+                        if strokes.push(twin, (d + turn) % n,
+                                        (dirk + turn) % n if drawn else 0) is not None:
+                            break
+                        pushed.append(strokes)
+                else:
+                    tokens.extend((t, L))
+                    counts[L] += 1
+                    grow(add_vec(pos, units[d]), d, drawn + 1, tuple(
+                        twin if turn is None else add_vec(twin, units[(d + turn) % n])
+                        for (_, turn), twin in zip(walks, twins)))
+                    counts[L] -= 1
+                    del tokens[-2:]
+                for strokes in pushed:
+                    strokes.pop()
 
-        grow((0,) * phi(n), 0, 0)
+        grow((0,) * phi(n), 0, 0, (target,) * len(walks))
         grow = None  # the closure refers to itself; free the walk's state now
         return out
 
     targets = _lambda_targets(n, R)
     free_letters = [L for L in letters if L not in constraints]
+    self_turns = {L: [tr.turn for tr in grid.transitions if tr.src == tr.dst == L]
+                  for L in free_letters}
 
     for target in targets:
         dist = distances_to(target)
@@ -487,7 +522,7 @@ def enumerate_curve_sets(
                 prods = dict(acc)
                 for L, w in constraints.items():
                     prods[L] = w
-                cs = CurveSet.make(f"search-{len(results)}", grid, prods)
+                cs = CurveSet.make(f"search-{len(found)}", grid, prods)
                 try:
                     if order(cs) != R:
                         return
@@ -495,31 +530,20 @@ def enumerate_curve_sets(
                     return
                 if is_invalid(cs, coverage_k=coverage_k):
                     return
-
-                def sortable(ps):
-                    return tuple(sorted(
-                        (L, w.to_string(n, grid.double)) for L, w in ps.items()
-                    ))
-
                 key = sortable(prods)
+                mirror_class = key
                 if sign_symmetric:
-                    mirrored = {
+                    mirror_class = min(key, sortable({
                         L: Word(tuple(normalize_turn(-t, n) if isinstance(t, int) else t
                                       for t in w.tokens))
                         for L, w in prods.items()
-                    }
-                    mirror = sortable(mirrored)
-                    if mirror < key:
-                        key = mirror
-                        prods = mirrored
-                        cs = CurveSet.make(cs.name, grid, prods)
-                if key in seen_keys:
-                    return
-                seen_keys.add(key)
-                results.append(cs.with_name(f"found-{len(results) + 1}"))
+                    }))
+                kept = found.get(mirror_class)
+                if kept is None or key < kept[0]:
+                    found[mirror_class] = (key, cs)
                 return
             L = free_letters[idx]
-            for w, counts in word_candidates(target, dist, remaining):
+            for w, counts in word_candidates(target, dist, remaining, self_turns[L]):
                 rem2 = dict(remaining)
                 ok = True
                 for X, c in counts.items():
@@ -541,7 +565,6 @@ def enumerate_curve_sets(
             complete = False
             break
 
-    results.sort(key=lambda cs: tuple(sorted(
-        (L, w.to_string(n, grid.double)) for L, w in cs.productions)))
-    results = [cs.with_name(f"found-{i + 1}") for i, cs in enumerate(results)]
+    results = [cs.with_name(f"found-{i + 1}")
+               for i, (_, cs) in enumerate(sorted(found.values(), key=lambda kept: kept[0]))]
     return SearchResult(results, complete, nodes)

@@ -126,16 +126,17 @@ def test_search_curves_golden(capsys):
 
 
 def test_search_curves_budget_exceeded(capsys):
-    # the distance prune finishes the first target's words within 50 nodes
+    # with the distance and Dekking-1 prunes, three of the five sets are
+    # checked before the 51st node
     argv = ["search-curves", "--grid", "d-square", "--order", "5", "--budget", "50"]
     assert cli.main(argv) == 3
     out, err = capsys.readouterr()
-    assert err == "1 curve-sets, budget exceeded\n"
-    assert out == (
-        "grid d-square {\n  turn = 4;\n  letters = A;\n  double;\n"
-        "  transitions = A-A, A0A, A+A, A!A\n}\n\n"
-        "curveset found-1 on d-square {\n  A |--> A+A+A-A-A\n}\n"
-    )
+    assert err == "3 curve-sets, budget exceeded\n"
+    grid = ("grid d-square {\n  turn = 4;\n  letters = A;\n  double;\n"
+            "  transitions = A-A, A0A, A+A, A!A\n}\n\n")
+    assert out == "".join(
+        f"{grid}curveset found-{i} on d-square {{\n  A |--> {word}\n}}\n"
+        for i, word in enumerate(["A+A!A0A+A", "A+A+A-A-A", "A0A!A+A+A"], 1))
 
 
 def test_expand_golden(capsys):

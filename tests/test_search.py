@@ -13,7 +13,9 @@ from gridcurve.search import (
     enumerate_curve_sets,
     search_colorings,
 )
-from gridcurve.validator import INVALID, is_invalid, validate
+from gridcurve.lsystem import CurveSet
+from gridcurve.validator import INVALID, check_dekking1, is_invalid, validate
+from gridcurve.words import parse_word
 
 
 @pytest.fixture(scope="module")
@@ -201,19 +203,50 @@ EUCLIDEAN_PRUNE_NODES = {
     ("d-trihex", 3, None): 778,
     ("d-square", 10, None): 127156,
     ("d-triangle", 7, None): 63374,
+    ("triangle", 13, None): 439334,
+    ("square", 17, None): 49476,
     ("d-square", 5, 50): 61,
 }
+
+# nodes of the word DFS with the exact distance prune, before it pruned
+# self-transitions that fail Dekking-1; that prune may only lower them
+EXACT_DISTANCE_PRUNE_NODES = {
+    ("triangle", 9, None): 2660,
+    ("square", 13, None): 2100,
+    ("d-square", 5, None): 212,
+    ("d-triangle", 4, None): 104,
+    ("d-hexagon", 4, None): 12,
+    ("trihex", 4, None): 12,
+    ("3464", 3, None): 36,
+    ("d488", 2, None): 50,
+    ("d-trihex", 3, None): 88,
+    ("d-square", 10, None): 48255,
+    ("d-triangle", 7, None): 16069,
+    ("triangle", 13, None): 108596,
+    ("square", 17, None): 16816,
+    ("d-square", 5, 50): 51,
+}
+
+
+def pinned_cases():
+    return json.loads(Path(__file__).with_name("enumerate_pins.json").read_text())["cases"]
+
+
+def parsed_set(grid, productions):
+    return CurveSet.make("pinned", grid, {L: parse_word(w, grid.n) for L, w in productions})
 
 
 def test_enumerate_pinned():
     # nodes, completeness and results; the productions of every complete
-    # case are those of the Euclidean-pruned DFS (after the mirror fix for
-    # d-triangle 7), its node count is no higher, and the last case is cut
-    # by its budget
-    doc = json.loads(Path(__file__).with_name("enumerate_pins.json").read_text())
-    for case in doc["cases"]:
+    # case are those of the Euclidean-pruned DFS (with the mirror class of
+    # d-square 8 and d-triangle 7 reported by an image that is not
+    # Invalid), each prune lowers the node count or keeps it, and the last
+    # case is cut by its budget
+    cases = pinned_cases()
+    assert {(c["grid"], c["order"], c["budget"]) for c in cases} == set(EXACT_DISTANCE_PRUNE_NODES)
+    for case in cases:
         key = (case["grid"], case["order"], case["budget"])
-        assert case["nodes"] <= EUCLIDEAN_PRUNE_NODES[key], key
+        assert case["nodes"] <= EXACT_DISTANCE_PRUNE_NODES[key] <= EUCLIDEAN_PRUNE_NODES[key], key
         grid = catalog.grid(case["grid"])
         budget = {} if case["budget"] is None else {"budget": case["budget"]}
         res = enumerate_curve_sets(grid, case["order"], **budget)
@@ -224,16 +257,24 @@ def test_enumerate_pinned():
 
 
 def test_enumerate_soundness():
-    res = enumerate_curve_sets(catalog.grid("d-square"), 4)
-    for cs in res.curvesets:
-        assert validate(cs).verdict != INVALID
+    # on double grids the mirror image of a valid set can be Invalid, so
+    # every reported image must be checked, not only its mirror class
+    sets = [parsed_set(catalog.grid(case["grid"]), productions)
+            for case in pinned_cases() if case["complete"]
+            for productions in case["curvesets"]]
+    res = enumerate_curve_sets(catalog.grid("d-square"), 8)
+    assert res.complete and len(res.curvesets) == 6
+    sets += res.curvesets
+    assert len(sets) == 128
+    for cs in sets:
+        assert validate(cs).verdict != INVALID, [str(w) for _, w in cs.productions]
 
 
 @pytest.mark.parametrize("name, R, budget", [
     ("d-square", 5, 50),
-    ("d-square", 5, 211),
-    ("d-triangle", 7, 2000),
-    ("triangle", 9, 1000),
+    ("d-square", 5, 68),
+    ("d-triangle", 7, 1000),
+    ("triangle", 9, 400),
 ])
 def test_enumerate_budget_stops_exactly(name, R, budget):
     res = enumerate_curve_sets(catalog.grid(name), R, budget=budget)
@@ -241,8 +282,8 @@ def test_enumerate_budget_stops_exactly(name, R, budget):
 
 
 def test_enumerate_budget_equal_to_nodes_completes():
-    res = enumerate_curve_sets(catalog.grid("d-square"), 5, budget=212)
-    assert (res.complete, res.nodes, len(res.curvesets)) == (True, 212, 5)
+    res = enumerate_curve_sets(catalog.grid("d-square"), 5, budget=69)
+    assert (res.complete, res.nodes, len(res.curvesets)) == (True, 69, 5)
 
 
 @pytest.mark.parametrize("name, R, count", [("d-triangle", 7, 35), ("d-square", 8, 6)])
@@ -257,22 +298,49 @@ def test_enumerate_mirror_images_are_normalized(name, R, count):
     assert grid.n // 2 in turns
 
 
-def test_is_invalid_matches_validate_on_search_candidates(monkeypatch):
+@pytest.fixture(scope="module")
+def search_candidates():
+    # (grid, order, candidate curve-sets) that the search sent to is_invalid
+    # before it pruned self-transitions failing Dekking-1
+    doc = json.loads(Path(__file__).with_name("search_candidates.json").read_text())
+    out = []
+    for case in doc["cases"]:
+        grid = catalog.grid(case["grid"])
+        out.append((grid, case["order"],
+                    [parsed_set(grid, productions) for productions in case["candidates"]]))
+    return out
+
+
+def test_is_invalid_matches_validate_on_search_candidates(search_candidates):
+    sets = [cs for _, _, candidates in search_candidates for cs in candidates]
+    assert len(sets) == 324
+    got = [is_invalid(cs) for cs in sets]
+    assert got == [validate(cs).verdict == INVALID for cs in sets]
+    assert sum(got) == 292
+
+
+def test_search_candidates_are_those_passing_dekking1(search_candidates, monkeypatch):
+    # the prune's oracle: on these one-letter grids every Dekking-1 check is
+    # a self-transition, so the search now sends is_invalid exactly the
+    # earlier candidates that pass it, in the same order
     import gridcurve.search as search
 
     seen = []
 
     def recording(cs, coverage_k=3):
-        seen.append((cs, coverage_k))
+        seen.append(cs)
         return is_invalid(cs, coverage_k=coverage_k)
 
     monkeypatch.setattr(search, "is_invalid", recording)
-    for name, R in (("triangle", 9), ("square", 13), ("d-square", 5)):
-        enumerate_curve_sets(catalog.grid(name), R)
-    assert len(seen) == 324
-    got = [is_invalid(cs, k) for cs, k in seen]
-    assert got == [validate(cs, coverage_k=k).verdict == INVALID for cs, k in seen]
-    assert sum(got) == 292
+    total = 0
+    for grid, R, candidates in search_candidates:
+        seen.clear()
+        enumerate_curve_sets(grid, R)
+        passing = [cs.productions for cs in candidates if check_dekking1(cs)[0]]
+        assert [cs.productions for cs in seen] == passing, grid.name
+        assert not any(is_invalid(cs) for cs in seen)
+        total += len(passing)
+    assert total == 32
 
 
 def test_enumerate_determinism():
