@@ -207,7 +207,8 @@ def cmd_dimension(args) -> int:
     cs = _pick_curveset(doc, args.set)
     letters = [args.letter] if args.letter else list(cs.letters)
     for letter in letters:
-        print(f"{letter} {dimension(cs, letter):.9f}")
+        dim = dimension(cs, letter)
+        print(f"{letter} undetermined" if dim is None else f"{letter} {dim:.9f}")
     return EXIT_OK
 
 

@@ -146,6 +146,16 @@ def rotate_vec(a: tuple[int, ...], k: int, n: int) -> tuple[int, ...]:
     return mul_vec(a, unit_coeffs(n)[k], n)
 
 
+def rotations(a: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
+    """a * zeta^k for every k in range(n), one multiplication by zeta each."""
+    low = cyclotomic(n)[:-1]  # zeta^deg = -(low[0] + low[1] zeta + ...)
+    out = [tuple(a)]
+    for _ in range(n - 1):
+        prev = out[-1]
+        out.append(tuple(c - prev[-1] * t for c, t in zip((0,) + prev[:-1], low)))
+    return tuple(out)
+
+
 def embed_vec(a: Sequence[int], n: int) -> complex:
     basis = _embed_basis(n)
     return sum(c * z for c, z in zip(a, basis)) if any(a) else 0j

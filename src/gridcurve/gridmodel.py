@@ -5,20 +5,22 @@ and turning t, the next edge has class G, and (F, t) determines G uniquely
 (likewise (t, G) determines F).  The face on either side of an edge
 therefore follows from the edge's letter alone: ``GridSpec.face_table``
 holds, per letter and side, the turn that continues the face, the face's
-boundary word and its vertex sum.  Prototiles, face instances and face
-centres come from that table, and ``grid_letters`` carries the grid's
-letters along a traced path.  Realizing a grid walks the transitions
-outward from a seed edge and assigns a letter to every directed edge it
-reaches.  It serves ``detect_translation_lattice`` and
-``GridSpec.target_disc``, which realizes once per grid and radius the
-disc that the coverage check must see covered.
+boundary word, and its exact edges and vertex sum from an edge in each
+direction.  Prototiles, face instances and face centres come from that
+table, and ``grid_letters`` carries the grid's letters along a traced path.
+Realizing a grid walks the transitions outward from a seed edge, through
+the edges within a Euclidean radius, and assigns a letter to every directed
+edge it reaches.  It serves ``detect_translation_lattice`` (cached as
+``GridSpec.translation_lattice``) and ``GridSpec.target_disc``, which
+realizes once per grid and radius r the disc of edges within r that the
+coverage check must see covered.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import add
 from typing import NamedTuple
 
 from .exactgeom import (
@@ -27,7 +29,7 @@ from .exactgeom import (
     embed_vec,
     normalize_turn,
     phi,
-    rotate_vec,
+    rotations,
     sub_vec,
     unit_coeffs,
 )
@@ -123,6 +125,10 @@ class GridSpec:
         return _build_face_table(self)
 
     @cached_property
+    def translation_lattice(self) -> tuple[Point, Point]:
+        return detect_translation_lattice(self)
+
+    @cached_property
     def _target_discs(self) -> dict[float, "TargetDisc"]:
         return {}
 
@@ -137,33 +143,25 @@ class GridSpec:
             disc = self._target_discs[r] = _build_target_disc(self, r)
         return disc
 
-    def face_cycle(
-        self, edge: EdgeKey, letter: str, side: str
-    ) -> list[tuple[EdgeKey, str]] | None:
+    def face_cycle(self, edge: EdgeKey, letter: str, side: str) -> list[tuple[EdgeKey, str]] | None:
         """Edges and letters of the face on one side of an edge, starting
-        with that edge; None when the face does not close."""
-        tokens = self.face_table.word.get((letter, side))
-        if tokens is None:
+        with that edge, from the face table's steps; None when the face
+        does not close."""
+        steps = self.face_table.steps.get((letter, side))
+        if steps is None:
             return None
-        units = unit_coeffs(self.n)
         pos, k = edge
-        out = []
-        for i in range(0, len(tokens), 2):
-            out.append(((pos, k), tokens[i]))
-            pos = add_vec(pos, units[k])
-            k = (k + tokens[i + 1]) % self.n
-        return out
+        return [((tuple(map(add, pos, offset)), d), c) for offset, d, c in steps[k]]
 
     def face_center(self, edge: EdgeKey, letter: str, side: str) -> complex | None:
         """Mean of the vertices of the face on one side of an edge; None
         when the face does not close."""
-        total = self.face_table.vertex_sum.get((letter, side))
-        if total is None:
+        sums = self.face_table.vertex_sum.get((letter, side))
+        if sums is None:
             return None
         m = len(self.face_table.word[(letter, side)]) // 2
-        pos, k = edge
-        total = rotate_vec(total, k, self.n)  # read from an edge in direction k
-        return embed_vec(tuple(m * c + s for c, s in zip(pos, total)), self.n) / m
+        pos, k = edge  # sums[k] is read from an edge in direction k
+        return embed_vec(tuple(m * c + s for c, s in zip(pos, sums[k])), self.n) / m
 
     def has_transition(self, src: str, turn: int, dst: str) -> bool:
         return self.forward.get((src, normalize_turn(turn, self.n))) == dst
@@ -190,15 +188,18 @@ class FaceTable:
     ``turn`` holds the turn that continues the face past an edge of that
     letter.  ``word`` holds the face's boundary tokens read from such an
     edge (letter, turn, letter, turn, ...), ``sense`` its sense, and
-    ``vertex_sum`` the exact sum of its vertices when that edge leaves the
-    origin in direction 0.  All three leave out faces that never close and
-    left-side digons, just as a realized patch has no such faces.
+    ``steps[key][k]`` lists the face's edges when that edge leaves the
+    origin in direction k: per edge, the exact offset of its tail, its
+    direction and its letter.  ``vertex_sum[key][k]`` is the exact sum of
+    those tails, the face's vertices.  All four leave out faces that never
+    close and left-side digons, just as a realized patch has no such faces.
     """
 
     turn: dict[tuple[str, str], int]
     word: dict[tuple[str, str], tuple]
     sense: dict[tuple[str, str], str]
-    vertex_sum: dict[tuple[str, str], tuple[int, ...]]
+    vertex_sum: dict[tuple[str, str], tuple[tuple[int, ...], ...]]
+    steps: dict[tuple[str, str], tuple[tuple[tuple[tuple, int, str], ...], ...]]
 
 
 def _build_face_table(spec: GridSpec) -> FaceTable:
@@ -211,18 +212,19 @@ def _build_face_table(spec: GridSpec) -> FaceTable:
             turn[(letter, RIGHT)] = min(turns, key=lambda t: face_key(t, n))
     word: dict[tuple[str, str], tuple] = {}
     sense: dict[tuple[str, str], str] = {}
-    vertex_sum: dict[tuple[str, str], tuple[int, ...]] = {}
+    vertex_sum: dict[tuple[str, str], tuple] = {}
+    steps: dict[tuple[str, str], tuple] = {}
     # after |letters| * n steps some (letter, direction) pair has repeated,
     # so a walk that has not come back to its start by then never will
     limit = len(spec.letters) * n
     for letter, side in turn:
         tokens: list = []
+        tails: list = []  # (tail, direction) of the edges walked so far
         cur, dirk, pos = letter, 0, (0,) * phi(n)
-        total = pos  # sum of the tails walked so far
         while len(tokens) < 2 * limit and (cur, side) in turn:
             t = turn[(cur, side)]
             tokens += [cur, t]
-            total = add_vec(total, pos)
+            tails.append((pos, dirk))
             pos = add_vec(pos, units[dirk])
             cur, dirk = spec.forward[(cur, t)], (dirk + t) % n
             if cur == letter and dirk == 0:
@@ -236,15 +238,19 @@ def _build_face_table(spec: GridSpec) -> FaceTable:
         else:
             sense[(letter, side)] = CCW if sum(tokens[1::2]) > 0 else CW
         word[(letter, side)] = tuple(tokens)
-        vertex_sum[(letter, side)] = total
-    return FaceTable(turn, word, sense, vertex_sum)
+        vertex_sum[(letter, side)] = rotations(tuple(map(sum, zip(*(p for p, _ in tails)))), n)
+        rotated = [(rotations(p, n), d, c) for (p, d), c in zip(tails, tokens[::2])]
+        steps[(letter, side)] = tuple(
+            tuple((rots[k], (d + k) % n, c) for rots, d, c in rotated) for k in range(n))
+    return FaceTable(turn, word, sense, vertex_sum, steps)
 
 
 class TargetDisc(NamedTuple):
     """What a coverage check of radius r looks at around the origin.
 
     ``edges`` holds the directed edges whose midpoints lie within r of the
-    origin, in the order ``realize`` reaches them.  ``anchored_faces``
+    origin, in the order ``realize(spec, r)`` reaches them: it grows the
+    patch through exactly those edges.  ``anchored_faces``
     holds the boundary word of every face at the origin once per edge of
     the face, rotated to start there, as (tokens, tail, direction): each
     anchored iterate grows from a different corner, so the corner
@@ -257,11 +263,8 @@ class TargetDisc(NamedTuple):
 
 def _build_target_disc(spec: GridSpec, r: float) -> TargetDisc:
     n = spec.n
-    patch = realize(spec, int(math.ceil((r + 1) * 2.2)) + 4)
-    half_units = [embed_vec(u, n) / 2 for u in unit_coeffs(n)]
-    edges = tuple(
-        e for e in patch.edges if abs(embed_vec(e[0], n) + half_units[e[1]]) <= r
-    )
+    patch = realize(spec, r)
+    edges = tuple(e for e in patch.edges if _midpoint_norm(e, n) <= r)
     faces: dict[frozenset, tuple[list, tuple]] = {}
     for e in patch.out_at.get((0,) * phi(n), ()):
         letter = patch.edges[e]
@@ -339,33 +342,25 @@ class Patch:
 
     # -- construction -------------------------------------------------
 
-    def _head(self, edge: EdgeKey) -> tuple:
-        return add_vec(edge[0], self._units[edge[1]])
-
     def _add(self, edge: EdgeKey, letter: str, depth: int) -> bool:
         got = self.edges.get(edge)
         if got is not None:
             if got != letter:
                 raise InconsistentColoring(edge, got, letter)
-            if depth < self.depth[edge]:
-                self.depth[edge] = depth
             return False
         self.edges[edge] = letter
         self.depth[edge] = depth
         self.out_at.setdefault(edge[0], []).append(edge)
-        self.in_at.setdefault(self._head(edge), []).append(edge)
+        self.in_at.setdefault(self.head(edge), []).append(edge)
         return True
 
     # -- queries ------------------------------------------------------
 
-    def letter(self, edge: EdgeKey) -> str | None:
-        return self.edges.get(edge)
-
     def head(self, edge: EdgeKey) -> tuple:
-        return self._head(edge)
+        return add_vec(edge[0], self._units[edge[1]])
 
     def successors(self, edge: EdgeKey) -> list[tuple[int, EdgeKey]]:
-        h = self._head(edge)
+        h = self.head(edge)
         out = []
         for e2 in self.out_at.get(h, ()):
             t = normalize_turn(e2[1] - edge[1], self.n)
@@ -397,7 +392,7 @@ class Patch:
                 for t in tokens[1:-2:2]:
                     cur = cycle[-1]
                     d = (cur[1] + t) % self.n
-                    nxt = next((e for e in self.out_at.get(self._head(cur), ()) if e[1] == d), None)
+                    nxt = next((e for e in self.out_at.get(self.head(cur), ()) if e[1] == d), None)
                     if nxt is None:
                         break  # the face runs off the rim
                     cycle.append(nxt)
@@ -435,39 +430,47 @@ class Face:
     edge_set_key: tuple = field(repr=False, default=())
 
 
-def realize(spec: GridSpec, radius: int) -> Patch:
-    """Breadth-first closure of the transitions out to the given edge depth.
+def _midpoint_norm(edge: EdgeKey, n: int) -> float:
+    """Distance from the origin to the midpoint of a directed edge."""
+    pos, k = edge
+    return abs(embed_vec(pos, n) + embed_vec(unit_coeffs(n)[k], n) / 2)
+
+
+def realize(spec: GridSpec, radius: float) -> Patch:
+    """Breadth-first closure of the transitions out to a Euclidean radius.
 
     The seed is the first alphabet letter, tail at the origin, direction 0.
-    Transitions are applied forward at heads and backward at tails; a
-    contradiction raises InconsistentColoring.
+    Transitions are applied forward at heads and backward at tails of every
+    edge whose midpoint lies within ``radius`` of the origin, so the patch
+    holds those edges and their neighbours; ``Patch.depth`` holds each
+    edge's breadth-first level.  A contradiction among them raises
+    InconsistentColoring.
     """
     patch = Patch(spec)
     seed: EdgeKey = ((0,) * phi(spec.n), 0)
     patch._add(seed, spec.seed_letter(), 0)
     frontier = [seed]
-    units = unit_coeffs(spec.n)
-    n = spec.n
-    for d in range(1, radius + 1):
+    n, units = spec.n, unit_coeffs(spec.n)
+    d = 0
+    while frontier:
+        d += 1
         new_frontier: list[EdgeKey] = []
         for edge in frontier:
+            if _midpoint_norm(edge, n) > radius:
+                continue
             letter = patch.edges[edge]
             pos, k = edge
             head = add_vec(pos, units[k])
             for t in spec.turns_from.get(letter, ()):
-                dst = spec.forward[(letter, t)]
                 e2 = (head, (k + t) % n)
-                if patch._add(e2, dst, d):
+                if patch._add(e2, spec.forward[(letter, t)], d):
                     new_frontier.append(e2)
             for tr in spec.arrivals.get(letter, ()):
                 k0 = (k - tr.turn) % n
-                tail0 = sub_vec(pos, units[k0])
-                e0 = (tail0, k0)
+                e0 = (sub_vec(pos, units[k0]), k0)
                 if patch._add(e0, tr.src, d):
                     new_frontier.append(e0)
         frontier = new_frontier
-        if not frontier:
-            break
     return patch
 
 
@@ -531,47 +534,40 @@ def prototiles(spec: GridSpec) -> list[Prototile]:
 
 
 def detect_translation_lattice(
-    spec: GridSpec, radius: int | None = None
+    spec: GridSpec, radius: float | None = None
 ) -> tuple[Point, Point]:
     """Two shortest independent translations mapping the coloring onto itself.
 
-    Verified on a realized patch; torus construction re-verifies the result
-    exactly, so a too-small patch fails loudly rather than silently.
+    Verified on the patch that ``realize`` grows to a Euclidean radius (6,
+    then 9 and 12 while that fails): a translation v carries every edge whose
+    tail lies within radius - |v| - 1 of the origin onto an edge of the same
+    letter.  ``GridSpec.translation_lattice`` caches the default result.
+    Torus construction re-verifies it exactly, so a too-small patch fails
+    loudly rather than silently.
     """
     if radius is None:
         last = None
-        for radius in (12, 18, 26):
+        for radius in (6, 9, 12):
             try:
                 return detect_translation_lattice(spec, radius)
             except GridError as exc:
                 last = exc
         raise last
     patch = realize(spec, radius)
-    seed = ((0,) * phi(spec.n), 0)
-    seed_letter = patch.edges[seed]
-    covered = radius / 2.2  # Euclidean radius certainly inside the patch
-    candidates: list[Point] = []
-    for (pos, k), letter in patch.edges.items():
-        if k == 0 and letter == seed_letter and any(pos):
-            v = Point(spec.n, pos)
-            if abs(v) <= covered - 1.5:
-                candidates.append(v)
-    candidates.sort(key=lambda p: (abs(p), p.coeffs))
+    norms = {pos: abs(embed_vec(pos, spec.n)) for pos, _ in patch.edges}
+    candidates = sorted(
+        (Point(spec.n, pos) for (pos, k), letter in patch.edges.items()
+         if k == 0 and letter == spec.seed_letter() and any(pos) and norms[pos] <= radius - 1.5),
+        key=lambda p: (abs(p), p.coeffs))
 
     def is_translation(v: Point) -> bool:
         vk = v.coeffs
-        limit = covered - abs(v) - 1.0
+        limit = radius - abs(v) - 1.0
         if limit <= 0.5:
             return False
-        checked = 0
-        for (pos, k), letter in patch.edges.items():
-            if abs(Point(spec.n, pos).to_complex()) > limit:
-                continue
-            got = patch.edges.get((add_vec(pos, vk), k))
-            if got != letter:
-                return False
-            checked += 1
-        return checked > 0
+        inner = [(e, letter) for e, letter in patch.edges.items() if norms[e[0]] <= limit]
+        return bool(inner) and all(
+            patch.edges.get((add_vec(pos, vk), k)) == letter for (pos, k), letter in inner)
 
     valid: list[Point] = []
     for v in candidates:

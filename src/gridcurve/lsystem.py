@@ -208,8 +208,14 @@ def reachable_letters(m: SubstMatrix, letter: str) -> list[str]:
     return [c for i, c in enumerate(m.letters) if i in seen]
 
 
-def spectral_radius(entries: Sequence[Sequence[int]], tol: float = 1e-12) -> float:
-    """Largest eigenvalue modulus of a nonnegative integer matrix.
+# Bound of the power iteration in ``spectral_radius``.  Hitting it leaves
+# the radius, and the similarity dimension, undetermined (None).
+_POWER_ITERATIONS = 100000
+
+
+def spectral_radius(entries: Sequence[Sequence[int]], tol: float = 1e-12) -> float | None:
+    """Largest eigenvalue modulus of a nonnegative integer matrix; None when
+    ``_POWER_ITERATIONS`` steps do not settle it.
 
     Power iteration on M + I (the shift forces aperiodicity so the
     iteration converges even for cyclic dependency structures).
@@ -217,7 +223,7 @@ def spectral_radius(entries: Sequence[Sequence[int]], tol: float = 1e-12) -> flo
     k = len(entries)
     v = [1.0] * k
     prev = 0.0
-    for _ in range(100000):
+    for _ in range(_POWER_ITERATIONS):
         w = [
             sum(entries[i][j] * v[j] for j in range(k)) + v[i]
             for i in range(k)
@@ -229,18 +235,20 @@ def spectral_radius(entries: Sequence[Sequence[int]], tol: float = 1e-12) -> flo
         if abs(norm - prev) <= tol * max(1.0, norm):
             return norm - 1.0
         prev = norm
-    return prev - 1.0
+    return None
 
 
-def dimension(cs: CurveSet, letter: str) -> float:
+def dimension(cs: CurveSet, letter: str) -> float | None:
     """Similarity dimension of one curve: 2*log_R(rho) over the letters
-    reachable from it; constants give 0."""
+    reachable from it; constants give 0, and an undetermined rho None."""
     r = order(cs)
     m = subst_matrix(cs)
     keep = reachable_letters(m, letter)
     idx = [m.letters.index(c) for c in keep]
     sub = [[m.entries[i][j] for j in idx] for i in idx]
     rho = spectral_radius(sub)
+    if rho is None:
+        return None
     if rho <= 1.0:
         return 0.0
     return 2.0 * math.log(rho) / math.log(r)

@@ -268,17 +268,13 @@ def check_svg(text: str) -> bool:
     root = ET.fromstring(text)
     if not root.tag.endswith("svg"):
         return False
-    for num in _numbers(text):
-        if not math.isfinite(num):
-            return False
-    return True
+    return all(math.isfinite(num) for num in _numbers(text))
 
 
 def _numbers(text: str):
+    """Every number in the text, nan and inf (any case or sign) included."""
     import re
 
-    for m in re.finditer(r"-?\d+\.?\d*(?:[eE][+-]?\d+)?", text):
-        try:
-            yield float(m.group(0))
-        except ValueError:
-            return False
+    pattern = r"-?\d+\.?\d*(?:e[+-]?\d+)?|[-+]?\b(?:nan|inf(?:inity)?)\b"
+    for m in re.finditer(pattern, text, re.IGNORECASE):
+        yield float(m.group(0))

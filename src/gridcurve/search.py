@@ -30,7 +30,6 @@ from .gridmodel import (
     EdgeKey,
     GridSpec,
     Transition,
-    detect_translation_lattice,
 )
 from .lsystem import CurveSet, UnequalRowSums, order
 from .validator import is_invalid
@@ -63,7 +62,7 @@ class TorusPatch:
     def build(base: GridSpec, R: int, C: int,
               vectors: tuple[Point, Point] | None = None) -> "TorusPatch":
         if vectors is None:
-            v1, v2 = detect_translation_lattice(base)
+            v1, v2 = base.translation_lattice
         else:
             v1, v2 = vectors
         tp = TorusPatch(base, R, C, v1, v2, Lattice(v1.scaled(R), v2.scaled(C)))

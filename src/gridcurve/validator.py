@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 from operator import add
 
@@ -33,7 +34,7 @@ from .exactgeom import (
     galois_apply,
     phi,
     ring_div_exact,
-    rotate_vec,
+    rotations,
     round_from_embeddings,
     trace_tokens,
     unit_coeffs,
@@ -206,14 +207,11 @@ def check_interior_filled(cs: CurveSet, tile: Prototile, k: int = 1) -> bool:
     # arrives at the origin
     letters = grid_letters(grid, edges, tokens[-2], -tokens[-1])
     curve = {(p, d): letter for (p, d, _), letter in zip(edges, letters)}
-    radius = max(abs(Point(n, p).to_complex()) for p, _, _ in edges) + 1e-9
-    norms: dict[tuple, float] = {}
+    radius = max(abs(embed_vec(p, n)) for p, _, _ in edges) + 1e-9
 
+    @cache
     def beyond(pos: tuple) -> bool:
-        r = norms.get(pos)
-        if r is None:
-            r = norms[pos] = abs(Point(n, pos).to_complex())
-        return r > radius
+        return abs(embed_vec(pos, n)) > radius
 
     outside: set[tuple[EdgeKey, str]] = set()  # (edge, side) of outer faces
     visited: set[tuple[EdgeKey, str]] = set()
@@ -274,11 +272,12 @@ def _walk(
 ) -> tuple[list[tuple[str, int, tuple]], tuple, int]:
     """Walk a word whose letters stand for their iterates at one level.
 
-    ``level[X]`` is the displacement and net turn of X's iterate (a row of
-    ``_displacement_table``).  Returns (letter, direction, tail) for every
-    letter, then the end point and the end direction.  An iterate starts in
-    the direction of every turn before it in the expanded word, and those
-    include the net turns of the iterates before it.
+    ``level[X]`` holds X's iterate's displacement in each of the n
+    directions and its net turn (see ``_rotated``): a step adds one vector.
+    Returns (letter, direction, tail) for every letter, then the end point
+    and the end direction.  An iterate starts in the direction of every turn
+    before it in the expanded word, and those include the net turns of the
+    iterates before it.
     """
     out = []
     for tok in tokens:
@@ -286,10 +285,15 @@ def _walk(
             dirk = (dirk + tok) % n
         else:
             out.append((tok, dirk, pos))
-            disp, turn = level[tok]
-            pos = add_vec(pos, rotate_vec(disp, dirk, n))
+            rots, turn = level[tok]
+            pos = tuple(map(add, pos, rots[dirk]))
             dirk = (dirk + turn) % n
     return out, pos, dirk
+
+
+def _rotated(level: dict[str, tuple[tuple, int]], n: int) -> dict[str, tuple[tuple, int]]:
+    """A level of ``_displacement_table`` with its displacements rotated n ways."""
+    return {X: (rotations(disp, n), turn) for X, (disp, turn) in level.items()}
 
 
 def _displacement_table(cs: CurveSet, kmax: int) -> list[dict[str, tuple[tuple, int]]]:
@@ -299,7 +303,7 @@ def _displacement_table(cs: CurveSet, kmax: int) -> list[dict[str, tuple[tuple, 
     origin = (0,) * phi(n)
     table = [{X: (unit_coeffs(n)[0], 0) for X in cs.letters}]
     for _ in range(kmax):
-        prev = table[-1]
+        prev = _rotated(table[-1], n)
         table.append({X: _walk(cs.production(X).tokens, prev, n, origin)[1:]
                       for X in cs.letters})
     return table
@@ -317,16 +321,16 @@ class _LazyExpander:
     carries each subtree's exact tail, for the covered (tail, direction)
     keys, and its float embedding, for the prune test.
 
-    Per-level displacement of every letter is exact (``delta``, from
-    ``_displacement_table``); the reach bound is a float over-approximation
-    with a margin of one edge, so pruning never changes which edges of the
-    disc are covered.
+    Per-level displacement of every letter is exact (``rot``, the rotated
+    levels of ``_displacement_table``), so a row costs one vector addition
+    per child; the reach bound is a float over-approximation with a margin
+    of one edge, so pruning never changes which disc edges are covered.
     """
 
-    def __init__(self, cs: CurveSet, delta: list[dict[str, tuple[tuple, int]]], k: int, r: float):
+    def __init__(self, cs: CurveSet, rot: list[dict[str, tuple[tuple, int]]], k: int, r: float):
         self.cs = cs
         self.n = cs.n
-        self.delta = delta
+        self.rot = rot
         self.k = k
         self.origin = (0,) * phi(self.n)
         self.rows: dict[tuple[int, str, int], list[tuple[str, int, tuple, complex]]] = {}
@@ -346,14 +350,14 @@ class _LazyExpander:
 
     def _row(self, lv: int, letter: str, dirk: int) -> list[tuple[str, int, tuple, complex]]:
         children, _, _ = _walk(
-            self.cs.production(letter).tokens, self.delta[lv - 1], self.n, self.origin, dirk
+            self.cs.production(letter).tokens, self.rot[lv - 1], self.n, self.origin, dirk
         )
         row = [(Y, d, p, embed_vec(p, self.n)) for Y, d, p in children]
         self.rows[(lv, letter, dirk)] = row
         return row
 
     def run(self, tokens: tuple, anchor: tuple, dirk: int) -> None:
-        for letter, d, pos in _walk(tokens, self.delta[self.k], self.n, anchor, dirk)[0]:
+        for letter, d, pos in _walk(tokens, self.rot[self.k], self.n, anchor, dirk)[0]:
             self._descend(letter, pos, d)
 
     def _descend(self, letter: str, pos: tuple, dirk: int) -> None:
@@ -383,11 +387,11 @@ class _LazyExpander:
 
 
 def _support_aspects(
-    cs: CurveSet, delta: list[dict[str, tuple[tuple, int]]], kmax: int
+    cs: CurveSet, rot: list[dict[str, tuple[tuple, int]]], kmax: int
 ) -> dict[str, list[float]]:
     """Bounding-box aspect ratio of each letter's iterates, via support
-    values over the grid's direction fan (no expansion needed); delta is
-    the displacement table up to level kmax - 1 at least."""
+    values over the grid's direction fan (no expansion needed); rot holds
+    the rotated levels of the displacement table up to kmax - 1 at least."""
     n = cs.n
     if 360 % n:
         return {X: [1.0] * kmax for X in cs.letters}
@@ -402,10 +406,9 @@ def _support_aspects(
     out: dict[str, list[float]] = {X: [] for X in letters}
     origin = (0,) * phi(n)
     for lv in range(1, kmax + 1):
-        delta_prev = delta[lv - 1]
         cur: dict[str, list[float]] = {}
         for X in letters:
-            children, _, _ = _walk(cs.production(X).tokens, delta_prev, n, origin)
+            children, _, _ = _walk(cs.production(X).tokens, rot[lv - 1], n, origin)
             prefixes = [(embed_vec(p, n), tok, dirk) for tok, dirk, p in children]
             vals = []
             for ai, a in enumerate(angles):
@@ -431,20 +434,21 @@ def check_coverage(cs: CurveSet, k: int = 3, r: float = 3.0) -> CoverageDiagnost
     within distance r of the seed that no iterate covers.
 
     The target edges and the anchored faces at the origin come from the
-    grid's ``target_disc(r)``, realized once per grid and radius; the
-    iterates are walked by ``_LazyExpander`` without being expanded.
+    grid's ``target_disc(r)``, realized once per grid out to the Euclidean
+    radius r.  ``_LazyExpander`` walks the iterates without expanding them,
+    on the displacement table rotated once per check (``_rotated``).
     """
     grid = cs.grid
     if grid is None:
         raise ValueError("needs a grid")
     disc = grid.target_disc(r)
     kasp = max(k, 8)
-    delta = _displacement_table(cs, kasp)
-    expander = _LazyExpander(cs, delta, k, r)
+    rot = [_rotated(level, cs.n) for level in _displacement_table(cs, kasp)]
+    expander = _LazyExpander(cs, rot, k, r)
     for tokens, tail, dirk in disc.anchored_faces:
         expander.run(tokens, tail, dirk)
     missing = [e for e in disc.edges if e not in expander.covered]
-    aspects = _support_aspects(cs, delta, kasp)
+    aspects = _support_aspects(cs, rot, kasp)
     rising = False
     for series in aspects.values():
         # bounded shapes oscillate below their early maximum; unbounded
@@ -827,12 +831,8 @@ def is_invalid(cs: CurveSet, coverage_k: int = 3) -> bool:
                 and check_coverage(cs, coverage_k).ok)
 
 
-def validate(
-    cs: CurveSet,
-    coverage_k: int = 3,
-    coverage_r: float = 3.0,
-    dekking_form: str = "transitions",
-) -> ValidationReport:
+def validate(cs: CurveSet, coverage_k: int = 3, coverage_r: float = 3.0,
+             dekking_form: str = "transitions") -> ValidationReport:
     reasons: list[str] = []
     constants = sorted(cs.constants)
     try:

@@ -3,7 +3,7 @@
 import hashlib
 import json
 
-from gridcurve import cli
+from gridcurve import cli, lsystem
 
 
 def test_search_colorings_golden(capsys):
@@ -76,6 +76,12 @@ def test_dimension_golden(capsys):
     assert cli.main(["dimension", "catalog:ju19"]) == 0
     out, err = capsys.readouterr()
     assert (out, err) == ("A 2.000000000\nB 2.000000000\n", "")
+
+
+def test_dimension_undetermined_at_the_iteration_bound(capsys, monkeypatch):
+    monkeypatch.setattr(lsystem, "_POWER_ITERATIONS", 1)
+    assert cli.main(["dimension", "catalog:ju19"]) == 0
+    assert capsys.readouterr() == ("A undetermined\nB undetermined\n", "")
 
 
 def test_matrix_golden(capsys):

@@ -26,6 +26,8 @@ from gridcurve.exactgeom import (
     normalize_turn,
     phi,
     ring_div_exact,
+    rotate_vec,
+    rotations,
     round_from_embeddings,
     trace_tokens,
     unit_coeffs,
@@ -96,6 +98,13 @@ def test_canonicalize_preserves_value(n, vec):
     z_raw = sum(c * cmath.exp(2j * cmath.pi * j / n) for j, c in enumerate(vec))
     z_canon = embed_vec(canonicalize(tuple(vec), n), n)
     assert abs(z_raw - z_canon) < 1e-9 * max(1.0, abs(z_raw))
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(NS + [5, 10]), st.data())
+def test_rotations_match_rotate_vec(n, data):
+    vec = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=phi(n), max_size=phi(n))))
+    assert rotations(vec, n) == tuple(rotate_vec(vec, k, n) for k in range(n))
 
 
 def test_embedding_fidelity_bulk():

@@ -1,7 +1,11 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
-from gridcurve import catalog
-from gridcurve.exactgeom import Point, phi
+from gridcurve import catalog, gridmodel
+from gridcurve.exactgeom import Point, add_vec, embed_vec, phi, unit_coeffs
 from gridcurve.gridmodel import (
     CCW,
     CW,
@@ -53,8 +57,6 @@ def test_realize_triangle_valency():
     patch = realize(catalog.grid("triangle"), 4)
     origin = (0,) * phi(3)
     # find a comfortably interior vertex and count incident edges
-    from gridcurve.exactgeom import add_vec, unit_coeffs
-
     units = unit_coeffs(3)
     counts = {}
     for (pos, k), letter in patch.edges.items():
@@ -199,6 +201,82 @@ def test_catalog_required_entries():
         assert name in names, name
     for name in names:
         assert check_grid(catalog.grid(name)) == [], name
+
+
+def test_realize_reaches_every_edge_within_the_radius(all_grids):
+    # the edges within a Euclidean radius are the same in a patch grown to
+    # that radius as in one grown well past it, and every edge of the patch
+    # lies within it or next to an edge that does
+    def within(edge, n, r):
+        return abs(embed_vec(edge[0], n) + embed_vec(unit_coeffs(n)[edge[1]], n) / 2) <= r
+
+    for name, g in all_grids.items():
+        patch, wide = realize(g, 2.5), realize(g, 5.0)
+        inner = {e for e in patch.edges if within(e, g.n, 2.5)}
+        assert inner == {e for e in wide.edges if within(e, g.n, 2.5)}, name
+        assert all(patch.edges[e] == wide.edges[e] for e in patch.edges), name
+        assert all(patch.depth[e] == wide.depth[e] for e in inner), name
+        ends = {v for e in inner for v in (e[0], patch.head(e))}
+        assert all(e[0] in ends or patch.head(e) in ends for e in patch.edges), name
+
+
+def test_face_cycle_walks_the_boundary_word(all_grids):
+    # the face table's rotated steps give the edges that the face's boundary
+    # word walks from an edge in any direction, and their tails sum to the
+    # vertex sum from direction 0
+    for name, g in all_grids.items():
+        units = unit_coeffs(g.n)
+        for (letter, side), tokens in g.face_table.word.items():
+            for k in range(g.n):
+                pos, d, want = units[1], k, []
+                for i in range(0, len(tokens), 2):
+                    want.append(((pos, d), tokens[i]))
+                    pos, d = add_vec(pos, units[d]), (d + tokens[i + 1]) % g.n
+                assert g.face_cycle((units[1], k), letter, side) == want, (name, letter, side, k)
+            tails = [e[0] for e, _ in g.face_cycle(((0,) * phi(g.n), 0), letter, side)]
+            assert g.face_table.vertex_sum[(letter, side)][0] == tuple(map(sum, zip(*tails)))
+
+
+def test_target_discs_pinned(all_grids):
+    # edges (set and order) and anchored faces of the coverage target at
+    # r = 2 and 3 on every catalog grid, pinned from the earlier realize,
+    # which grew a patch to edge depth ceil(2.2 (r + 1)) + 4 and kept the
+    # edges within r
+    pinned = json.loads(Path(__file__).with_name("target_discs.json").read_text())
+    got = {}
+    for name, g in all_grids.items():
+        for r in (2.0, 3.0):
+            disc = g.target_disc(r)
+            edges = [[list(p), d] for p, d in disc.edges]
+            faces = [[list(t), list(tail), d] for t, tail, d in disc.anchored_faces]
+            digest = hashlib.sha256(json.dumps([edges, faces]).encode()).hexdigest()
+            got[f"{name} {r}"] = {"edges": len(edges), "faces": len(faces), "sha256": digest}
+    assert len(got) == 64
+    assert got == pinned
+
+
+def test_translation_lattices_pinned(all_grids):
+    # pinned from the earlier detect_translation_lattice, which verified on
+    # patches of edge depth 12, 18 and 26
+    pinned = json.loads(Path(__file__).with_name("translation_lattices.json").read_text())
+    got = {name: [list(v.coeffs) for v in detect_translation_lattice(g)]
+           for name, g in all_grids.items()}
+    assert len(got) == 32
+    assert got == pinned
+
+
+def test_translation_lattice_cached_for_torus_builds(monkeypatch):
+    from gridcurve.search import TorusPatch
+
+    base = catalog.grid("square")
+    grid = GridSpec(base.name, base.n, base.letters, base.transitions)
+    calls = []
+    real = gridmodel.realize
+    monkeypatch.setattr(gridmodel, "realize", lambda *a: calls.append(a) or real(*a))
+    first = TorusPatch.build(grid, 2, 2)
+    again = TorusPatch.build(grid, 3, 3)
+    assert len(calls) == 1
+    assert (first.v1, first.v2) == (again.v1, again.v2) == grid.translation_lattice
 
 
 def test_translation_lattice_square():

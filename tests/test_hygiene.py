@@ -80,6 +80,29 @@ def private_imports(source: str) -> list[tuple[str, int]]:
     )
 
 
+def _own_nodes(func: ast.AST):
+    """Nodes of a function body, not descending into nested scopes."""
+    todo = list(ast.iter_child_nodes(func))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def generator_returns(source: str) -> list[tuple[str, int]]:
+    """``return <value>`` statements in generator functions, where Python
+    drops the value silently."""
+    out = []
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            own = list(_own_nodes(func))
+            if any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in own):
+                out += [(func.name, node.lineno) for node in own
+                        if isinstance(node, ast.Return) and node.value is not None]
+    return sorted(out)
+
+
 def test_sources_found():
     assert len(SOURCES) >= 10
 
@@ -156,3 +179,32 @@ def test_scan_flags_private_imports():
     )
     assert private_imports(source) == [
         ("_chords_cross", 1), ("_helpers", 2), ("_power_reps", 7)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_generator_returns_a_value(path):
+    assert generator_returns(path.read_text()) == []
+
+
+def test_scan_flags_generator_returns():
+    source = (
+        "def numbers(text):\n"
+        "    for m in text.split():\n"
+        "        try:\n"
+        "            yield float(m)\n"
+        "        except ValueError:\n"
+        "            return False\n"
+        "def stops(xs):\n"
+        "    yield from xs\n"
+        "    return\n"
+        "def plain():\n"
+        "    return 1\n"
+        "def outer():\n"
+        "    def inner():\n"
+        "        yield 1\n"
+        "    return inner\n"
+        "def lazy():\n"
+        "    yield (lambda: 2)\n"
+        "    return None\n"
+    )
+    assert generator_returns(source) == [("lazy", 18), ("numbers", 6)]

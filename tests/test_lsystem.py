@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from gridcurve import catalog
+from gridcurve import catalog, lsystem
 from gridcurve.lsystem import (
     CurveSet,
     TransformError,
@@ -89,6 +89,12 @@ def test_dimension_r7():
     assert dimension(cs, "F") == pytest.approx(want, abs=1e-9)
     for const in "BCDE":
         assert dimension(cs, const) == 0.0
+
+
+def test_spectral_radius_bound_leaves_it_undetermined(monkeypatch):
+    monkeypatch.setattr(lsystem, "_POWER_ITERATIONS", 1)
+    assert spectral_radius([[13, 6], [12, 7]]) is None
+    assert dimension(catalog.curveset("ju19"), "A") is None
 
 
 def test_spectral_radius_values():

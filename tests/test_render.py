@@ -220,6 +220,14 @@ def test_svg_structure_many():
             assert tag in allowed
 
 
+@pytest.mark.parametrize("coords", ["nan inf", "1 NaN", "-Infinity 2", "+inf 0", "1e999 0"])
+def test_check_svg_rejects_non_finite_coordinates(coords):
+    svg = f'<svg xmlns="http://www.w3.org/2000/svg"><path d="M {coords} L 1 2"/></svg>'
+    assert not check_svg(svg)
+    # words that merely contain "nan" or "inf" are not numbers
+    assert check_svg(svg.replace(coords, "0 0").replace("<path", '<path class="infinite nano"'))
+
+
 def test_style_validation():
     with pytest.raises(ValueError):
         RenderStyle(corner_radius=0.7)

@@ -2,6 +2,7 @@ import gc
 import json
 import random
 import re
+import string
 import weakref
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from gridcurve.validator import (
     _LazyExpander,
     _det_is_zero,
     _period_matrix,
+    _rotated,
     check_coverage,
     check_dekking1,
     check_grid_consistent,
@@ -325,9 +327,9 @@ def test_lazy_expander_matches_full_expansion(name):
     disc = cs.grid.target_disc(3.0)
     target = set(disc.edges)
     for k in (1, 2):
-        delta = _displacement_table(cs, k)
+        rot = [_rotated(level, cs.n) for level in _displacement_table(cs, k)]
         for tokens, tail, dirk in disc.anchored_faces:
-            expander = _LazyExpander(cs, delta, k, 3.0)
+            expander = _LazyExpander(cs, rot, k, 3.0)
             expander.run(tokens, tail, dirk)
             _, _, edges = trace_tokens(expand(cs, Word(tokens), k).tokens, cs.n, tail, dirk)
             traced = {(p, d) for p, d, _ in edges} & target
@@ -560,6 +562,34 @@ def test_is_invalid_matches_validate_on_catalog():
         kinds.add(verdict)
     # both answers occur: the two Invalid entries fail only coverage
     assert kinds == {VALID, VALID_WITH_CAVEATS, INVALID}
+
+
+def relabelled(cs: CurveSet) -> CurveSet:
+    """The curve-set with its grid's letters, and the productions' letters,
+    renamed consistently; the letter order, so the seed letter, stays."""
+    grid = cs.grid
+    used = set(grid.letters) | {c for _, w in cs.productions for c in w.letters()}
+    new = dict(zip(grid.letters, [c for c in reversed(string.ascii_letters) if c not in used]))
+    renamed = GridSpec(grid.name, grid.n, tuple(new[c] for c in grid.letters),
+                       tuple(Transition(new[t.src], t.turn, new[t.dst]) for t in grid.transitions),
+                       grid.double)
+    return CurveSet.make(cs.name, renamed, {
+        new[X]: Word(new.get(t, t) if isinstance(t, str) else t for t in w.tokens)
+        for X, w in cs.productions})
+
+
+def test_verdict_invariant_under_letter_relabelling():
+    def summary(rep):
+        cov, scale = rep.coverage, rep.scale
+        return (rep.verdict, rep.order, rep.scale_consistent,
+                None if cov is None else (cov.missing, cov.total, cov.rising_aspect),
+                scale and (scale.common_turn, scale.strong, scale.eigen_ok, scale.undetermined))
+
+    for name in GRID_SETS:
+        cs = catalog.curveset(name)
+        twin = relabelled(cs)
+        assert set(twin.letters).isdisjoint(cs.letters)
+        assert summary(validate(twin)) == summary(validate(cs)), name
 
 
 def test_validate_generic_mode():
