@@ -831,8 +831,12 @@ def is_invalid(cs: CurveSet, coverage_k: int = 3) -> bool:
                 and check_coverage(cs, coverage_k).ok)
 
 
-def validate(cs: CurveSet, coverage_k: int = 3, coverage_r: float = 3.0,
-             dekking_form: str = "transitions") -> ValidationReport:
+def validate(
+    cs: CurveSet,
+    coverage_k: int = 3,
+    coverage_r: float = 3.0,
+    dekking_form: str = "transitions",
+) -> ValidationReport:
     reasons: list[str] = []
     constants = sorted(cs.constants)
     try:
