@@ -19,7 +19,7 @@ coverage check must see covered.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from operator import add
 from typing import NamedTuple
 
@@ -143,7 +143,9 @@ class GridSpec:
             disc = self._target_discs[r] = _build_target_disc(self, r)
         return disc
 
-    def face_cycle(self, edge: EdgeKey, letter: str, side: str) -> list[tuple[EdgeKey, str]] | None:
+    def face_cycle(
+        self, edge: EdgeKey, letter: str, side: str
+    ) -> list[tuple[EdgeKey, str]] | None:
         """Edges and letters of the face on one side of an edge, starting
         with that edge, from the face table's steps; None when the face
         does not close."""
@@ -151,7 +153,7 @@ class GridSpec:
         if steps is None:
             return None
         pos, k = edge
-        return [((tuple(map(add, pos, offset)), d), c) for offset, d, c in steps[k]]
+        return [((tuple(map(add, pos, rots[k])), (d + k) % self.n), c) for rots, d, c in steps]
 
     def face_center(self, edge: EdgeKey, letter: str, side: str) -> complex | None:
         """Mean of the vertices of the face on one side of an edge; None
@@ -188,10 +190,11 @@ class FaceTable:
     ``turn`` holds the turn that continues the face past an edge of that
     letter.  ``word`` holds the face's boundary tokens read from such an
     edge (letter, turn, letter, turn, ...), ``sense`` its sense, and
-    ``steps[key][k]`` lists the face's edges when that edge leaves the
-    origin in direction k: per edge, the exact offset of its tail, its
-    direction and its letter.  ``vertex_sum[key][k]`` is the exact sum of
-    those tails, the face's vertices.  All four leave out faces that never
+    ``steps[key]`` lists the face's edges from such an edge leaving the
+    origin: per edge, the exact offset of its tail for each direction k of
+    the first edge (``rotations``), its direction when k = 0, and its
+    letter.  ``vertex_sum[key][k]`` is the exact sum of those tails, the
+    face's vertices, for direction k.  All four leave out faces that never
     close and left-side digons, just as a realized patch has no such faces.
     """
 
@@ -199,7 +202,7 @@ class FaceTable:
     word: dict[tuple[str, str], tuple]
     sense: dict[tuple[str, str], str]
     vertex_sum: dict[tuple[str, str], tuple[tuple[int, ...], ...]]
-    steps: dict[tuple[str, str], tuple[tuple[tuple[tuple, int, str], ...], ...]]
+    steps: dict[tuple[str, str], tuple[tuple[tuple[tuple[int, ...], ...], int, str], ...]]
 
 
 def _build_face_table(spec: GridSpec) -> FaceTable:
@@ -214,6 +217,7 @@ def _build_face_table(spec: GridSpec) -> FaceTable:
     sense: dict[tuple[str, str], str] = {}
     vertex_sum: dict[tuple[str, str], tuple] = {}
     steps: dict[tuple[str, str], tuple] = {}
+    rotated = cache(lambda p: rotations(p, n))  # one copy per tail offset
     # after |letters| * n steps some (letter, direction) pair has repeated,
     # so a walk that has not come back to its start by then never will
     limit = len(spec.letters) * n
@@ -239,9 +243,7 @@ def _build_face_table(spec: GridSpec) -> FaceTable:
             sense[(letter, side)] = CCW if sum(tokens[1::2]) > 0 else CW
         word[(letter, side)] = tuple(tokens)
         vertex_sum[(letter, side)] = rotations(tuple(map(sum, zip(*(p for p, _ in tails)))), n)
-        rotated = [(rotations(p, n), d, c) for (p, d), c in zip(tails, tokens[::2])]
-        steps[(letter, side)] = tuple(
-            tuple((rots[k], (d + k) % n, c) for rots, d, c in rotated) for k in range(n))
+        steps[(letter, side)] = tuple((rotated(p), d, c) for (p, d), c in zip(tails, tokens[::2]))
     return FaceTable(turn, word, sense, vertex_sum, steps)
 
 
