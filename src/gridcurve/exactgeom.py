@@ -13,6 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, mul
 from typing import Iterable, Sequence
 
 
@@ -106,7 +107,7 @@ def unit_coeffs(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def add_vec(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def sub_vec(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -158,7 +159,7 @@ def rotations(a: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
 
 def embed_vec(a: Sequence[int], n: int) -> complex:
     basis = _embed_basis(n)
-    return sum(c * z for c, z in zip(a, basis)) if any(a) else 0j
+    return sum(map(mul, a, basis)) if any(a) else 0j
 
 
 def galois_apply(a: tuple[int, ...], k: int, n: int) -> tuple[int, ...]:
@@ -353,7 +354,7 @@ def trace_tokens(
             d = (d + tok) % n
         else:
             edges.append((pos, d, tok))
-            pos = add_vec(pos, units[d])
+            pos = tuple(map(add, pos, units[d]))  # add_vec, inlined
     return pos, d, edges
 
 

@@ -124,7 +124,8 @@ def expand(cs: CurveSet, axiom: Word, k: int) -> Word:
                 else:
                     out.extend(repl)
         tokens = out
-    return Word(tokens)
+    # the loop merges every turn it writes into a turn before it
+    return Word.from_merged(tuple(tokens))
 
 
 def expand_tagged(cs: CurveSet, axiom: Word, k: int) -> tuple[Word, list[int]]:

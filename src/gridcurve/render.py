@@ -9,15 +9,20 @@ its left.  Face centers come from the grid's face table, so area mode does
 work linear in the drawn edges; a side whose face never closes, or is a
 digon, gets a point a quarter edge off the edge's midpoint instead.  Only
 svg, g, path, and polygon elements are emitted.
+
+Both modes draw in one pass over the traced edges: each edge's points are
+computed once, formatted into one string, and widen a running bounding
+box that the document receives at the end.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import Iterable, Sequence
 
-from .exactgeom import Point, normalize_turn, trace_tokens, unit_coeffs
+from .exactgeom import embed_vec, normalize_turn, trace_tokens, unit_coeffs
 from .gridmodel import DIGON, LEFT, RIGHT, GridSpec, grid_letters
 from .words import Word
 
@@ -52,21 +57,16 @@ class RenderStyle:
             raise ValueError(f"unknown color scheme {self.color_scheme!r}")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.4f}"
+# the bounding box (min_x, min_y, max_x, max_y) of no points
+_NO_BOX = (math.inf, math.inf, -math.inf, -math.inf)
 
 
 class SvgDoc:
-    def __init__(self):
-        self.elements: list[str] = []
-        self.min_x = self.min_y = float("inf")
-        self.max_x = self.max_y = float("-inf")
+    """SVG elements and their bounding box, in drawing units."""
 
-    def bump(self, x: float, y: float) -> None:
-        self.min_x = min(self.min_x, x)
-        self.max_x = max(self.max_x, x)
-        self.min_y = min(self.min_y, y)
-        self.max_y = max(self.max_y, y)
+    def __init__(self, elements: Sequence[str] = (), box: tuple[float, ...] = _NO_BOX):
+        self.elements = list(elements)
+        self.min_x, self.min_y, self.max_x, self.max_y = box
 
     def to_string(self) -> str:
         if not self.elements or self.min_x == float("inf"):
@@ -77,10 +77,7 @@ class SvgDoc:
         w = self.max_x - self.min_x or 1.0
         h = self.max_y - self.min_y or 1.0
         mx, my = 0.05 * w, 0.05 * h
-        view = (
-            f"{_fmt(self.min_x - mx)} {_fmt(self.min_y - my)} "
-            f"{_fmt(w + 2 * mx)} {_fmt(h + 2 * my)}"
-        )
+        view = "%.4f %.4f %.4f %.4f" % (self.min_x - mx, self.min_y - my, w + 2 * mx, h + 2 * my)
         body = "\n".join(self.elements)
         return (
             f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view}">\n'
@@ -107,74 +104,78 @@ def render_line(
     n: int | None = None,
     tags: Sequence[int] | None = None,
 ) -> str:
-    """One polyline per color run, fillet arcs at interior turns."""
+    """One polyline per color run, fillet arcs at interior turns.  One
+    pass over the traced edges computes each edge's segment once and
+    formats its commands as one string."""
     n = grid.n if grid is not None else n
     if n is None:
         raise ValueError("need a grid or a turn resolution")
     double = grid.double if grid is not None else True
     _, _, edges = trace_tokens(word.tokens, n)
-    doc = SvgDoc()
     if not edges:
-        return doc.to_string()
+        return SvgDoc().to_string()
     s = style.scale
-    pts: list[tuple[complex, complex]] = []
-    units = [Point(n, unit_coeffs(n)[k]).to_complex() for k in range(n)]
-    lane = 0.10 if double else 0.0
-    for pos, k, letter in edges:
-        a = Point(n, pos).to_complex()
-        b = a + units[k]
-        if lane:
-            # shift each stroke to its left so anti-parallel pairs separate
-            offset = units[k] * 1j * lane
-            a, b = a + offset, b + offset
-        pts.append((a, b))
-    colors = [
-        _edge_color(style, grid, letter, k, n,
-                    tags[i] if tags is not None else None)
-        for i, (pos, k, letter) in enumerate(edges)
-    ]
     f = style.corner_radius
-    runs: list[tuple[str, int, int]] = []
-    start = 0
-    for i in range(1, len(edges) + 1):
-        if i == len(edges) or colors[i] != colors[start]:
-            runs.append((colors[start], start, i))
-            start = i
-    for color, lo, hi in runs:
-        cmds: list[str] = []
-        for i in range(lo, hi):
-            a, b = pts[i]
-            # trim for fillets at both ends when a turn happens there
-            a_trim = a
-            b_trim = b
-            if i > 0 and f > 0:
-                a_trim = a + (b - a) * f
-            if i + 1 < len(edges) and f > 0:
-                b_trim = b - (b - a) * f
-            if i == lo:
-                cmds.append(f"M {_fmt(a_trim.real * s)} {_fmt(-a_trim.imag * s)}")
-            doc.bump(a_trim.real * s, -a_trim.imag * s)
-            cmds.append(f"L {_fmt(b_trim.real * s)} {_fmt(-b_trim.imag * s)}")
-            doc.bump(b_trim.real * s, -b_trim.imag * s)
-            if i + 1 < len(edges) and f > 0:
-                na, nb = pts[i + 1]
-                next_start = na + (nb - na) * f
-                turn = normalize_turn(edges[i + 1][1] - edges[i][1], n)
-                angle = abs(turn) * 2 * math.pi / n
-                chord = abs(next_start - b_trim)
-                rad = chord / (2 * math.sin(angle / 2)) if angle else chord
-                sweep = 0 if turn > 0 else 1
-                cmds.append(
-                    f"A {_fmt(rad * s)} {_fmt(rad * s)} 0 0 {sweep} "
-                    f"{_fmt(next_start.real * s)} {_fmt(-next_start.imag * s)}"
-                )
-                doc.bump(next_start.real * s, -next_start.imag * s)
-        doc.elements.append(
-            f'<path d="{" ".join(cmds)}" fill="none" stroke="{color}" '
-            f'stroke-width="{_fmt(style.stroke_width * s)}" '
-            'stroke-linecap="round"/>'
-        )
-    return doc.to_string()
+    units = [embed_vec(u, n) for u in unit_coeffs(n)]
+    # shift each stroke to its left so anti-parallel pairs separate
+    offsets = [u * 1j * 0.10 for u in units]
+
+    def segment(pos, k):
+        a = embed_vec(pos, n)
+        b = a + units[k]
+        return (a + offsets[k], b + offsets[k]) if double else (a, b)
+
+    # per turn t mod n: the fillet's sweep flag, and the divisor
+    # 2 sin(angle / 2) from its chord to its radius (None for no turn)
+    turns = [normalize_turn(t, n) for t in range(n)]
+    fillets = [(0 if t > 0 else 1, 2 * math.sin(abs(t) * 2 * math.pi / n / 2) if t else None)
+               for t in turns]
+    color_of = cache(partial(_edge_color, style, grid))
+    path = ('<path d="%s" fill="none" stroke="%s" stroke-width="'
+            + "%.4f" % (style.stroke_width * s) + '" stroke-linecap="round"/>')
+    min_x, min_y, max_x, max_y = _NO_BOX
+    elements: list[str] = []
+    cmds: list[str] = []
+    color = None
+    k = edges[0][1]
+    a, b = segment(edges[0][0], k)
+    start = a  # the edge's tail, trimmed for the fillet before it
+    for i, (_, _, letter) in enumerate(edges):
+        c = color_of(letter, k, n, tags[i] if tags is not None else None)
+        x, y = start.real * s, -start.imag * s
+        if c != color:
+            if cmds:
+                elements.append(path % (" ".join(cmds), color))
+            cmds, color = ["M %.4f %.4f" % (x, y)], c
+        end, arc = b, None
+        if i + 1 < len(edges):
+            pos, k2, _ = edges[i + 1]
+            na, nb = segment(pos, k2)
+            start = na
+            if f > 0:
+                # trim for fillets at both ends, and join them by an arc
+                end, start = b - (b - a) * f, na + (nb - na) * f
+                sweep, div = fillets[(k2 - k) % n]
+                chord = abs(start - end)
+                rad = (chord / div if div else chord) * s
+                arc = (rad, rad, sweep, start.real * s, -start.imag * s)
+            a, b, k = na, nb, k2
+        ex, ey = end.real * s, -end.imag * s
+        # the box grows seldom: test before calling min or max
+        if x < min_x or ex < min_x:
+            min_x = min(min_x, x, ex)
+        if x > max_x or ex > max_x:
+            max_x = max(max_x, x, ex)
+        if y < min_y or ey < min_y:
+            min_y = min(min_y, y, ey)
+        if y > max_y or ey > max_y:
+            max_y = max(max_y, y, ey)
+        if arc is None:
+            cmds.append("L %.4f %.4f" % (ex, ey))
+        else:
+            cmds.append("L %.4f %.4f A %.4f %.4f 0 0 %d %.4f %.4f" % (ex, ey, *arc))
+    elements.append(path % (" ".join(cmds), color))
+    return SvgDoc(elements, (min_x, min_y, max_x, max_y)).to_string()
 
 
 def _face_centers(grid: GridSpec, edges) -> list[tuple[complex | None, complex | None]]:
@@ -207,58 +208,55 @@ def render_area(
     """Per-edge polygons; lozenges on plain grids, left-triangles on
     double-edge grids.  A side whose face never closes, or is a digon,
     falls back to a half-width quadrilateral corner.  The word starts at
-    the grid's seed vertex; a turn the grid lacks raises ValueError."""
+    the grid's seed vertex; a turn the grid lacks raises ValueError.  One
+    pass over the traced edges formats each polygon as one string."""
     n = grid.n
     _, _, edges = trace_tokens(word.tokens, n)
-    doc = SvgDoc()
     if not edges:
-        return doc.to_string()
+        return SvgDoc().to_string()
     centers = _face_centers(grid, edges)
-    units = [Point(n, unit_coeffs(n)[k]).to_complex() for k in range(n)]
+    units = [embed_vec(u, n) for u in unit_coeffs(n)]
+    quarter_normals = [u * 1j * 0.25 for u in units]  # to the left
     s = style.scale
+    color_of = cache(partial(_edge_color, style, grid))
+    border = ' stroke="#777777" stroke-width="%.4f"' % (0.02 * s) if style.draw_borders else ""
+    polygon = '<polygon points="%s" fill="%s"' + border + "/>"
+    min_x, min_y, max_x, max_y = _NO_BOX
+    elements: list[str] = []
     for i, ((pos, k, letter), (lc, rc)) in enumerate(zip(edges, centers)):
-        a = Point(n, pos).to_complex()
+        a = embed_vec(pos, n)
         b = a + units[k]
-        normal = units[k] * 1j  # unit left normal
         if lc is None:
-            lc = (a + b) / 2 + normal * 0.25
+            lc = (a + b) / 2 + quarter_normals[k]
         if grid.double:
-            corners = [a, b, lc]
+            corners = (a, b, lc)
         else:
             if rc is None:
-                rc = (a + b) / 2 - normal * 0.25
-            corners = [a, rc, b, lc]
-        color = _edge_color(style, grid, letter, k, n,
-                            tags[i] if tags is not None else None)
-        pts = []
-        for z in corners:
-            doc.bump(z.real * s, -z.imag * s)
-            pts.append(f"{_fmt(z.real * s)},{_fmt(-z.imag * s)}")
-        border = (
-            f' stroke="#777777" stroke-width="{_fmt(0.02 * s)}"'
-            if style.draw_borders
-            else ""
-        )
-        doc.elements.append(
-            f'<polygon points="{" ".join(pts)}" fill="{color}"{border}/>'
-        )
-    return doc.to_string()
+                rc = (a + b) / 2 - quarter_normals[k]
+            corners = (a, rc, b, lc)
+        xs = [z.real * s for z in corners]
+        ys = [-z.imag * s for z in corners]
+        min_x, max_x = min(min_x, *xs), max(max_x, *xs)
+        min_y, max_y = min(min_y, *ys), max(max_y, *ys)
+        points = " ".join(["%.4f,%.4f" % xy for xy in zip(xs, ys)])
+        color = color_of(letter, k, n, tags[i] if tags is not None else None)
+        elements.append(polygon % (points, color))
+    return SvgDoc(elements, (min_x, min_y, max_x, max_y)).to_string()
 
 
 def render_points(points: Iterable[complex], scale: float = 40.0,
                   radius: float = 0.18) -> str:
     """Point cloud as small diamonds (numeration-system regions)."""
-    doc = SvgDoc()
-    s = scale
+    r = radius * scale
+    min_x, min_y, max_x, max_y = _NO_BOX
+    elements: list[str] = []
     for z in points:
-        x, y = z.real * s, -z.imag * s
-        r = radius * s
-        doc.bump(x - r, y - r)
-        doc.bump(x + r, y + r)
-        pts = f"{_fmt(x - r)},{_fmt(y)} {_fmt(x)},{_fmt(y - r)} " \
-              f"{_fmt(x + r)},{_fmt(y)} {_fmt(x)},{_fmt(y + r)}"
-        doc.elements.append(f'<polygon points="{pts}" fill="#3566c8"/>')
-    return doc.to_string()
+        x, y = z.real * scale, -z.imag * scale
+        min_x, min_y = min(min_x, x - r, x + r), min(min_y, y - r, y + r)
+        max_x, max_y = max(max_x, x - r, x + r), max(max_y, y - r, y + r)
+        elements.append('<polygon points="%.4f,%.4f %.4f,%.4f %.4f,%.4f %.4f,%.4f" '
+                        'fill="#3566c8"/>' % (x - r, y, x, y - r, x + r, y, x, y + r))
+    return SvgDoc(elements, (min_x, min_y, max_x, max_y)).to_string()
 
 
 def check_svg(text: str) -> bool:

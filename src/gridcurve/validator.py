@@ -273,11 +273,11 @@ def _walk(
     """Walk a word whose letters stand for their iterates at one level.
 
     ``level[X]`` holds X's iterate's displacement in each of the n
-    directions and its net turn (see ``_rotated``): a step adds one vector.
-    Returns (letter, direction, tail) for every letter, then the end point
-    and the end direction.  An iterate starts in the direction of every turn
-    before it in the expanded word, and those include the net turns of the
-    iterates before it.
+    directions and its net turn (see ``_displacement_table``): a step adds
+    one vector.  Returns (letter, direction, tail) for every letter, then
+    the end point and the end direction.  An iterate starts in the
+    direction of every turn before it in the expanded word, and those
+    include the net turns of the iterates before it.
     """
     out = []
     for tok in tokens:
@@ -291,21 +291,21 @@ def _walk(
     return out, pos, dirk
 
 
-def _rotated(level: dict[str, tuple[tuple, int]], n: int) -> dict[str, tuple[tuple, int]]:
-    """A level of ``_displacement_table`` with its displacements rotated n ways."""
-    return {X: (rotations(disp, n), turn) for X, (disp, turn) in level.items()}
-
-
 def _displacement_table(cs: CurveSet, kmax: int) -> list[dict[str, tuple[tuple, int]]]:
-    """table[lv][X]: exact displacement and net turn (mod n) of the lv-th
-    iterate of X, lv <= kmax."""
+    """table[lv][X]: the exact displacement of the lv-th iterate of X
+    rotated n ways (``rotations``, so element 0 is the displacement itself),
+    and its net turn mod n, lv <= kmax.  Each level is walked on the one
+    below it, so every displacement is rotated once."""
     n = cs.n
     origin = (0,) * phi(n)
-    table = [{X: (unit_coeffs(n)[0], 0) for X in cs.letters}]
+    table = [{X: (rotations(unit_coeffs(n)[0], n), 0) for X in cs.letters}]
     for _ in range(kmax):
-        prev = _rotated(table[-1], n)
-        table.append({X: _walk(cs.production(X).tokens, prev, n, origin)[1:]
-                      for X in cs.letters})
+        prev = table[-1]
+        level = {}
+        for X in cs.letters:
+            _, disp, turn = _walk(cs.production(X).tokens, prev, n, origin)
+            level[X] = (rotations(disp, n), turn)
+        table.append(level)
     return table
 
 
@@ -436,14 +436,14 @@ def check_coverage(cs: CurveSet, k: int = 3, r: float = 3.0) -> CoverageDiagnost
     The target edges and the anchored faces at the origin come from the
     grid's ``target_disc(r)``, realized once per grid out to the Euclidean
     radius r.  ``_LazyExpander`` walks the iterates without expanding them,
-    on the displacement table rotated once per check (``_rotated``).
+    on the rotated displacement table (``_displacement_table``).
     """
     grid = cs.grid
     if grid is None:
         raise ValueError("needs a grid")
     disc = grid.target_disc(r)
     kasp = max(k, 8)
-    rot = [_rotated(level, cs.n) for level in _displacement_table(cs, kasp)]
+    rot = _displacement_table(cs, kasp)
     expander = _LazyExpander(cs, rot, k, r)
     for tokens, tail, dirk in disc.anchored_faces:
         expander.run(tokens, tail, dirk)

@@ -41,6 +41,14 @@ class Word:
     def __init__(self, tokens: Iterable = ()):
         object.__setattr__(self, "tokens", _merge_tokens(tokens))
 
+    @classmethod
+    def from_merged(cls, tokens: tuple) -> "Word":
+        """A word of tokens that are already merged: single-character
+        letters and ints, no two ints adjacent.  Nothing is checked."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "tokens", tokens)
+        return word
+
     def __len__(self) -> int:
         return len(self.tokens)
 
@@ -54,7 +62,7 @@ class Word:
         return [t for t in self.tokens if isinstance(t, str)]
 
     def nletters(self) -> int:
-        return sum(1 for t in self.tokens if isinstance(t, str))
+        return sum(map(str.__instancecheck__, self.tokens))
 
     def turns(self) -> list[int]:
         return [t for t in self.tokens if isinstance(t, int)]

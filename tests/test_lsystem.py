@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 import math
 
 import pytest
@@ -21,7 +24,7 @@ from gridcurve.lsystem import (
     spectral_radius,
     subst_matrix,
 )
-from gridcurve.words import Word, parse_word
+from gridcurve.words import Word, _merge_tokens, parse_word
 
 
 def test_expand_terdragon():
@@ -262,3 +265,21 @@ def test_expand_tagged_propagation():
     # ancestor index is the ordinal of the level-1 edge: 13 runs of 13
     for j, tag in enumerate(tags):
         assert tag == j // 13
+
+
+def test_expand_output_is_merged(all_curvesets):
+    # expand returns its tokens without merging them again, so its loop
+    # must leave no two turns adjacent; the axiom puts a turn before every
+    # letter.  The digest pins the ancestor tags, run-length encoded, from
+    # the expander that merged its output once more
+    runs = []
+    for name in catalog.curveset_names():
+        cs = all_curvesets[name]
+        axiom = Word(tok for X in cs.letters for tok in (1, X))
+        for k in range(4):
+            word, tags = expand_tagged(cs, axiom, k)
+            assert word.tokens == _merge_tokens(word.tokens), (name, k)
+            runs.append([name, k, word.nletters(),
+                         [[tag, len(list(run))] for tag, run in itertools.groupby(tags)]])
+    assert hashlib.sha256(json.dumps(runs).encode()).hexdigest() == (
+        "fecf585a755969032a8aee1f4f43699a909f74108bbbf785102ed6cb46f34c8a")

@@ -136,6 +136,47 @@ def test_area_realizes_no_patch(monkeypatch, name, k):
     assert hashlib.sha256(svg.encode()).hexdigest() == AREA_PINS[(name, k)]
 
 
+# SVG digests of renders of the curve-set's first letter at depth k, with
+# ancestor tags from expand_tagged when tagged, pinned from the renderer
+# that kept a list of every edge's end points and widened the bounding box
+# one point at a time
+RENDER_PINS = {
+    ("sq-r5", 6, False, ()): "56c8f5172c6ec8d22aed4cc43f60b859f0f4c1f23ff61460b9497d4980297464",
+    ("gosper", 5, False, ()): "5d18dfd2175f8863b976ea2c137c49565a801a033db01ab8635cc3bd8324bbf6",
+    ("sq-r5", 3, False, (("corner_radius", 0),)):
+        "1f65344db0f43cd2c8c52940d4150abde0e36738b301ffa4c4b4c23698e59ac9",
+    ("gosper", 3, False, (("corner_radius", 0.5),)):
+        "52096477ab475ec9f58cffbaab0eca58761014711873cbb309db27a9c3a78ad2",
+    ("gosper", 3, False, (("color_scheme", BY_ORIENTATION),)):
+        "0bfa649720b6c1991d67ce4bc2c2f2a7c38a1f272ee49c7e8cbeaf02af7cbafd",
+    ("tri-r13-1", 2, True, (("color_scheme", BY_ANCESTOR),)):
+        "b33b3dea411f9aa547ae677ca6047889cd9a05e9d42222dff57ef0d60af9879a",
+    # a double-edge grid: strokes shift to their left lanes
+    ("dtri-r4", 4, False, ()): "591949f1239d50ae6e42737e85bca47e0880e01195bb3b042713a9e2d3d86a7e",
+    # no grid: render_line takes the curve-set's turn resolution
+    ("nofit-1", 3, False, ()): "08e30bad99c751772c3c70d35077b26a78f2bf1754932a001031e35b5f5b5181",
+    ("gosper", 3, True, (("mode", AREA), ("color_scheme", BY_ANCESTOR))):
+        "936fc4e20107cce625a0e7d0daf2f2fd0a14da802c2b395c8a13b3437051ae20",
+    ("3446-r31", 1, False, (("mode", AREA), ("color_scheme", BY_ORIENTATION))):
+        "b3c206a6d6134af2d348105c21bae18af6c4d40356e35526bd1529dd360f78a2",
+    ("dsq-r4", 3, False, (("mode", AREA), ("draw_borders", True))):
+        "3b65cc3696ebea39f0324847b41904fd3a6955fa100383468ed584f2fff71d13",
+}
+
+
+@pytest.mark.parametrize("name, k, tagged, style", RENDER_PINS, ids=lambda v: str(v))
+def test_render_bytes_pinned(name, k, tagged, style):
+    cs = catalog.curveset(name)
+    axiom = Word((cs.letters[0],))
+    word, tags = expand_tagged(cs, axiom, k) if tagged else (expand(cs, axiom, k), None)
+    style_obj = RenderStyle(**dict(style))
+    if style_obj.mode == AREA:
+        svg = render_area(word, cs.grid, style_obj, tags=tags)
+    else:
+        svg = render_line(word, cs.grid, style_obj, n=cs.n, tags=tags)
+    assert hashlib.sha256(svg.encode()).hexdigest() == RENDER_PINS[(name, k, tagged, style)]
+
+
 def test_area_rim_faces_sq_r29():
     # every face beside the curve closes on the square grid, so every
     # polygon is a full lozenge of area 1/2; a patch around the curve cut
@@ -206,6 +247,9 @@ def test_render_points_cloud():
     svg = render_points([0 + 0j, 1 + 1j, -1 + 0.5j])
     assert check_svg(svg)
     assert svg.count("<polygon") == 3
+    svg = render_points([0j, 1 + 1j, -1 + 0.5j, 0.25 - 2j])
+    assert hashlib.sha256(svg.encode()).hexdigest() == (
+        "582d8c279e781935ee363e9c63294463ea9e4fe2ec65cd0729842173743efb96")
 
 
 def test_svg_structure_many():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from gridcurve import catalog, gridmodel, validator
-from gridcurve.exactgeom import Point, trace_tokens, unit_coeffs
+from gridcurve.exactgeom import Point, rotations, trace_tokens, unit_coeffs
 from gridcurve.gridmodel import (
     GridSpec,
     InconsistentColoring,
@@ -28,7 +28,6 @@ from gridcurve.validator import (
     _LazyExpander,
     _det_is_zero,
     _period_matrix,
-    _rotated,
     check_coverage,
     check_dekking1,
     check_grid_consistent,
@@ -327,7 +326,7 @@ def test_lazy_expander_matches_full_expansion(name):
     disc = cs.grid.target_disc(3.0)
     target = set(disc.edges)
     for k in (1, 2):
-        rot = [_rotated(level, cs.n) for level in _displacement_table(cs, k)]
+        rot = _displacement_table(cs, k)
         for tokens, tail, dirk in disc.anchored_faces:
             expander = _LazyExpander(cs, rot, k, 3.0)
             expander.run(tokens, tail, dirk)
@@ -342,9 +341,10 @@ def test_displacement_table_follows_net_turns():
     cs = catalog.curveset("fold-r9")
     assert {cs.production(X).net_turn() % cs.n for X in cs.letters} == {2}
     for lv, level in enumerate(_displacement_table(cs, 3)):
-        for X, (disp, turn) in level.items():
+        for X, (rots, turn) in level.items():
             end, end_dir, _ = trace_tokens(expand(cs, Word((X,)), lv).tokens, cs.n)
-            assert (disp, turn) == (end, end_dir), (lv, X)
+            assert (rots[0], turn) == (end, end_dir), (lv, X)
+            assert rots == rotations(end, cs.n), (lv, X)
 
 
 def test_coverage_raises_on_every_call_for_a_contradictory_coloring():
