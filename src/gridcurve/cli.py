@@ -37,8 +37,10 @@ from .numsys import (
     NumerationSystem,
     check_residue_system,
     expand_integer,
+    format_elem,
     fundamental_region_points,
     parse_elem,
+    plot_elem,
 )
 from .render import AREA, LINE, RenderStyle, render_area, render_line, render_points
 from .search import SearchBudgetExceeded, enumerate_curve_sets, search_colorings
@@ -276,30 +278,30 @@ def cmd_numsys(args) -> int:
     radix = parse_elem(args.radix, ring)
     digits = [parse_elem(d, ring)
               for d in args.digits.replace(";", " ").split()]
-    ns = NumerationSystem.make(ring, radix, digits)
-    code = EXIT_OK
+    ns = NumerationSystem.make(radix, digits)
     if args.check or not (args.expand or args.region is not None):
         rep = check_residue_system(ns)
         print(f"digits {len(ns.digits)}  norm {rep.expected}  "
               f"complete-residue-system {'yes' if rep.ok else 'no'}")
         for a, b in rep.duplicates:
-            print(f"congruent digits: {a} = {b} (mod {ns.radix})")
+            print(f"congruent digits: {format_elem(a)} = {format_elem(b)} "
+                  f"(mod {format_elem(ns.radix)})")
     if args.expand:
         z = parse_elem(args.expand, ring)
         ex = expand_integer(ns, z)
-        ds = " ".join(str(ns.digits[i]) for i in ex.digits)
+        ds = " ".join(format_elem(ns.digits[i]) for i in ex.digits)
         if ex.terminated:
-            print(f"{z} = [{ds}] (least significant first)")
+            print(f"{format_elem(z)} = [{ds}] (least significant first)")
         else:
-            print(f"{z} = [{ds}] then cycles at {ex.cycle[0]}")
+            print(f"{format_elem(z)} = [{ds}] then cycles at {format_elem(ex.cycle[0])}")
     if args.region is not None:
         pts = fundamental_region_points(ns, args.region)
         print(f"{len(pts)} points at depth {args.region}")
         if args.svg:
-            scale = ns.radix.norm() ** (-args.region / 2)
-            zs = [p.to_complex() * scale for p in pts]
+            scale = ns.radix.norm2_int() ** (-args.region / 2)
+            zs = [plot_elem(p) * scale for p in pts]
             Path(args.svg).write_text(render_points(zs))
-    return code
+    return EXIT_OK
 
 
 def cmd_transform(args) -> int:

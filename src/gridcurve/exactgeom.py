@@ -235,6 +235,15 @@ def charpoly(mat: Sequence[Sequence[tuple[int, ...]]], n: int) -> list[tuple[int
     return poly
 
 
+def poly_eval(poly: Sequence[tuple[int, ...]], x: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Value at x of a polynomial over Z[zeta], leading coefficient first
+    (Horner's rule)."""
+    acc = (0,) * phi(n)
+    for c in poly:
+        acc = add_vec(mul_vec(acc, x, n), c)
+    return acc
+
+
 @lru_cache(maxsize=None)
 def embedding_reps(n: int) -> tuple[int, ...]:
     """One Galois map zeta -> zeta^k per complex-conjugate pair; k = 1 first."""

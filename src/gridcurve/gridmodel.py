@@ -338,7 +338,6 @@ class Patch:
         self.edges: dict[EdgeKey, str] = {}
         self.depth: dict[EdgeKey, int] = {}
         self.out_at: dict[tuple, list[EdgeKey]] = {}
-        self.in_at: dict[tuple, list[EdgeKey]] = {}
         self._units = unit_coeffs(spec.n)
         self._faces: list["Face"] | None = None
 
@@ -353,7 +352,6 @@ class Patch:
         self.edges[edge] = letter
         self.depth[edge] = depth
         self.out_at.setdefault(edge[0], []).append(edge)
-        self.in_at.setdefault(self.head(edge), []).append(edge)
         return True
 
     # -- queries ------------------------------------------------------

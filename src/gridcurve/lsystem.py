@@ -118,7 +118,7 @@ def expand(cs: CurveSet, axiom: Word, k: int) -> Word:
                 repl = prod.get(tok)
                 if repl is None:
                     raise WordError(f"letter {tok!r} has no production")
-                if out and isinstance(out[-1], int) and isinstance(repl[0], int):
+                if repl and out and isinstance(out[-1], int) and isinstance(repl[0], int):
                     out[-1] += repl[0]
                     out.extend(repl[1:])
                 else:
@@ -357,27 +357,3 @@ def decorate_square_point_word(text: str) -> Word:
     for find, repl in SQUARE_POINT_RULES:
         text = text.replace(find, repl)
     return parse_word(text, 8, merge_adjacent=True)
-
-
-def infer_turns(seq: str, grid: GridSpec) -> Word:
-    """Insert the unique turns between consecutive letters of a turn-free
-    word, on grids where the letter pair determines the turn."""
-    tokens: list = []
-    prev: str | None = None
-    for c in seq:
-        if c.isspace():
-            continue
-        if c in "+-0!":
-            raise TransformError("sequence already contains turns")
-        if prev is not None:
-            turns = grid.pair_turns.get((prev, c))
-            if turns is None:
-                raise TransformError(f"no transition from {prev!r} to {c!r}")
-            if len(turns) > 1:
-                raise TransformError(
-                    f"turn between {prev!r} and {c!r} is ambiguous: {turns}"
-                )
-            tokens.append(turns[0])
-        tokens.append(c)
-        prev = c
-    return Word(tokens)

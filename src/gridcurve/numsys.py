@@ -1,10 +1,13 @@
 """Complex-base numeration systems over the Gaussian and Eisenstein integers.
 
-A system is a radix b and a digit set D in one of the two rings; D is a
-complete residue system when its members are pairwise incongruent mod b
-and |D| = norm(b).  Integer expansion is greedy: pick the unique digit
-congruent to z, divide, repeat; orbits may cycle instead of reaching 0,
-in which case the cycle is reported as a value.
+The two rings are Z[zeta_n] for n = 4 (Gaussian, beta = i) and n = 6
+(Eisenstein, beta = zeta_6 = exp(i*pi/3), beta^2 = beta - 1); a + b*beta
+is the ``exactgeom.Point`` with coefficients (a, b).  A system is a radix
+b and a digit set D in one ring; D is a complete residue system when its
+members are pairwise incongruent mod b and |D| = norm(b).  Integer
+expansion is greedy: pick the unique digit congruent to z, divide, repeat;
+orbits may cycle instead of reaching 0, in which case the cycle is
+reported as a value.
 """
 
 from __future__ import annotations
@@ -13,103 +16,60 @@ import cmath
 from dataclasses import dataclass
 from typing import Iterable
 
+from .exactgeom import Point, ring_div_exact
+
 GAUSSIAN = "gaussian"
 EISENSTEIN = "eisenstein"
+RING_TURNS = {GAUSSIAN: 4, EISENSTEIN: 6}
 
 
-@dataclass(frozen=True)
-class LatticeElem:
-    """a + b*beta with beta = i (Gaussian) or beta = omega_6 (Eisenstein,
-    omega_6^2 = omega_6 - 1)."""
-
-    a: int
-    b: int
-    ring: str
-
-    def __post_init__(self):
-        if self.ring not in (GAUSSIAN, EISENSTEIN):
-            raise ValueError(f"unknown ring {self.ring!r}")
-
-    def _check(self, other: "LatticeElem") -> None:
-        if self.ring != other.ring:
-            raise ValueError("mixed rings")
-
-    def __add__(self, other: "LatticeElem") -> "LatticeElem":
-        self._check(other)
-        return LatticeElem(self.a + other.a, self.b + other.b, self.ring)
-
-    def __sub__(self, other: "LatticeElem") -> "LatticeElem":
-        self._check(other)
-        return LatticeElem(self.a - other.a, self.b - other.b, self.ring)
-
-    def __neg__(self) -> "LatticeElem":
-        return LatticeElem(-self.a, -self.b, self.ring)
-
-    def __mul__(self, other: "LatticeElem") -> "LatticeElem":
-        self._check(other)
-        a, b, c, d = self.a, self.b, other.a, other.b
-        if self.ring == GAUSSIAN:
-            return LatticeElem(a * c - b * d, a * d + b * c, self.ring)
-        # omega^2 = omega - 1
-        return LatticeElem(a * c - b * d, a * d + b * c + b * d, self.ring)
-
-    def conjugate(self) -> "LatticeElem":
-        if self.ring == GAUSSIAN:
-            return LatticeElem(self.a, -self.b, self.ring)
-        return LatticeElem(self.a + self.b, -self.b, self.ring)
-
-    def norm(self) -> int:
-        if self.ring == GAUSSIAN:
-            return self.a * self.a + self.b * self.b
-        return self.a * self.a + self.a * self.b + self.b * self.b
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def to_complex(self) -> complex:
-        beta = 1j if self.ring == GAUSSIAN else cmath.exp(1j * cmath.pi / 3)
-        return self.a + self.b * beta
-
-    def __str__(self) -> str:
-        unit = "i" if self.ring == GAUSSIAN else "w"
-        return f"{self.a}{self.b:+}{unit}"
-
-
-def parse_elem(text: str, ring: str) -> LatticeElem:
+def parse_elem(text: str, ring: str) -> Point:
     """Parse 'a,b' as a + b*beta."""
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"expected 'a,b', got {text!r}")
-    return LatticeElem(int(parts[0]), int(parts[1]), ring)
+    return Point(RING_TURNS[ring], (int(parts[0]), int(parts[1])))
 
 
-def divide_exact(z: LatticeElem, b: LatticeElem) -> LatticeElem | None:
+def format_elem(z: Point) -> str:
+    """'a+bi' (Gaussian) or 'a+bw' (Eisenstein)."""
+    a, b = z.coeffs
+    return f"{a}{b:+}{'i' if z.n == 4 else 'w'}"
+
+
+def plot_elem(z: Point) -> complex:
+    """a + b*beta in floating point, for drawing.  Unlike
+    ``Point.to_complex``, i is exactly 1j, so points on the imaginary axis
+    have a real part of exactly 0, not about 6e-17 * b."""
+    a, b = z.coeffs
+    return a + b * (1j if z.n == 4 else cmath.exp(1j * cmath.pi / 3))
+
+
+def divide_exact(z: Point, b: Point) -> Point | None:
     """z / b when it is a ring element, else None."""
-    nb = b.norm()
-    if nb == 0:
-        raise ZeroDivisionError
-    num = z * b.conjugate()
-    if num.a % nb or num.b % nb:
+    try:
+        return Point(z.n, ring_div_exact(z.coeffs, b.coeffs, z.n))
+    except ZeroDivisionError:
+        raise
+    except ArithmeticError:
         return None
-    return LatticeElem(num.a // nb, num.b // nb, z.ring)
 
 
 @dataclass(frozen=True)
 class NumerationSystem:
-    ring: str
-    radix: LatticeElem
-    digits: tuple[LatticeElem, ...]
+    radix: Point  # its ring is radix.n
+    digits: tuple[Point, ...]
 
     @staticmethod
-    def make(ring: str, radix: LatticeElem, digits: Iterable[LatticeElem]):
-        return NumerationSystem(ring, radix, tuple(digits))
+    def make(radix: Point, digits: Iterable[Point]):
+        return NumerationSystem(radix, tuple(digits))
 
 
 @dataclass
 class ResidueReport:
     ok: bool
     expected: int  # norm of the radix
-    duplicates: list[tuple[LatticeElem, LatticeElem]]
+    duplicates: list[tuple[Point, Point]]
     missing_count: int
 
     def __bool__(self) -> bool:
@@ -118,7 +78,7 @@ class ResidueReport:
 
 def check_residue_system(ns: NumerationSystem) -> ResidueReport:
     """Digits pairwise incongruent mod the radix, |digits| = norm(radix)."""
-    n = ns.radix.norm()
+    n = ns.radix.norm2_int()
     if n < 2:
         raise ValueError("norm of the radix must be >= 2")
     dup = []
@@ -126,7 +86,6 @@ def check_residue_system(ns: NumerationSystem) -> ResidueReport:
         for j in range(i + 1, len(ns.digits)):
             if divide_exact(ns.digits[i] - ns.digits[j], ns.radix) is not None:
                 dup.append((ns.digits[i], ns.digits[j]))
-    distinct = len(ns.digits) - len(dup)
     ok = not dup and len(ns.digits) == n
     return ResidueReport(ok, n, dup, max(0, n - len(ns.digits)) + len(dup))
 
@@ -134,27 +93,26 @@ def check_residue_system(ns: NumerationSystem) -> ResidueReport:
 @dataclass
 class Expansion:
     digits: list[int]  # indices into ns.digits, least significant first
-    cycle: list[LatticeElem] | None = None
+    cycle: list[Point] | None = None
 
     @property
     def terminated(self) -> bool:
         return self.cycle is None
 
 
-def expand_integer(ns: NumerationSystem, z: LatticeElem,
+def expand_integer(ns: NumerationSystem, z: Point,
                    max_states: int = 10**6) -> Expansion:
     """Greedy expansion of z; a revisited state is returned as a cycle."""
-    seen: dict[tuple[int, int], int] = {}
+    seen: dict[Point, int] = {}
     out: list[int] = []
-    trail: list[LatticeElem] = []
+    trail: list[Point] = []
     cur = z
     while not cur.is_zero():
-        key = (cur.a, cur.b)
-        if key in seen:
-            return Expansion(out[: seen[key]], trail[seen[key]:])
+        if cur in seen:
+            return Expansion(out[: seen[cur]], trail[seen[cur]:])
         if len(seen) > max_states:
             raise RuntimeError("expansion did not terminate or cycle in bounds")
-        seen[key] = len(out)
+        seen[cur] = len(out)
         trail.append(cur)
         for i, d in enumerate(ns.digits):
             q = divide_exact(cur - d, ns.radix)
@@ -163,38 +121,29 @@ def expand_integer(ns: NumerationSystem, z: LatticeElem,
                 cur = q
                 break
         else:
-            raise ValueError(f"no digit congruent to {cur} mod {ns.radix}")
+            raise ValueError(f"no digit congruent to {format_elem(cur)} "
+                             f"mod {format_elem(ns.radix)}")
     return Expansion(out)
 
 
-def reconstruct(ns: NumerationSystem, digits: list[int]) -> LatticeElem:
+def reconstruct(ns: NumerationSystem, digits: list[int]) -> Point:
     """Sum d_i * radix^i, exactly."""
-    acc = LatticeElem(0, 0, ns.ring)
-    power = LatticeElem(1, 0, ns.ring)
+    acc = Point.zero(ns.radix.n)
+    power = Point(ns.radix.n, (1, 0))
     for i in digits:
         acc = acc + ns.digits[i] * power
         power = power * ns.radix
     return acc
 
 
-def fundamental_region_points(ns: NumerationSystem, k: int) -> list[LatticeElem]:
+def fundamental_region_points(ns: NumerationSystem, k: int) -> list[Point]:
     """All k-digit combinations sum d_i radix^i (duplicates removed)."""
     if k < 0:
         raise ValueError("depth must be >= 0")
-    pts = {(0, 0): LatticeElem(0, 0, ns.ring)}
-    power = LatticeElem(1, 0, ns.ring)
-    acc: list[LatticeElem] = [LatticeElem(0, 0, ns.ring)]
+    power = Point(ns.radix.n, (1, 0))
+    acc = [Point.zero(ns.radix.n)]
     for _ in range(k):
-        nxt = []
-        seen = set()
-        for p in acc:
-            for d in ns.digits:
-                q = p + d * power
-                key = (q.a, q.b)
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(q)
-        acc = nxt
+        acc = list(dict.fromkeys(p + d * power for p in acc for d in ns.digits))
         power = power * ns.radix
     return acc
 
@@ -204,25 +153,25 @@ def fundamental_region_count(ns: NumerationSystem, k: int) -> int:
     return len(fundamental_region_points(ns, k))
 
 
-# the three worked systems shipped with the tool
+# the four worked systems shipped with the tool
 def builtin_systems() -> dict[str, NumerationSystem]:
-    g = lambda a, b: LatticeElem(a, b, GAUSSIAN)
-    e = lambda a, b: LatticeElem(a, b, EISENSTEIN)
+    g = lambda a, b: Point(4, (a, b))
+    e = lambda a, b: Point(6, (a, b))
     return {
         "radix3": NumerationSystem.make(
-            GAUSSIAN, g(3, 0),
+            g(3, 0),
             [g(0, 0), g(1, -1), g(-1, 1), g(0, 2), g(0, -2),
              g(1, 3), g(-1, -3), g(2, 2), g(-2, -2)],
         ),
         "radix-1+3w": NumerationSystem.make(
-            EISENSTEIN, e(-1, 3),
+            e(-1, 3),
             [e(0, 0), e(0, 1), e(0, -1), e(-1, 1), e(1, -1), e(-2, 2), e(1, 1)],
         ),
         "radix-2": NumerationSystem.make(
-            EISENSTEIN, e(-2, 0), [e(0, 0), e(1, 0), e(0, 1), e(1, 1)]
+            e(-2, 0), [e(0, 0), e(1, 0), e(0, 1), e(1, 1)]
         ),
         "radix-2+i": NumerationSystem.make(
-            GAUSSIAN, g(-2, 1),
+            g(-2, 1),
             [g(0, 0), g(1, 0), g(-1, 0), g(1, -1), g(-1, 1)],
         ),
     }

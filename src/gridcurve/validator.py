@@ -33,7 +33,7 @@ from .exactgeom import (
     embedding_reps,
     galois_apply,
     phi,
-    ring_div_exact,
+    poly_eval,
     rotations,
     round_from_embeddings,
     trace_tokens,
@@ -493,11 +493,12 @@ def scale_analysis(cs: CurveSet, expected_order: int | None = None) -> ScaleAnal
     exact displacement matrices over one period.  ``eigen`` is a dominant
     eigenvalue of M (largest modulus) with |eigen|^2 = order^p.  Both
     properties that define it are checked exactly: its squared norm is the
-    rational integer order^p, and det(M - eigen*I) = 0 by fraction-free
-    elimination over Z[zeta].  When several dominant eigenvalues pass, the
-    one with the smallest argument in [0, 2*pi) is reported.  The turn
-    period search and the numeric root finder are bounded; hitting a bound,
-    or a nilpotent M, sets ``undetermined`` to the reason instead.
+    rational integer order^p, and the characteristic polynomial of M,
+    evaluated over Z[zeta] by Horner's rule, vanishes at it.  When several
+    dominant eigenvalues pass, the one with the smallest argument in
+    [0, 2*pi) is reported.  The turn period search and the numeric root
+    finder are bounded; hitting a bound, or a nilpotent M, sets
+    ``undetermined`` to the reason instead.
     """
     n = cs.n
     try:
@@ -534,6 +535,9 @@ def _eigen_analysis(cs: CurveSet, r: int, out: ScaleAnalysis) -> None:
     sigma_k(chi) of the same squared modulus order^p.  So a dominant root
     of chi and one root on that circle per other embedding, solved for and
     rounded, make a candidate, and only the exact checks accept it.
+    chi(lambda) = +-det(M - lambda*I), so chi(lambda) = 0 decides the
+    eigenvalue exactly; since Z[zeta] is an integral domain and lambda is
+    not 0, the factors x stripped from chi do not change the answer.
     """
     n = cs.n
     periodic = _period_matrix(cs)
@@ -571,7 +575,7 @@ def _eigen_analysis(cs: CurveSet, r: int, out: ScaleAnalysis) -> None:
             continue
         tried.add(coeffs)
         cand = Point(n, coeffs)
-        if cand.norm2_int() == target and _det_is_zero(prod_mat, cand, n):
+        if cand.norm2_int() == target and not any(poly_eval(poly, coeffs, n)):
             found.append(cand)
     if found:
         out.eigen = min(found, key=lambda lam: _argument(lam.to_complex()))
@@ -697,40 +701,6 @@ def _argument(z: complex) -> float:
     """Argument in [0, 2*pi), with rounding noise below zero read as 0."""
     a = cmath.phase(z)
     return a + 2 * math.pi if a < -1e-9 else max(a, 0.0)
-
-
-def _det_is_zero(mat: list[list[tuple]], lam: Point, n: int) -> bool:
-    L = len(mat)
-    work = [[Point(n, mat[i][j]) for j in range(L)] for i in range(L)]
-    for i in range(L):
-        work[i][i] = work[i][i] - lam
-    # fraction-free Gaussian elimination (Bareiss) over the ring
-    prev = Point(n, unit_coeffs(n)[0])
-    for col in range(L - 1):
-        piv = None
-        for r_ in range(col, L):
-            if not work[r_][col].is_zero():
-                piv = r_
-                break
-        if piv is None:
-            return True
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-        for r_ in range(col + 1, L):
-            for c_ in range(col + 1, L):
-                num = work[r_][c_] * work[col][col] - work[r_][col] * work[col][c_]
-                work[r_][c_] = _ring_div(num, prev)
-            work[r_][col] = Point.zero(n)
-        prev = work[col][col]
-    return work[L - 1][L - 1].is_zero()
-
-
-def _ring_div(num: Point, den: Point) -> Point:
-    """Exact division in the ring; den is a previous Bareiss pivot so the
-    quotient exists."""
-    if den.coeffs == unit_coeffs(den.n)[0]:
-        return num
-    return Point(num.n, ring_div_exact(num.coeffs, den.coeffs, num.n))
 
 
 # -- aggregation -----------------------------------------------------------

@@ -173,6 +173,60 @@ def test_numsys_golden(capsys):
         "64 points at depth 6\n", "")
 
 
+RADIX3_DIGITS = "0,0 1,-1 -1,1 0,2 0,-2 1,3 -1,-3 2,2 -2,-2"
+
+
+def test_numsys_eisenstein_golden(capsys, tmp_path):
+    # pinned from the two-coordinate LatticeElem arithmetic
+    argv = ["numsys", "--ring", "e", "--radix=-1,3",
+            "--digits", "0,0 0,1 0,-1 -1,1 1,-1 -2,2 1,1",
+            "--check", "--expand", "1,0", "--region", "3"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == (
+        "digits 7  norm 7  complete-residue-system yes\n"
+        "1+0w = [-2+2w 0-1w] (least significant first)\n"
+        "343 points at depth 3\n", "")
+    svg = tmp_path / "e.svg"
+    argv = ["numsys", "--ring", "e", "--radix=-2,0", "--digits", "0,0 1,0 0,1 1,1",
+            "--region", "3", "--svg", str(svg)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == ("64 points at depth 3\n", "")
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
+        "6639db1a3e77813fd7fdd4765611f36b4c34203b4c69728eefdd1b3268a24404")
+
+
+def test_numsys_non_residue_golden(capsys):
+    argv = ["numsys", "--ring", "g", "--radix=-2,1", "--digits", "0,0 1,0 -1,0 1,-1 -1,1",
+            "--check", "--region", "2"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == (
+        "digits 5  norm 5  complete-residue-system no\n"
+        "congruent digits: 1+0i = -1+1i (mod -2+1i)\n"
+        "congruent digits: -1+0i = 1-1i (mod -2+1i)\n"
+        "21 points at depth 2\n", "")
+
+
+def test_numsys_cycle_golden(capsys):
+    argv = ["numsys", "--ring", "g", "--radix=3,0", "--digits", RADIX3_DIGITS, "--expand=-1,0"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == ("-1+0i = [-1-3i] then cycles at 0+1i\n", "")
+
+
+def test_numsys_region_svg_golden(capsys, tmp_path):
+    # points on the imaginary axis must print 0.0000, not -0.0000: the
+    # plotting embedding is a + b*i, without a float image of i
+    svg = tmp_path / "r3.svg"
+    argv = ["numsys", "--ring", "g", "--radix=3,0", "--digits", RADIX3_DIGITS,
+            "--region", "3", "--svg", str(svg)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == ("729 points at depth 3\n", "")
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
+        "6bfee4c93a90fd8f60da69822e4bc52b20b5f374be69aad87b5ed909ba1ba51e")
+
+
 def test_transform_drop_golden(capsys):
     # dropping d488-r5's constant letters leaves the printed d-square curve
     argv = ["transform", "--op", "drop", "--input", "catalog:d488-r5",

@@ -25,6 +25,7 @@ from gridcurve.exactgeom import (
     mul_vec,
     normalize_turn,
     phi,
+    poly_eval,
     ring_div_exact,
     rotate_vec,
     rotations,
@@ -281,12 +282,34 @@ def test_charpoly_matches_determinant(n):
         assert len(poly) == size + 1 and poly[0] == one
         for _ in range(3):
             lam = tuple(rng.randint(-3, 3) for _ in range(deg))
-            value = (0,) * deg
-            for c in poly:  # Horner at lam
-                value = tuple(x + y for x, y in zip(mul_vec(value, lam, n), c))
+            value = poly_eval(poly, lam, n)
             shifted = [[tuple((lam[k] if i == j else 0) - mat[i][j][k] for k in range(deg))
                         for j in range(size)] for i in range(size)]
             assert value == _leibniz_det(shifted, n)
+
+
+def test_poly_eval_on_triangular_charpolys():
+    # chi of an upper-triangular matrix is the product of the x - d_i over
+    # its diagonal: zero at each d_i, and that product at any other point
+    n = 12
+    rng = random.Random(12)
+    zero, one = (0,) * phi(n), unit_coeffs(n)[0]
+    for size in (1, 2, 3, 4, 5):
+        mat = [[tuple(rng.randint(-3, 3) for _ in range(phi(n))) if j >= i else zero
+                for j in range(size)] for i in range(size)]
+        diag = [mat[i][i] for i in range(size)]
+        poly = charpoly(mat, n)
+        for d in diag:
+            assert poly_eval(poly, d, n) == zero
+        for _ in range(5):
+            x = tuple(rng.randint(-4, 4) for _ in range(phi(n)))
+            want = one
+            for d in diag:
+                want = mul_vec(want, tuple(a - b for a, b in zip(x, d)), n)
+            assert poly_eval(poly, x, n) == want
+    i = unit_coeffs(n)[3]
+    assert poly_eval([one, zero, one], i, n) == zero  # x^2 + 1 at i
+    assert poly_eval([], i, n) == zero
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 9, 12])

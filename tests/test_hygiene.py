@@ -2,10 +2,12 @@
 
 import ast
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "gridcurve").glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _imported_names(body: list[ast.stmt]) -> dict[str, int]:
@@ -47,25 +49,48 @@ def unused_imports(source: str) -> list[tuple[str, int]]:
     return sorted(out)
 
 
-def unreferenced_private_functions(sources: dict[str, str]) -> list[tuple[str, str]]:
-    """Module-level functions named with one leading underscore that no
-    statement of any of the modules references, outside their own body."""
+def _names(node: ast.AST) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _unreferenced(sources: dict[str, str], wanted,
+                  users: Iterable[str] = ()) -> list[tuple[str, str]]:
+    """Module-level definitions for which ``wanted(node)`` holds and that no
+    statement of any of the modules references outside their own body, and
+    no statement of the users references at all."""
     defined = []
     refs: dict[tuple[str, str | None], set[str]] = {}
     for module, source in sources.items():
         for node in ast.parse(source).body:
-            own = None
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                own = node.name
-                if own.startswith("_") and not own.startswith("__"):
-                    defined.append((module, own))
-            refs.setdefault((module, own), set()).update(
-                n.id if isinstance(n, ast.Name) else n.attr
-                for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+            own = getattr(node, "name", None)
+            if own is not None and wanted(node):
+                defined.append((module, own))
+            refs.setdefault((module, own), set()).update(_names(node))
+    outside = set().union(*map(_names, map(ast.parse, users)))
     return sorted(
         (module, name) for module, name in defined
-        if not any(name in used for key, used in refs.items() if key != (module, name))
+        if name not in outside
+        and not any(name in used for key, used in refs.items() if key != (module, name))
     )
+
+
+def unreferenced_private_functions(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """Module-level functions named with one leading underscore that no
+    statement of any of the modules references, outside their own body."""
+    return _unreferenced(sources, lambda node: isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_") and not node.name.startswith("__"))
+
+
+def unreferenced_public_names(sources: dict[str, str],
+                              tests: Iterable[str]) -> list[tuple[str, str]]:
+    """Module-level functions and classes without a leading underscore that
+    neither a statement of the modules, outside their own body, nor a test
+    references."""
+    return _unreferenced(sources, lambda node: isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_"), tests)
 
 
 def private_imports(source: str) -> list[tuple[str, int]]:
@@ -159,6 +184,32 @@ def test_scan_flags_unreferenced_private_functions():
     }
     assert unreferenced_private_functions(sources) == [
         ("a.py", "_only_itself"), ("a.py", "_unused")]
+
+
+def test_no_unreferenced_public_names():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    tests = [path.read_text() for path in TESTS]
+    assert unreferenced_public_names(sources, tests) == []
+
+
+def test_scan_flags_unreferenced_public_names():
+    sources = {
+        "a.py": (
+            "def used_here(): return 1\n"
+            "def used_elsewhere(): return 2\n"
+            "def only_itself(k): return only_itself(k - 1) if k else 0\n"
+            "def unused(): return 3\n"
+            "def _private(): return used_here()\n"
+            "class Tested:\n"
+            "    def method(self): return Tested()\n"
+            "class Lonely:\n"
+            "    def make(self): return Lonely()\n"
+        ),
+        "b.py": "from .a import used_elsewhere\nx = used_elsewhere()\n",
+    }
+    tests = ["from a import Tested\ndef test_k():\n    assert Tested().method()\n"]
+    assert unreferenced_public_names(sources, tests) == [
+        ("a.py", "Lonely"), ("a.py", "only_itself"), ("a.py", "unused")]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

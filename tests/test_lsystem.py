@@ -267,6 +267,17 @@ def test_expand_tagged_propagation():
         assert tag == j // 13
 
 
+def test_expand_empty_production_merges_the_turns_around_it():
+    # B writes nothing, so the turns on either side of it become one turn
+    cs = CurveSet.make("e", None, {"A": parse_word("A+B"), "B": Word(())}, turn=4)
+    w = expand(cs, Word(("A",)), 2)
+    assert Word(w.tokens) == w
+    assert w.tokens == ("A", 1, "B", 1)
+    w = expand(cs, Word(("A", 1, "B", -1, "A")), 1)
+    assert Word(w.tokens) == w
+    assert w.tokens == ("A", 1, "B", 0, "A", 1, "B")
+
+
 def test_expand_output_is_merged(all_curvesets):
     # expand returns its tokens without merging them again, so its loop
     # must leave no two turns adjacent; the axiom puts a turn before every

@@ -1,48 +1,52 @@
+import cmath
 import random
 
 import pytest
 
+from gridcurve.exactgeom import Point
 from gridcurve.numsys import (
     EISENSTEIN,
     GAUSSIAN,
     Expansion,
-    LatticeElem,
     NumerationSystem,
     builtin_systems,
     check_residue_system,
     divide_exact,
     expand_integer,
+    format_elem,
     fundamental_region_count,
     fundamental_region_points,
     parse_elem,
+    plot_elem,
     reconstruct,
 )
 
 
 def G(a, b):
-    return LatticeElem(a, b, GAUSSIAN)
+    return Point(4, (a, b))
 
 
 def E(a, b):
-    return LatticeElem(a, b, EISENSTEIN)
+    return Point(6, (a, b))
 
 
 def test_norms():
-    assert G(3, 4).norm() == 25
-    assert E(-1, 3).norm() == 7
-    assert E(1, 1).norm() == 3
-    assert G(-2, 1).norm() == 5
+    assert G(3, 4).norm2_int() == 25
+    assert E(-1, 3).norm2_int() == 7
+    assert E(1, 1).norm2_int() == 3
+    assert G(-2, 1).norm2_int() == 5
 
 
 def test_arithmetic_against_complex():
     rng = random.Random(3)
-    for ring in (GAUSSIAN, EISENSTEIN):
+    for elem in (G, E):
         for _ in range(200):
-            x = LatticeElem(rng.randint(-9, 9), rng.randint(-9, 9), ring)
-            y = LatticeElem(rng.randint(-9, 9), rng.randint(-9, 9), ring)
-            assert abs((x * y).to_complex() - x.to_complex() * y.to_complex()) < 1e-9
-            assert abs((x + y).to_complex() - x.to_complex() - y.to_complex()) < 1e-9
-            assert abs(x.norm() - abs(x.to_complex()) ** 2) < 1e-9
+            x = elem(rng.randint(-9, 9), rng.randint(-9, 9))
+            y = elem(rng.randint(-9, 9), rng.randint(-9, 9))
+            assert abs(plot_elem(x * y) - plot_elem(x) * plot_elem(y)) < 1e-9
+            assert abs(plot_elem(x + y) - plot_elem(x) - plot_elem(y)) < 1e-9
+            assert abs(x.norm2_int() - abs(plot_elem(x)) ** 2) < 1e-9
+            assert abs(plot_elem(x) - x.to_complex()) < 1e-9
 
 
 def test_crs_radix3():
@@ -54,7 +58,7 @@ def test_crs_radix3():
 def test_crs_radix_eisenstein7():
     ns = builtin_systems()["radix-1+3w"]
     assert check_residue_system(ns).ok
-    assert len(ns.digits) == 7 == ns.radix.norm()
+    assert len(ns.digits) == 7 == ns.radix.norm2_int()
     # digit set includes 2*omega_3 = -2+2w and 1+omega_6
     assert E(-2, 2) in ns.digits and E(1, 1) in ns.digits
 
@@ -62,7 +66,7 @@ def test_crs_radix_eisenstein7():
 def test_crs_radix_minus2():
     ns = builtin_systems()["radix-2"]
     assert check_residue_system(ns).ok
-    assert len(ns.digits) == 4 == ns.radix.norm()
+    assert len(ns.digits) == 4 == ns.radix.norm2_int()
 
 
 def test_non_crs_radix_minus2_plus_i():
@@ -70,7 +74,7 @@ def test_non_crs_radix_minus2_plus_i():
     rep = check_residue_system(ns)
     assert not rep.ok
     # the witnesses: 1 = -1+i and -1 = 1-i modulo -2+i
-    pairs = {frozenset(((a.a, a.b), (b.a, b.b))) for a, b in rep.duplicates}
+    pairs = {frozenset((a.coeffs, b.coeffs)) for a, b in rep.duplicates}
     assert frozenset(((1, 0), (-1, 1))) in pairs
     assert frozenset(((-1, 0), (1, -1))) in pairs
 
@@ -81,7 +85,7 @@ def test_expand_zero():
 
 
 def test_expand_restricted_negabinary():
-    ns = NumerationSystem.make(EISENSTEIN, E(-2, 0), [E(0, 0), E(1, 0)])
+    ns = NumerationSystem.make(E(-2, 0), [E(0, 0), E(1, 0)])
     ex = expand_integer(ns, E(-1, 0))
     assert ex.terminated and ex.digits == [1, 1]
 
@@ -112,12 +116,12 @@ def test_reconstruction_random(name):
     ns = builtin_systems()[name]
     rng = random.Random(hash(name) & 0xFFFF)
     for _ in range(1000):
-        z = LatticeElem(rng.randint(-50, 50), rng.randint(-50, 50), ns.ring)
+        z = Point(ns.radix.n, (rng.randint(-50, 50), rng.randint(-50, 50)))
         ex = expand_integer(ns, z)
         if ex.terminated:
             assert reconstruct(ns, ex.digits) == z
         else:
-            power = LatticeElem(1, 0, ns.ring)
+            power = Point(ns.radix.n, (1, 0))
             for _ in ex.digits:
                 power = power * ns.radix
             assert reconstruct(ns, ex.digits) + ex.cycle[0] * power == z
@@ -126,7 +130,7 @@ def test_reconstruction_random(name):
 def test_region_depth1_is_digit_set():
     ns = builtin_systems()["radix-2"]
     pts = fundamental_region_points(ns, 1)
-    assert {(p.a, p.b) for p in pts} == {(d.a, d.b) for d in ns.digits}
+    assert set(pts) == set(ns.digits)
 
 
 def test_region_counts_crs():
@@ -162,3 +166,26 @@ def test_parse_elem():
     assert parse_elem("-1,3", EISENSTEIN) == E(-1, 3)
     with pytest.raises(ValueError):
         parse_elem("1", GAUSSIAN)
+
+
+def test_divide_exact_eisenstein_and_by_zero():
+    b = E(-1, 3)
+    assert divide_exact(E(2, 5) * b, b) == E(2, 5)
+    assert divide_exact(E(1, 0), b) is None
+    with pytest.raises(ZeroDivisionError):
+        divide_exact(E(1, 0), E(0, 0))
+
+
+def test_format_elem():
+    assert format_elem(G(3, -2)) == "3-2i"
+    assert format_elem(E(0, 1)) == "0+1w"
+    assert format_elem(parse_elem("-1,0", GAUSSIAN)) == "-1+0i"
+
+
+def test_plot_elem_is_exact_on_the_imaginary_axis():
+    # Point.to_complex images i as exp(2*pi*i/4), whose real part is 6e-17:
+    # a drawn point on the axis would print as -0.0000 after scaling
+    assert G(0, -3).to_complex().real != 0.0
+    for b in (-3, 2):
+        assert plot_elem(G(0, b)).real == 0.0
+    assert plot_elem(E(1, 1)) == 1 + cmath.exp(1j * cmath.pi / 3)
