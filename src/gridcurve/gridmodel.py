@@ -533,26 +533,30 @@ def prototiles(spec: GridSpec) -> list[Prototile]:
     )
 
 
-def detect_translation_lattice(
-    spec: GridSpec, radius: float | None = None
-) -> tuple[Point, Point]:
+# Euclidean radii of the patches detect_translation_lattice tries, in order
+_LATTICE_RADII = (6, 9, 12)
+
+
+def detect_translation_lattice(spec: GridSpec) -> tuple[Point, Point]:
     """Two shortest independent translations mapping the coloring onto itself.
 
-    Verified on the patch that ``realize`` grows to a Euclidean radius (6,
-    then 9 and 12 while that fails): a translation v carries every edge whose
-    tail lies within radius - |v| - 1 of the origin onto an edge of the same
-    letter.  ``GridSpec.translation_lattice`` caches the default result.
-    Torus construction re-verifies it exactly, so a too-small patch fails
-    loudly rather than silently.
+    Verified on the patch that ``realize`` grows to a Euclidean radius of
+    6, then of 9 and 12 while that fails, and the last failure is raised: a
+    translation v carries every edge whose tail lies within radius - |v| - 1
+    of the origin onto an edge of the same letter.
+    ``GridSpec.translation_lattice`` caches the result.  Torus construction
+    re-verifies it exactly, so a too-small patch fails loudly rather than
+    silently.
     """
-    if radius is None:
-        last = None
-        for radius in (6, 9, 12):
-            try:
-                return detect_translation_lattice(spec, radius)
-            except GridError as exc:
-                last = exc
-        raise last
+    for radius in _LATTICE_RADII:
+        try:
+            return _lattice_on_patch(spec, radius)
+        except GridError as exc:
+            last = exc
+    raise last
+
+
+def _lattice_on_patch(spec: GridSpec, radius: float) -> tuple[Point, Point]:
     patch = realize(spec, radius)
     norms = {pos: abs(embed_vec(pos, spec.n)) for pos, _ in patch.edges}
     candidates = sorted(

@@ -209,12 +209,14 @@ def reachable_letters(m: SubstMatrix, letter: str) -> list[str]:
     return [c for i, c in enumerate(m.letters) if i in seen]
 
 
-# Bound of the power iteration in ``spectral_radius``.  Hitting it leaves
+# Bound of the power iteration in ``spectral_radius``, and the relative
+# change of the norm at which it counts as settled.  Hitting the bound leaves
 # the radius, and the similarity dimension, undetermined (None).
 _POWER_ITERATIONS = 100000
+_POWER_TOLERANCE = 1e-12
 
 
-def spectral_radius(entries: Sequence[Sequence[int]], tol: float = 1e-12) -> float | None:
+def spectral_radius(entries: Sequence[Sequence[int]]) -> float | None:
     """Largest eigenvalue modulus of a nonnegative integer matrix; None when
     ``_POWER_ITERATIONS`` steps do not settle it.
 
@@ -233,7 +235,7 @@ def spectral_radius(entries: Sequence[Sequence[int]], tol: float = 1e-12) -> flo
         if norm == 0:
             return 0.0
         v = [x / norm for x in w]
-        if abs(norm - prev) <= tol * max(1.0, norm):
+        if abs(norm - prev) <= _POWER_TOLERANCE * max(1.0, norm):
             return norm - 1.0
         prev = norm
     return None

@@ -62,6 +62,8 @@ class NumerationSystem:
 
     @staticmethod
     def make(radix: Point, digits: Iterable[Point]):
+        if radix.norm2_int() < 2:
+            raise ValueError("norm of the radix must be >= 2")
         return NumerationSystem(radix, tuple(digits))
 
 
@@ -79,8 +81,6 @@ class ResidueReport:
 def check_residue_system(ns: NumerationSystem) -> ResidueReport:
     """Digits pairwise incongruent mod the radix, |digits| = norm(radix)."""
     n = ns.radix.norm2_int()
-    if n < 2:
-        raise ValueError("norm of the radix must be >= 2")
     dup = []
     for i in range(len(ns.digits)):
         for j in range(i + 1, len(ns.digits)):
@@ -100,8 +100,11 @@ class Expansion:
         return self.cycle is None
 
 
-def expand_integer(ns: NumerationSystem, z: Point,
-                   max_states: int = 10**6) -> Expansion:
+# Bound on the states ``expand_integer`` visits before it gives up.
+_MAX_STATES = 10**6
+
+
+def expand_integer(ns: NumerationSystem, z: Point) -> Expansion:
     """Greedy expansion of z; a revisited state is returned as a cycle."""
     seen: dict[Point, int] = {}
     out: list[int] = []
@@ -110,7 +113,7 @@ def expand_integer(ns: NumerationSystem, z: Point,
     while not cur.is_zero():
         if cur in seen:
             return Expansion(out[: seen[cur]], trail[seen[cur]:])
-        if len(seen) > max_states:
+        if len(seen) > _MAX_STATES:
             raise RuntimeError("expansion did not terminate or cycle in bounds")
         seen[cur] = len(out)
         trail.append(cur)

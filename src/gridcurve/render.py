@@ -44,7 +44,6 @@ class RenderStyle:
     corner_radius: float = 0.25  # fraction of the edge length, in [0, 0.5]
     color_scheme: str = BY_LETTER
     palette: tuple[str, ...] = PALETTE
-    stroke_width: float = 0.08
     scale: float = 40.0
     draw_borders: bool = False
 
@@ -59,6 +58,13 @@ class RenderStyle:
 
 # the bounding box (min_x, min_y, max_x, max_y) of no points
 _NO_BOX = (math.inf, math.inf, -math.inf, -math.inf)
+
+# line width in render_line, as a fraction of the edge length
+_STROKE_WIDTH = 0.08
+# render_points: drawing units per unit of the plane, and the diamonds'
+# half-diagonal in units of the plane
+_POINT_SCALE = 40.0
+_POINT_RADIUS = 0.18
 
 
 class SvgDoc:
@@ -132,7 +138,7 @@ def render_line(
                for t in turns]
     color_of = cache(partial(_edge_color, style, grid))
     path = ('<path d="%s" fill="none" stroke="%s" stroke-width="'
-            + "%.4f" % (style.stroke_width * s) + '" stroke-linecap="round"/>')
+            + "%.4f" % (_STROKE_WIDTH * s) + '" stroke-linecap="round"/>')
     min_x, min_y, max_x, max_y = _NO_BOX
     elements: list[str] = []
     cmds: list[str] = []
@@ -244,10 +250,10 @@ def render_area(
     return SvgDoc(elements, (min_x, min_y, max_x, max_y)).to_string()
 
 
-def render_points(points: Iterable[complex], scale: float = 40.0,
-                  radius: float = 0.18) -> str:
+def render_points(points: Iterable[complex]) -> str:
     """Point cloud as small diamonds (numeration-system regions)."""
-    r = radius * scale
+    scale = _POINT_SCALE
+    r = _POINT_RADIUS * scale
     min_x, min_y, max_x, max_y = _NO_BOX
     elements: list[str] = []
     for z in points:

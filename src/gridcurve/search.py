@@ -40,6 +40,11 @@ class SearchBudgetExceeded(RuntimeError):
     pass
 
 
+# Bound on the nodes ``search_colorings`` visits before it raises
+# SearchBudgetExceeded.
+_COLORING_BUDGET = 10_000_000
+
+
 @dataclass
 class TorusPatch:
     """The grid modulo the lattice spanned by R*v1 and C*v2.
@@ -47,6 +52,9 @@ class TorusPatch:
     Every vertex is stored as its canonical representative modulo that
     lattice (``Lattice.reduce``), so an edge of the quotient is looked up by
     reducing its tail: ``index[(lattice.reduce(tail), direction)]``.
+    ``succ[ei]`` maps each turn t out of edge ei's letter to the edge that
+    follows ei after t, in ``turns_from`` order; ``pred[ej]`` maps t to the
+    edge that ej follows after t, in ascending edge order.
     """
 
     base: GridSpec
@@ -57,14 +65,12 @@ class TorusPatch:
     lattice: Lattice
     edges: list[tuple[tuple, int, str]] = field(default_factory=list)
     index: dict[EdgeKey, int] = field(default_factory=dict)
+    succ: list[dict[int, int]] = field(default_factory=list)
+    pred: list[dict[int, int]] = field(default_factory=list)
 
     @staticmethod
-    def build(base: GridSpec, R: int, C: int,
-              vectors: tuple[Point, Point] | None = None) -> "TorusPatch":
-        if vectors is None:
-            v1, v2 = base.translation_lattice
-        else:
-            v1, v2 = vectors
+    def build(base: GridSpec, R: int, C: int) -> "TorusPatch":
+        v1, v2 = base.translation_lattice
         tp = TorusPatch(base, R, C, v1, v2, Lattice(v1.scaled(R), v2.scaled(C)))
         tp._fill()
         return tp
@@ -73,35 +79,39 @@ class TorusPatch:
         n = self.base.n
         units = unit_coeffs(n)
         reduce = self.lattice.reduce
-        seed = ((0,) * phi(n), 0)
-        self.index[seed] = 0
-        self.edges.append((seed[0], 0, self.base.seed_letter()))
-        frontier = [0]
+        frontier: list[int] = []
+        self._claim(((0,) * phi(n), 0), self.base.seed_letter(), frontier)
         while frontier:
             new_frontier = []
+            # edges are numbered in the order they are reached, so this
+            # visits them in ascending order
             for ei in frontier:
                 pos, k, letter = self.edges[ei]
                 head = reduce(add_vec(pos, units[k]))
                 for t in self.base.turns_from.get(letter, ()):
                     dst = self.base.forward[(letter, t)]
-                    self._claim((head, (k + t) % n), dst, new_frontier)
+                    sj = self._claim((head, (k + t) % n), dst, new_frontier)
+                    self.succ[ei][t] = sj
+                    self.pred[sj][t] = ei
                 for tr in self.base.arrivals.get(letter, ()):
                     k0 = (k - tr.turn) % n
                     tail0 = reduce(sub_vec(pos, units[k0]))
                     self._claim((tail0, k0), tr.src, new_frontier)
             frontier = new_frontier
 
-    def _claim(self, edge: EdgeKey, letter: str, frontier: list[int]) -> None:
+    def _claim(self, edge: EdgeKey, letter: str, frontier: list[int]) -> int:
         got = self.index.get(edge)
         if got is None:
-            self.index[edge] = len(self.edges)
+            got = self.index[edge] = len(self.edges)
             self.edges.append((edge[0], edge[1], letter))
-            frontier.append(len(self.edges) - 1)
-        else:
-            if self.edges[got][2] != letter:
-                raise ValueError(
-                    f"torus quotient conflicts with the coloring at {edge}"
-                )
+            self.succ.append({})
+            self.pred.append({})
+            frontier.append(got)
+        elif self.edges[got][2] != letter:
+            raise ValueError(
+                f"torus quotient conflicts with the coloring at {edge}"
+            )
+        return got
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -113,10 +123,9 @@ class TorusPatch:
         return out
 
     def successor(self, ei: int, t: int) -> int | None:
-        n = self.base.n
-        pos, k, _ = self.edges[ei]
-        head = self.lattice.reduce(add_vec(pos, unit_coeffs(n)[k]))
-        return self.index.get((head, (k + t) % n))
+        """The edge that follows edge ei after turn t; None when t is not a
+        turn out of its letter."""
+        return self.succ[ei].get(t)
 
     def symmetries(self, point_group: bool = True) -> list[list[int]]:
         """Edge permutations induced by maps x -> zeta^j x + u and, with the
@@ -169,11 +178,8 @@ class Coloring:
         letters = self.letters()
         trans: set[Transition] = set()
         base = self.torus.base
-        for ei, (_, _, baseletter) in enumerate(self.torus.edges):
-            for t in base.turns_from[baseletter]:
-                sj = self.torus.successor(ei, t)
-                if sj is None:
-                    continue
+        for ei, after in enumerate(self.torus.succ):
+            for t, sj in after.items():
                 trans.add(
                     Transition(letters[self.assignment[ei]], t,
                                letters[self.assignment[sj]])
@@ -207,31 +213,16 @@ def search_colorings(
     C: int,
     m: int,
     dedup_rotations: bool = True,
-    budget: int = 10_000_000,
 ) -> list[Coloring]:
     """All colorings of the R x C torus with exactly m letters, canonical
     under letter permutation, translation, and optionally rotation."""
     if R < 1 or C < 1 or m < 1:
         raise ValueError("R, C, m must be >= 1")
     torus = TorusPatch.build(base, R, C)
-    n = base.n
     N = len(torus)
-    succ: dict[int, list[tuple[int, int]]] = {}
-    pred: dict[int, list[tuple[int, int]]] = {}
-    turn_values = sorted({t.turn for t in base.transitions})
-    for ei in range(N):
-        baseletter = torus.edges[ei][2]
-        for t in base.turns_from[baseletter]:
-            sj = torus.successor(ei, t)
-            if sj is None:
-                raise ValueError("torus successor missing; lattice too small")
-            succ.setdefault(ei, []).append((t, sj))
-            pred.setdefault(sj, []).append((t, ei))
-
+    succ, pred = torus.succ, torus.pred
     results: dict[tuple[int, ...], tuple[int, ...]] = {}
     nodes = 0
-    succ1 = {(ei, t): sj for ei, pairs in succ.items() for t, sj in pairs}
-    pred1 = {(sj, t): ei for sj, pairs in pred.items() for t, ei in pairs}
 
     def propagate(colors: list[int], fwd: dict, bwd: dict, queue: list[int]) -> bool:
         rules: list[tuple[int, int, int]] = []
@@ -261,18 +252,18 @@ def search_colorings(
                 c, t, cs = rules.pop()
                 for ej in range(N):
                     if colors[ej] == c:
-                        sj = succ1.get((ej, t))
+                        sj = succ[ej].get(t)
                         if sj is not None and not set_color(sj, cs):
                             return False
                     if colors[ej] == cs:
-                        pj = pred1.get((ej, t))
+                        pj = pred[ej].get(t)
                         if pj is not None and not set_color(pj, c):
                             return False
             if not queue:
                 break
             ei = queue.pop()
             c = colors[ei]
-            for t, sj in succ.get(ei, ()):
+            for t, sj in succ[ei].items():
                 cs = colors[sj]
                 if cs >= 0:
                     if not add_rule(c, t, cs):
@@ -280,7 +271,7 @@ def search_colorings(
                 elif (c, t) in fwd:
                     if not set_color(sj, fwd[(c, t)]):
                         return False
-            for t, pj in pred.get(ei, ()):
+            for t, pj in pred[ei].items():
                 cp = colors[pj]
                 if cp >= 0:
                     if not add_rule(cp, t, c):
@@ -295,8 +286,8 @@ def search_colorings(
     def dfs(colors: list[int], fwd: dict, bwd: dict, used: int):
         nonlocal nodes
         nodes += 1
-        if nodes > budget:
-            raise SearchBudgetExceeded(f"over {budget} nodes")
+        if nodes > _COLORING_BUDGET:
+            raise SearchBudgetExceeded(f"over {_COLORING_BUDGET} nodes")
         try:
             ei = colors.index(-1)
         except ValueError:
@@ -374,9 +365,7 @@ def _lambda_targets(n: int, R: int) -> list[tuple]:
 def enumerate_curve_sets(
     grid: GridSpec,
     R: int,
-    constraints: dict[str, Word] | None = None,
     budget: int = 2_000_000,
-    coverage_k: int = 3,
 ) -> SearchResult:
     """Depth-first enumeration of curve-sets of the given order.
 
@@ -401,7 +390,6 @@ def enumerate_curve_sets(
     when both images did: on double grids the stroke lanes are chiral at a
     U-turn, so the mirror image of a valid set can be Invalid.
     """
-    constraints = constraints or {}
     n = grid.n
     letters = grid.letters
     units = unit_coeffs(n)
@@ -509,25 +497,21 @@ def enumerate_curve_sets(
         return out
 
     targets = _lambda_targets(n, R)
-    free_letters = [L for L in letters if L not in constraints]
     self_turns = {L: [tr.turn for tr in grid.transitions if tr.src == tr.dst == L]
-                  for L in free_letters}
+                  for L in letters}
 
     for target in targets:
         dist = distances_to(target)
 
-        def assign(idx: int, remaining: dict[str, int], acc: dict[str, Word]):
-            if idx == len(free_letters):
-                prods = dict(acc)
-                for L, w in constraints.items():
-                    prods[L] = w
+        def assign(idx: int, remaining: dict[str, int], prods: dict[str, Word]):
+            if idx == len(letters):
                 cs = CurveSet.make(f"search-{len(found)}", grid, prods)
                 try:
                     if order(cs) != R:
                         return
                 except UnequalRowSums:
                     return
-                if is_invalid(cs, coverage_k=coverage_k):
+                if is_invalid(cs):
                     return
                 key = sortable(prods)
                 mirror_class = key
@@ -541,7 +525,7 @@ def enumerate_curve_sets(
                 if kept is None or key < kept[0]:
                     found[mirror_class] = (key, cs)
                 return
-            L = free_letters[idx]
+            L = letters[idx]
             for w, counts in word_candidates(target, dist, remaining, self_turns[L]):
                 rem2 = dict(remaining)
                 ok = True
@@ -550,16 +534,10 @@ def enumerate_curve_sets(
                     if rem2[X] < 0:
                         ok = False
                 if ok:
-                    acc2 = dict(acc)
-                    acc2[L] = w
-                    assign(idx + 1, rem2, acc2)
+                    assign(idx + 1, rem2, {**prods, L: w})
 
-        rem0 = {L: R for L in letters}
-        for L, w in constraints.items():
-            for X in w.letters():
-                rem0[X] -= 1
         try:
-            assign(0, rem0, {})
+            assign(0, {L: R for L in letters}, {})
         except SearchBudgetExceeded:
             complete = False
             break

@@ -29,7 +29,7 @@ class ParseError(ValueError):
 
 @dataclass
 class _Token:
-    kind: str  # word, punct
+    kind: str  # word, punct, eof
     text: str
     line: int
     col: int
@@ -55,8 +55,6 @@ def _tokenize(text: str) -> list[_Token]:
             col = 1
             continue
         if c == "\n":
-            if tokens and tokens[-1].kind != "break":
-                tokens.append(_Token("break", "", line, col))
             i += 1
             line += 1
             col = 1
@@ -141,19 +139,13 @@ class _RawWord:
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = [t for t in _tokenize(text)]
+        self.tokens = _tokenize(text)
         self.pos = 0
 
-    # breaks are only meaningful inside axiom definitions; skip elsewhere
-    def peek(self, skip_breaks: bool = True) -> _Token:
-        p = self.pos
-        while skip_breaks and self.tokens[p].kind == "break":
-            p += 1
-        return self.tokens[p]
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
 
-    def next(self, skip_breaks: bool = True) -> _Token:
-        while skip_breaks and self.tokens[self.pos].kind == "break":
-            self.pos += 1
+    def next(self) -> _Token:
         t = self.tokens[self.pos]
         self.pos += 1
         return t

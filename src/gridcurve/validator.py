@@ -173,9 +173,10 @@ def check_dekking1(cs: CurveSet, form: str = "transitions") -> tuple[bool, str |
     raise ValueError(f"unknown form {form!r}")
 
 
-def check_interior_filled(cs: CurveSet, tile: Prototile, k: int = 1) -> bool:
-    """Expand the tile boundary k times and flood the faces it encloses:
-    every directed edge with interior faces on both sides must be traversed.
+def check_interior_filled(cs: CurveSet, tile: Prototile) -> bool:
+    """Expand the tile boundary once and flood the faces its first iterate
+    encloses: every directed edge with interior faces on both sides must be
+    traversed.
 
     The boundary is anchored at the origin with its first edge in direction
     0; every edge of one letter sees the same grid around it, so this copy
@@ -188,8 +189,6 @@ def check_interior_filled(cs: CurveSet, tile: Prototile, k: int = 1) -> bool:
     disc.  A component that stays inside and crosses a non-curve edge holds
     an edge that the curve leaves undrawn, and the answer is False.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     grid = cs.grid
     if grid is None:
         raise ValueError("needs a grid")
@@ -199,7 +198,7 @@ def check_interior_filled(cs: CurveSet, tile: Prototile, k: int = 1) -> bool:
     if all(table.word.get((tokens[0], side)) != tokens for side in (LEFT, RIGHT)):
         raise ValueError(f"tile {tile} is not a face of the grid")
     origin = (0,) * phi(n)
-    w = expand(cs, Word(tokens), k)
+    w = expand(cs, Word(tokens), 1)
     end, _, edges = trace_tokens(w.tokens, n, origin, 0)
     if end != origin:
         raise ValueError("tile boundary iterate does not close (scale inconsistency)")
@@ -805,7 +804,6 @@ def validate(
     cs: CurveSet,
     coverage_k: int = 3,
     coverage_r: float = 3.0,
-    dekking_form: str = "transitions",
 ) -> ValidationReport:
     reasons: list[str] = []
     constants = sorted(cs.constants)
@@ -832,7 +830,7 @@ def validate(
     gc, gc_problems = check_grid_consistent(cs)
     if not gc:
         reasons.extend(gc_problems[:4])
-    sa, sa_why = check_dekking1(cs, dekking_form)
+    sa, sa_why = check_dekking1(cs)
     if not sa:
         reasons.append(f"self-avoidance fails: {sa_why}")
     scale = scale_analysis(cs, r) if r is not None else ScaleAnalysis(False, None, None, False)
@@ -852,7 +850,7 @@ def validate(
         for tile in prototiles(cs.grid):
             label = tile.to_string(cs.n, cs.grid.double)
             try:
-                filled[label] = check_interior_filled(cs, tile, 1)
+                filled[label] = check_interior_filled(cs, tile)
             except ValueError as exc:
                 reasons.append(f"interior check failed for {label}: {exc}")
         coverage = check_coverage(cs, coverage_k, coverage_r)

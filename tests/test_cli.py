@@ -3,7 +3,7 @@
 import hashlib
 import json
 
-from gridcurve import cli, lsystem
+from gridcurve import cli, lsystem, search
 
 
 def test_search_colorings_golden(capsys):
@@ -22,6 +22,13 @@ def test_search_colorings_bad_torus(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "--torus expects RxC" in err
+
+
+def test_search_colorings_budget_exceeded_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(search, "_COLORING_BUDGET", 10)
+    argv = ["search-colorings", "--grid", "square", "--torus", "4x4", "--colors", "4"]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_render_golden(capsys):
@@ -225,6 +232,21 @@ def test_numsys_region_svg_golden(capsys, tmp_path):
     assert capsys.readouterr() == ("729 points at depth 3\n", "")
     assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
         "6bfee4c93a90fd8f60da69822e4bc52b20b5f374be69aad87b5ed909ba1ba51e")
+
+
+def test_numsys_zero_radix_expand_is_bad_input(capsys):
+    argv = ["numsys", "--ring", "g", "--radix=0,0", "--digits", "0,0 1,0", "--expand", "1,0"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", "error: norm of the radix must be >= 2\n")
+
+
+def test_numsys_zero_radix_region_svg_is_bad_input(capsys, tmp_path):
+    svg = tmp_path / "f.svg"
+    argv = ["numsys", "--ring", "g", "--radix=0,0", "--digits", "0,0 1,0",
+            "--region", "2", "--svg", str(svg)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", "error: norm of the radix must be >= 2\n")
+    assert not svg.exists()
 
 
 def test_transform_drop_golden(capsys):

@@ -6,8 +6,10 @@ from typing import Iterable
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "gridcurve").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "gridcurve").glob("*.py"))
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _imported_names(body: list[ast.stmt]) -> dict[str, int]:
@@ -128,6 +130,88 @@ def generator_returns(source: str) -> list[tuple[str, int]]:
     return sorted(out)
 
 
+def _defaulted_parameters(tree: ast.Module):
+    """(callee name, parameter, position or None, is a method) for each
+    defaulted parameter of a function or method.  An instance call binds a
+    method's first parameter, so its positions start after it; ``__init__``
+    is called by its class name."""
+    out = []
+
+    def visit(node: ast.AST, cls: ast.ClassDef | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                bound = cls is not None and not static
+                init = cls is not None and child.name == "__init__"
+                name = cls.name if init else child.name
+                method = cls is not None and not init
+                args = child.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                out.extend((name, arg.arg, i - bound, method)
+                           for i, arg in enumerate(positional) if i >= first)
+                out.extend((name, arg.arg, None, method)
+                           for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                           if default is not None)
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(tree, None)
+    return out
+
+
+def _passed(callers: Iterable[str]) -> set[tuple[str, bool, str | int]]:
+    """(callee name, called as an attribute, what is passed) for every call:
+    each keyword, the number of positional arguments, and "**" or "*" for a
+    spread.  ``partial(f, ...)`` counts as a call of f."""
+    out = set()
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            if isinstance(func, ast.Name) and func.id == "partial" and args:
+                func, args = args[0], args[1:]
+            if isinstance(func, ast.Name):
+                name, attribute = func.id, False
+            elif isinstance(func, ast.Attribute):
+                name, attribute = func.attr, True
+            else:
+                continue
+            out.add((name, attribute, len(args)))
+            if any(isinstance(a, ast.Starred) for a in args):
+                out.add((name, attribute, "*"))
+            out |= {(name, attribute, "**" if k.arg is None else k.arg) for k in node.keywords}
+    return out
+
+
+def unpassed_defaults(sources: dict[str, str],
+                      callers: Iterable[str]) -> list[tuple[str, str, str]]:
+    """(module, function, parameter) for each defaulted parameter of a
+    function or method of the modules that no call in the callers passes:
+    by keyword, by position, or through a spread (``**`` passes every
+    parameter, ``*`` every positional one).  Calls are matched by name; a
+    method only by an attribute call."""
+    passed = _passed(callers)
+
+    def passes(what: str | int, param: str, pos: int | None) -> bool:
+        if what in ("**", param):
+            return True
+        return pos is not None and (what == "*" or (isinstance(what, int) and what > pos))
+
+    return sorted(
+        (module, name, param)
+        for module, source in sources.items()
+        for name, param, pos, method in _defaulted_parameters(ast.parse(source))
+        if not any(callee == name and (attribute or not method) and passes(what, param, pos)
+                   for callee, attribute, what in passed)
+    )
+
+
 def test_sources_found():
     assert len(SOURCES) >= 10
 
@@ -190,6 +274,49 @@ def test_no_unreferenced_public_names():
     sources = {path.name: path.read_text() for path in SOURCES}
     tests = [path.read_text() for path in TESTS]
     assert unreferenced_public_names(sources, tests) == []
+
+
+def test_every_default_is_passed_somewhere():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    callers = [path.read_text() for path in SOURCES + TESTS + BENCHMARK]
+    assert unpassed_defaults(sources, callers) == []
+
+
+def test_scan_flags_unpassed_defaults():
+    sources = {
+        "a.py": (
+            "def f(x, by_name=1, by_position=2, never=3, *, only_kw=4, kw_never=5):\n"
+            "    return x\n"
+            "def spread(a=1, b=2): return a\n"
+            "def starred(a=1, *, b=2): return a\n"
+            "def wrapped(a=1, b=2): return a\n"
+            "class K:\n"
+            "    def __init__(self, size=1, unused=2): self.size = size\n"
+            "    def next(self, skip=True): return skip\n"
+            "    def method(self, first=1, second=2): return first\n"
+            "    @staticmethod\n"
+            "    def build(first=1, second=2): return first\n"
+            "    def nested(self):\n"
+            "        def inner(deep=1): return deep\n"
+            "        return inner()\n"
+        ),
+        "b.py": (
+            "from functools import partial\n"
+            "from a import K, f, spread, starred, wrapped\n"
+            "f(0, by_name=1)\nf(0, 1, 2, only_kw=4)\n"
+            "spread(**{})\nstarred(*[])\n"
+            "partial(wrapped, 1)()\n"
+            "k = K(3)\nnext(iter([]), None)\n"
+            "k.method(1)\nK.build(1)\n"
+        ),
+    }
+    assert unpassed_defaults(sources, sources.values()) == [
+        ("a.py", "K", "unused"), ("a.py", "build", "second"),
+        ("a.py", "f", "kw_never"), ("a.py", "f", "never"),
+        ("a.py", "inner", "deep"), ("a.py", "method", "second"),
+        ("a.py", "next", "skip"), ("a.py", "starred", "b"),
+        ("a.py", "wrapped", "b"),
+    ]
 
 
 def test_scan_flags_unreferenced_public_names():

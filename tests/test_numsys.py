@@ -84,6 +84,24 @@ def test_expand_zero():
     assert expand_integer(ns, G(0, 0)).digits == []
 
 
+def test_make_rejects_a_radix_of_norm_below_two():
+    for radix in (G(0, 0), G(1, 0), G(0, -1), E(0, 1)):
+        with pytest.raises(ValueError, match="norm of the radix"):
+            NumerationSystem.make(radix, [])
+
+
+def test_expand_raises_beyond_the_state_bound(monkeypatch):
+    import gridcurve.numsys as numsys
+
+    # the twindragon expansion of 3+2i visits four nonzero states
+    ns = NumerationSystem.make(G(-1, 1), [G(0, 0), G(1, 0)])
+    monkeypatch.setattr(numsys, "_MAX_STATES", 3)
+    assert expand_integer(ns, G(3, 2)).digits == [1, 0, 0, 1]
+    monkeypatch.setattr(numsys, "_MAX_STATES", 2)
+    with pytest.raises(RuntimeError, match="did not terminate"):
+        expand_integer(ns, G(3, 2))
+
+
 def test_expand_restricted_negabinary():
     ns = NumerationSystem.make(E(-2, 0), [E(0, 0), E(1, 0)])
     ex = expand_integer(ns, E(-1, 0))

@@ -8,7 +8,9 @@ import pytest
 from gridcurve import catalog
 from gridcurve.exactgeom import normalize_turn
 from gridcurve.gridmodel import check_grid
+from gridcurve import search
 from gridcurve.search import (
+    SearchBudgetExceeded,
     TorusPatch,
     enumerate_curve_sets,
     search_colorings,
@@ -86,6 +88,27 @@ def test_torus_symmetries_are_automorphisms(name, R, C, count):
     translations = tp.symmetries(point_group=False)
     assert all(commutes(p, 1) for p in translations)
     assert {tuple(p) for p in translations} <= {tuple(p) for p in perms}
+
+
+def test_torus_successor_and_predecessor_maps(all_grids):
+    # every edge has a successor for each turn out of its letter, and the
+    # predecessor map is its inverse, listed in ascending edge order
+    for name, grid in all_grids.items():
+        tp = TorusPatch.build(grid, 2, 2)
+        for ei, (_, _, letter) in enumerate(tp.edges):
+            assert list(tp.succ[ei]) == list(grid.turns_from[letter]), name
+            for t, sj in tp.succ[ei].items():
+                assert tp.edges[sj][2] == grid.forward[(letter, t)]
+                assert tp.pred[sj][t] == ei
+        for before in tp.pred:
+            assert list(before.values()) == sorted(before.values())
+        assert sum(map(len, tp.pred)) == sum(map(len, tp.succ))
+
+
+def test_search_colorings_budget_exceeded(monkeypatch):
+    monkeypatch.setattr(search, "_COLORING_BUDGET", 10)
+    with pytest.raises(SearchBudgetExceeded, match="over 10 nodes"):
+        search_colorings(catalog.grid("square"), 4, 4, 4)
 
 
 def test_non_symmetries_merge_no_colorings():

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import random
 import re
@@ -229,10 +230,10 @@ def tile_by_name(grid, text):
 def test_interior_filled_folding_pair():
     filling = catalog.curveset("fold-r9-filling")
     tile = tile_by_name(filling.grid, "[L+R+]^2")
-    assert check_interior_filled(filling, tile, 1)
+    assert check_interior_filled(filling, tile)
     nonfilling = catalog.curveset("fold-r5")
     tile = tile_by_name(nonfilling.grid, "[L+R+]^2")
-    assert not check_interior_filled(nonfilling, tile, 1)
+    assert not check_interior_filled(nonfilling, tile)
 
 
 def test_interior_filled_pinned():
@@ -245,7 +246,7 @@ def test_interior_filled_pinned():
         if cs.grid is None or not check_grid_consistent(cs)[0] or not check_dekking1(cs)[0]:
             continue
         got[entry.name] = {
-            tile.to_string(cs.n, cs.grid.double): check_interior_filled(cs, tile, 1)
+            tile.to_string(cs.n, cs.grid.double): check_interior_filled(cs, tile)
             for tile in prototiles(cs.grid)
         }
     assert sum(map(len, got.values())) == 169
@@ -282,7 +283,7 @@ def test_interior_fill_reads_grid_letters():
 def test_interior_filled_sausage_yet_no_coverage():
     sausage = catalog.curveset("sausage")
     for tile in prototiles(sausage.grid):
-        assert check_interior_filled(sausage, tile, 1), str(tile)
+        assert check_interior_filled(sausage, tile), str(tile)
     cov = check_coverage(sausage, 6, 3.0)
     assert cov.missing > 0
 
@@ -290,7 +291,7 @@ def test_interior_filled_sausage_yet_no_coverage():
 def test_interior_filled_fischer_yet_no_coverage():
     fischer = catalog.curveset("fischer")
     for tile in prototiles(fischer.grid):
-        assert check_interior_filled(fischer, tile, 1), str(tile)
+        assert check_interior_filled(fischer, tile), str(tile)
     cov = check_coverage(fischer, 6, 3.0)
     assert cov.missing > 0
     assert not subst_matrix(fischer).entries[0][2]  # block structure
@@ -554,13 +555,20 @@ def test_validate_counterexamples_invalid():
 
 def test_is_invalid_matches_validate_on_catalog():
     kinds = set()
+    reports = []
     for entry in catalog.CURVE_ENTRIES:
         cs = catalog.curveset(entry.name)
-        verdict = validate(cs, coverage_k=entry.coverage_k).verdict
-        assert is_invalid(cs, entry.coverage_k) == (verdict == INVALID), entry.name
-        kinds.add(verdict)
+        rep = validate(cs, coverage_k=entry.coverage_k)
+        assert is_invalid(cs, entry.coverage_k) == (rep.verdict == INVALID), entry.name
+        kinds.add(rep.verdict)
+        reports.append(rep.to_json())
     # both answers occur: the two Invalid entries fail only coverage
     assert kinds == {VALID, VALID_WITH_CAVEATS, INVALID}
+    # every report of the catalog, pinned before validate lost its
+    # dekking_form parameter
+    assert len(reports) == 66
+    assert hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest() == (
+        "3d743ed5ab686b0167ddb0f26e78cac40da0c3dc46597c87483f7b350fd58a64")
 
 
 def relabelled(cs: CurveSet) -> CurveSet:
