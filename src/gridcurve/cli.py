@@ -27,7 +27,6 @@ from .lsystem import (
     is_irreducible,
     make_folding,
     order,
-    reversal_complement,
     rewrite,
     subst_matrix,
 )
@@ -158,17 +157,15 @@ def cmd_render(args) -> int:
     doc = _load_document(args.input)
     cs = _pick_curveset(doc, args.set)
     axiom = _axiom(cs, args.axiom)
-    scheme = {"letter": "letter", "ancestor": "ancestor",
-              "orientation": "orientation"}[args.colors]
     tags = None
-    if scheme == "ancestor":
+    if args.colors == "ancestor":
         word, tags = expand_tagged(cs, axiom, args.k)
     else:
         word = expand(cs, axiom, args.k)
     style = RenderStyle(
         mode=args.mode,
         corner_radius=args.rounded,
-        color_scheme=scheme,
+        color_scheme=args.colors,
         draw_borders=args.borders,
     )
     if args.mode == LINE:
@@ -236,7 +233,8 @@ def cmd_search_colorings(args) -> int:
     try:
         found = search_colorings(grid, R, C, args.colors,
                                  dedup_rotations=not args.no_rotations)
-    except SearchBudgetExceeded:
+    except SearchBudgetExceeded as exc:
+        print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     print(f"{len(found)} colorings", file=sys.stderr)
     docs = []
@@ -316,7 +314,7 @@ def cmd_transform(args) -> int:
                 a, b = pair.split(":")
                 relabel[a] = b
         w = parse_word(args.word, args.turn)
-        _out(reversal_complement(w, relabel).to_string(args.turn), args.output)
+        _out(w.reversed_complement(relabel).to_string(args.turn), args.output)
         return EXIT_OK
     if args.op == "drop":
         doc = _load_document(args.input)

@@ -267,11 +267,6 @@ def make_folding(prod_l: Word) -> Word:
     return prod_l.reversed_complement({"L": "R", "R": "L"})
 
 
-def reversal_complement(prod: Word, relabel: dict[str, str] | None = None) -> Word:
-    """Reverse the word, negate all turns, and relabel letters."""
-    return prod.reversed_complement(relabel)
-
-
 def drop_letters_normalize(
     cs: CurveSet, drop: Iterable[str], target_n: int | None = None
 ) -> CurveSet:

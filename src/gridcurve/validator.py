@@ -9,15 +9,20 @@ ValidWithCaveats since families with unequal per-letter displacements or
 uneven growth can still cover every edge.  Interior-filled tiles and
 matrix irreducibility are diagnostics, never verdicts: both tile criteria
 have counterexamples and are encoded as such in the test suite.
+
+Coverage, the aspect ratios of the iterates and the scale eigenvalue all
+read one table of the iterates of every letter, built level by level
+(``_iterates``), so each (level, letter) is walked once per check.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import product
+from itertools import islice, product
 from operator import add
 
 from .exactgeom import (
@@ -267,14 +272,14 @@ class CoverageDiagnostic:
 
 
 def _walk(
-    tokens: tuple, level: dict[str, tuple[tuple, int]], n: int, pos: tuple, dirk: int = 0
+    tokens: tuple, level: dict[str, tuple], n: int, pos: tuple, dirk: int = 0
 ) -> tuple[list[tuple[str, int, tuple]], tuple, int]:
     """Walk a word whose letters stand for their iterates at one level.
 
-    ``level[X]`` holds X's iterate's displacement in each of the n
-    directions and its net turn (see ``_displacement_table``): a step adds
-    one vector.  Returns (letter, direction, tail) for every letter, then
-    the end point and the end direction.  An iterate starts in the
+    ``level[X]`` is X's entry in one level of ``_iterates``: its iterate's
+    displacement in each of the n directions and its net turn, so a step
+    adds one vector.  Returns (letter, direction, tail) for every letter,
+    then the end point and the end direction.  An iterate starts in the
     direction of every turn before it in the expanded word, and those
     include the net turns of the iterates before it.
     """
@@ -284,116 +289,104 @@ def _walk(
             dirk = (dirk + tok) % n
         else:
             out.append((tok, dirk, pos))
-            rots, turn = level[tok]
+            rots, turn, _ = level[tok]
             pos = tuple(map(add, pos, rots[dirk]))
             dirk = (dirk + turn) % n
     return out, pos, dirk
 
 
-def _displacement_table(cs: CurveSet, kmax: int) -> list[dict[str, tuple[tuple, int]]]:
-    """table[lv][X]: the exact displacement of the lv-th iterate of X
-    rotated n ways (``rotations``, so element 0 is the displacement itself),
-    and its net turn mod n, lv <= kmax.  Each level is walked on the one
-    below it, so every displacement is rotated once."""
+def _iterates(cs: CurveSet) -> Iterator[dict[str, tuple]]:
+    """Yield the table of the lv-th iterates for lv = 0, 1, 2, ...; the
+    caller bounds the levels it takes.
+
+    level[X] is (rots, turn, row): the exact displacement of X's lv-th
+    iterate rotated n ways (``rotations``, so element 0 is the displacement
+    itself), its net turn mod n, and its direction-0 row.  The row holds,
+    per letter of X's production, the child letter, its direction, the
+    exact offset of its tail from X's tail and that offset's embedding;
+    level 0, a single edge, has no row.  Each level is walked once, on the
+    one below it, so every displacement is rotated once.
+    """
     n = cs.n
     origin = (0,) * phi(n)
-    table = [{X: (rotations(unit_coeffs(n)[0], n), 0) for X in cs.letters}]
-    for _ in range(kmax):
-        prev = table[-1]
+    level = {X: (rotations(unit_coeffs(n)[0], n), 0, ()) for X in cs.letters}
+    while True:
+        yield level
+        below = level
         level = {}
         for X in cs.letters:
-            _, disp, turn = _walk(cs.production(X).tokens, prev, n, origin)
-            level[X] = (rotations(disp, n), turn)
-        table.append(level)
-    return table
+            children, disp, turn = _walk(cs.production(X).tokens, below, n, origin)
+            level[X] = (rotations(disp, n), turn,
+                        [(Y, d, p, embed_vec(p, n)) for Y, d, p in children])
 
 
-class _LazyExpander:
-    """Expansion of anchored words down to single edges, pruning whole
-    subtrees that cannot reach the disc of interest.
+def _covered(
+    cs: CurveSet, table: list[dict[str, tuple]], k: int, r: float, faces: list[tuple]
+) -> set[EdgeKey]:
+    """The (tail, direction) keys of the edges of the k-th iterates of the
+    anchored words in ``faces`` that lie within reach of the disc of radius
+    r, walked without expanding the words.
 
-    The children of the lv-th iterate of a letter X whose first edge points
-    in direction d form one row: per letter of X's production, the child
-    letter, its direction, the exact offset of its tail from X's tail and
-    that offset's embedding.  A row is built on its first visit and reused
+    A subtree whose tail lies too far out to reach the disc is pruned.  The
+    lv-th iterate of a letter X whose first edge points in direction d has
+    one row of children (see ``_iterates``); the rows of direction 0 come
+    from the table, the others are built on their first visit and reused
     for every later (lv, X, d).  Descent runs on an explicit stack that
-    carries each subtree's exact tail, for the covered (tail, direction)
-    keys, and its float embedding, for the prune test.
-
-    Per-level displacement of every letter is exact (``rot``, the rotated
-    levels of ``_displacement_table``), so a row costs one vector addition
-    per child; the reach bound is a float over-approximation with a margin
-    of one edge, so pruning never changes which disc edges are covered.
+    carries each subtree's exact tail, for the covered keys, and its float
+    embedding, for the prune test.  The reach bound is a float
+    over-approximation with a margin of one edge, so pruning never changes
+    which disc edges are covered.
     """
-
-    def __init__(self, cs: CurveSet, rot: list[dict[str, tuple[tuple, int]]], k: int, r: float):
-        self.cs = cs
-        self.n = cs.n
-        self.rot = rot
-        self.k = k
-        self.origin = (0,) * phi(self.n)
-        self.rows: dict[tuple[int, str, int], list[tuple[str, int, tuple, complex]]] = {}
-        # reach[lv][X]: distance from the tail that the lv-th iterate of X
-        # can reach, at most; offsets keep their length under rotation, so
-        # the rows of direction 0 give it
-        reach: list[dict[str, float]] = [{X: 1.0 for X in cs.letters}]
-        for lv in range(1, k + 1):
-            below = reach[-1]
-            reach.append({
-                X: max((abs(z) + below[Y] for Y, _, _, z in self._row(lv, X, 0)), default=0.0)
-                for X in cs.letters
-            })
-        # limit[lv][X]: a subtree whose tail lies farther out is pruned
-        self.limit = [{X: r + far + 1.0 for X, far in level.items()} for level in reach]
-        self.covered: set[EdgeKey] = set()
-
-    def _row(self, lv: int, letter: str, dirk: int) -> list[tuple[str, int, tuple, complex]]:
-        children, _, _ = _walk(
-            self.cs.production(letter).tokens, self.rot[lv - 1], self.n, self.origin, dirk
-        )
-        row = [(Y, d, p, embed_vec(p, self.n)) for Y, d, p in children]
-        self.rows[(lv, letter, dirk)] = row
-        return row
-
-    def run(self, tokens: tuple, anchor: tuple, dirk: int) -> None:
-        for letter, d, pos in _walk(tokens, self.rot[self.k], self.n, anchor, dirk)[0]:
-            self._descend(letter, pos, d)
-
-    def _descend(self, letter: str, pos: tuple, dirk: int) -> None:
-        z = embed_vec(pos, self.n)
-        if abs(z) > self.limit[self.k][letter]:
-            return
-        if self.k == 0:
-            self.covered.add((pos, dirk))
-            return
-        rows, limit, covered = self.rows, self.limit, self.covered
-        stack = [(self.k, letter, pos, z, dirk)]
-        while stack:
-            lv, X, pos, z, dirk = stack.pop()
-            row = rows.get((lv, X, dirk))
-            if row is None:
-                row = self._row(lv, X, dirk)
-            below = limit[lv - 1]
-            for Y, dY, offset, z_offset in row:
-                zY = z + z_offset
-                if abs(zY) > below[Y]:
-                    continue
-                pY = tuple(map(add, pos, offset))  # add_vec, inlined: once per node
-                if lv == 1:
-                    covered.add((pY, dY))
-                else:
-                    stack.append((lv - 1, Y, pY, zY, dY))
+    n = cs.n
+    origin = (0,) * phi(n)
+    # reach[lv][X]: distance from the tail that the lv-th iterate of X can
+    # reach, at most; offsets keep their length under rotation, so the rows
+    # of direction 0 give it
+    reach = [dict.fromkeys(cs.letters, 1.0)]
+    for level in table[1:k + 1]:
+        below = reach[-1]
+        reach.append({
+            X: max((abs(z) + below[Y] for Y, _, _, z in row), default=0.0)
+            for X, (_, _, row) in level.items()
+        })
+    # limit[lv][X]: a subtree whose tail lies farther out is pruned
+    limit = [{X: r + far + 1.0 for X, far in level.items()} for level in reach]
+    rows = {(lv, X, 0): table[lv][X][2] for lv in range(1, k + 1) for X in cs.letters}
+    stack = []
+    for tokens, anchor, dirk in faces:
+        for X, d, pos in _walk(tokens, table[k], n, anchor, dirk)[0]:
+            z = embed_vec(pos, n)
+            if abs(z) <= limit[k][X]:
+                stack.append((k, X, pos, z, d))
+    if k == 0:
+        return {(pos, d) for _, _, pos, _, d in stack}
+    covered: set[EdgeKey] = set()
+    while stack:
+        lv, X, pos, z, dirk = stack.pop()
+        row = rows.get((lv, X, dirk))
+        if row is None:
+            children, _, _ = _walk(cs.production(X).tokens, table[lv - 1], n, origin, dirk)
+            row = rows[(lv, X, dirk)] = [(Y, d, p, embed_vec(p, n)) for Y, d, p in children]
+        below = limit[lv - 1]
+        for Y, dY, offset, z_offset in row:
+            zY = z + z_offset
+            if abs(zY) > below[Y]:
+                continue
+            pY = tuple(map(add, pos, offset))  # add_vec, inlined: once per node
+            if lv == 1:
+                covered.add((pY, dY))
+            else:
+                stack.append((lv - 1, Y, pY, zY, dY))
+    return covered
 
 
-def _support_aspects(
-    cs: CurveSet, rot: list[dict[str, tuple[tuple, int]]], kmax: int
-) -> dict[str, list[float]]:
+def _support_aspects(cs: CurveSet, levels: list[dict[str, tuple]]) -> dict[str, list[float]]:
     """Bounding-box aspect ratio of each letter's iterates, via support
-    values over the grid's direction fan (no expansion needed); rot holds
-    the rotated levels of the displacement table up to kmax - 1 at least."""
+    values over the grid's direction fan (no expansion needed); levels
+    holds the levels 1, 2, ... of ``_iterates``, one ratio per level."""
     n = cs.n
     if 360 % n:
-        return {X: [1.0] * kmax for X in cs.letters}
+        return {X: [1.0] * len(levels) for X in cs.letters}
     letters = cs.letters
     g = math.gcd(90, 360 // n)
     angles = [math.radians(a) for a in range(0, 360, g)]
@@ -403,17 +396,15 @@ def _support_aspects(
     # support in direction a is max(0, cos a)
     prev = {X: [max(0.0, math.cos(a)) for a in angles] for X in letters}
     out: dict[str, list[float]] = {X: [] for X in letters}
-    origin = (0,) * phi(n)
-    for lv in range(1, kmax + 1):
+    for level in levels:
         cur: dict[str, list[float]] = {}
         for X in letters:
-            children, _, _ = _walk(cs.production(X).tokens, rot[lv - 1], n, origin)
-            prefixes = [(embed_vec(p, n), tok, dirk) for tok, dirk, p in children]
+            row = level[X][2]
             vals = []
             for ai, a in enumerate(angles):
                 ca, sa = math.cos(a), math.sin(a)
                 best = 0.0
-                for base, tok, dirk in prefixes:
+                for tok, dirk, _, base in row:
                     ai2 = (ai - dirk * rot_step) % na
                     best = max(best, base.real * ca + base.imag * sa + prev[tok][ai2])
                 vals.append(best)
@@ -434,20 +425,18 @@ def check_coverage(cs: CurveSet, k: int = 3, r: float = 3.0) -> CoverageDiagnost
 
     The target edges and the anchored faces at the origin come from the
     grid's ``target_disc(r)``, realized once per grid out to the Euclidean
-    radius r.  ``_LazyExpander`` walks the iterates without expanding them,
-    on the rotated displacement table (``_displacement_table``).
+    radius r.  One table of the iterates (``_iterates``), max(k, 8) levels
+    deep, serves both ``_covered``, which walks the iterates without
+    expanding them, and the aspect ratios of ``_support_aspects``.
     """
     grid = cs.grid
     if grid is None:
         raise ValueError("needs a grid")
     disc = grid.target_disc(r)
-    kasp = max(k, 8)
-    rot = _displacement_table(cs, kasp)
-    expander = _LazyExpander(cs, rot, k, r)
-    for tokens, tail, dirk in disc.anchored_faces:
-        expander.run(tokens, tail, dirk)
-    missing = [e for e in disc.edges if e not in expander.covered]
-    aspects = _support_aspects(cs, rot, kasp)
+    table = list(islice(_iterates(cs), max(k, 8) + 1))
+    covered = _covered(cs, table, k, r, disc.anchored_faces)
+    missing = [e for e in disc.edges if e not in covered]
+    aspects = _support_aspects(cs, table[1:])
     rising = False
     for series in aspects.values():
         # bounded shapes oscillate below their early maximum; unbounded
@@ -585,53 +574,43 @@ def _eigen_analysis(cs: CurveSet, r: int, out: ScaleAnalysis) -> None:
 def _period_matrix(cs: CurveSet) -> tuple[list[list[tuple]], int] | None:
     """Product of the exact displacement matrices over one period of the
     net turns of the iterates, with that period; None when the turns do
-    not repeat within the period bound."""
+    not repeat within the period bound.
+
+    The matrix of level lv sums, per child of X's lv-th iterate, the unit
+    vector of the child's direction into entry (X, child letter), so it
+    reads the directions of the direction-0 rows of ``_iterates``.
+    """
     n = cs.n
     letters = cs.letters
-    zerov = (0,) * phi(n)
-
-    def next_turns(tv: dict[str, int]) -> dict[str, int]:
-        """Net turn of each letter's iterate one level up, mod n."""
-        return {
-            X: (sum(tv[Y] for Y in cs.production(X).letters())
-                + cs.production(X).net_turn()) % n
-            for X in letters
-        }
-
-    seen = [next_turns(dict.fromkeys(letters, 0))]
-    for _ in range(_TURN_PERIOD_LEVELS * n):
-        tau = next_turns(seen[-1])
-        if tau in seen:
-            k0 = seen.index(tau)
-            period = len(seen) - k0
+    levels = []  # levels 1, 2, ... of the table
+    seen = []  # their net turns, in letter order
+    for level in islice(_iterates(cs), 1, _TURN_PERIOD_LEVELS * n + 2):
+        levels.append(level)
+        turns = tuple(level[X][1] for X in letters)
+        if turns in seen:
+            k0 = seen.index(turns)
             break
-        seen.append(tau)
+        seen.append(turns)
     else:
         return None
-
-    def level_matrix(tv: dict[str, int]) -> list[list[tuple]]:
-        mat = [[zerov for _ in letters] for _ in letters]
-        for xi, X in enumerate(letters):
-            pre = 0
-            for tok in cs.production(X).tokens:
-                if isinstance(tok, int):
-                    pre = (pre + tok) % n
-                else:
-                    yi = letters.index(tok)
-                    mat[xi][yi] = add_vec(mat[xi][yi], unit_coeffs(n)[pre])
-                    pre = (pre + tv[tok]) % n
-        return mat
+    period = len(seen) - k0
+    # level k0 + 1 + p turns as level k0 + 1 does, so the rows of the levels
+    # k0 + 2 up to the repeat use one period of turns
+    unit = unit_coeffs(n)
+    zerov = (0,) * phi(n)
 
     def mat_mul(a, b):
         cols = list(zip(*b))
         return [[dot_vec(row, col, n) for col in cols] for row in a]
 
     prod_mat = None
-    tv = seen[k0]
-    for _ in range(period):
-        m_lv = level_matrix(tv)
+    for level in levels[k0 + 1:]:
+        m_lv = [[zerov for _ in letters] for _ in letters]
+        for xi, X in enumerate(letters):
+            for Y, d, _, _ in level[X][2]:
+                yi = letters.index(Y)
+                m_lv[xi][yi] = add_vec(m_lv[xi][yi], unit[d])
         prod_mat = m_lv if prod_mat is None else mat_mul(m_lv, prod_mat)
-        tv = next_turns(tv)
     return prod_mat, period
 
 

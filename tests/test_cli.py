@@ -28,7 +28,9 @@ def test_search_colorings_budget_exceeded_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(search, "_COLORING_BUDGET", 10)
     argv = ["search-colorings", "--grid", "square", "--torus", "4x4", "--colors", "4"]
     assert cli.main(argv) == 3
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "budget exceeded: over 10 nodes\n"
 
 
 def test_render_golden(capsys):

@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: only the stdlib ast module."""
 
 import ast
+import importlib
 from pathlib import Path
 from typing import Iterable
 
@@ -212,6 +213,34 @@ def unpassed_defaults(sources: dict[str, str],
     )
 
 
+def traced_names(source: str) -> list[str]:
+    """The keys of the ``TARGETS`` dict literal in a source file, read from
+    its syntax tree so that the file is neither imported nor compiled."""
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+                and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)):
+            return [key.value for key in node.value.keys]
+    return []
+
+
+def unresolved_names(names: Iterable[str]) -> list[str]:
+    """Names "module.attr" or "module.Class.method" under gridcurve that do
+    not resolve: the module lacks the attribute, or the method is not in
+    the class's own __dict__."""
+    out = []
+    for name in names:
+        module_name, *path = name.split(".")
+        owner = importlib.import_module(f"gridcurve.{module_name}")
+        if len(path) == 2:
+            owner = getattr(owner, path[0], None)
+            found = owner is not None and path[1] in vars(owner)
+        else:
+            found = hasattr(owner, path[0])
+        if not found:
+            out.append(name)
+    return out
+
+
 def test_sources_found():
     assert len(SOURCES) >= 10
 
@@ -386,3 +415,26 @@ def test_scan_flags_generator_returns():
         "    return None\n"
     )
     assert generator_returns(source) == [("lazy", 18), ("numbers", 6)]
+
+
+def test_every_traced_name_resolves():
+    names = traced_names((ROOT / "perfbench" / "tracing.py").read_text())
+    assert "validator.check_coverage" in names
+    assert "search.TorusPatch.build" in names
+    assert unresolved_names(names) == []
+
+
+def test_scan_flags_unresolved_traced_names():
+    source = (
+        "TIMEOUT = 3\n"
+        "TARGETS = {\n"
+        "    'validator.validate': None,\n"
+        "    'search.TorusPatch.symmetries': lambda args, out: {},\n"
+        "}\n"
+    )
+    assert traced_names(source) == ["validator.validate", "search.TorusPatch.symmetries"]
+    assert traced_names("TIMEOUT = 3\n") == []
+    names = ["validator.validate", "validator._displacement_table", "search.TorusPatch.build",
+             "search.TorusPatch.no_such_method", "search.NoSuchClass.build", "render.render_line"]
+    assert unresolved_names(names) == [
+        "validator._displacement_table", "search.TorusPatch.no_such_method", "search.NoSuchClass.build"]

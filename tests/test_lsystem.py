@@ -19,7 +19,6 @@ from gridcurve.lsystem import (
     is_irreducible,
     make_folding,
     order,
-    reversal_complement,
     rewrite,
     spectral_radius,
     subst_matrix,
@@ -133,20 +132,20 @@ def test_make_folding_wrong_alphabet():
 
 def test_reversal_complement_printed_g():
     f = parse_word("F+F+F+F+F--F+F+F--F--F+F+F--F", 6)
-    g = reversal_complement(f, {"F": "G"})
+    g = f.reversed_complement({"F": "G"})
     assert g.to_string(6, False) == "G++G-G-G++G++G-G-G++G-G-G-G-G"
     assert catalog.curveset("dtrihex-r13").production("G").tokens == g.tokens
 
 
 def test_reversal_complement_identity_cases():
-    assert reversal_complement(parse_word("A"), {"A": "B"}).to_string() == "B"
+    assert parse_word("A").reversed_complement({"A": "B"}).to_string() == "B"
     w = parse_word("A+B--C0A", 6)
-    assert reversal_complement(reversal_complement(w)).tokens == w.tokens
+    assert w.reversed_complement().reversed_complement().tokens == w.tokens
 
 
 def test_reversal_complement_split_pair():
     split = catalog.curveset("dtri-ab-r13-split")
-    b = reversal_complement(split.production("A"), {"A": "B"})
+    b = split.production("A").reversed_complement({"A": "B"})
     assert b.tokens == split.production("B").tokens
 
 

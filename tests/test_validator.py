@@ -5,12 +5,21 @@ import random
 import re
 import string
 import weakref
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 from gridcurve import catalog, gridmodel, validator
-from gridcurve.exactgeom import Point, charpoly, poly_eval, rotations, trace_tokens, unit_coeffs
+from gridcurve.exactgeom import (
+    Point,
+    charpoly,
+    embed_vec,
+    poly_eval,
+    rotations,
+    trace_tokens,
+    unit_coeffs,
+)
 from gridcurve.gridmodel import (
     GridSpec,
     InconsistentColoring,
@@ -25,8 +34,8 @@ from gridcurve.validator import (
     INVALID,
     VALID,
     VALID_WITH_CAVEATS,
-    _displacement_table,
-    _LazyExpander,
+    _covered,
+    _iterates,
     _period_matrix,
     check_coverage,
     check_dekking1,
@@ -326,13 +335,12 @@ def test_lazy_expander_matches_full_expansion(name):
     disc = cs.grid.target_disc(3.0)
     target = set(disc.edges)
     for k in (1, 2):
-        rot = _displacement_table(cs, k)
+        table = list(islice(_iterates(cs), k + 1))
         for tokens, tail, dirk in disc.anchored_faces:
-            expander = _LazyExpander(cs, rot, k, 3.0)
-            expander.run(tokens, tail, dirk)
+            covered = _covered(cs, table, k, 3.0, [(tokens, tail, dirk)])
             _, _, edges = trace_tokens(expand(cs, Word(tokens), k).tokens, cs.n, tail, dirk)
             traced = {(p, d) for p, d, _ in edges} & target
-            assert expander.covered & target == traced, (k, tokens, tail, dirk)
+            assert covered & target == traced, (k, tokens, tail, dirk)
 
 
 def test_displacement_table_follows_net_turns():
@@ -340,11 +348,29 @@ def test_displacement_table_follows_net_turns():
     # iterate starts half a turn away from where its production alone says
     cs = catalog.curveset("fold-r9")
     assert {cs.production(X).net_turn() % cs.n for X in cs.letters} == {2}
-    for lv, level in enumerate(_displacement_table(cs, 3)):
-        for X, (rots, turn) in level.items():
+    for lv, level in enumerate(islice(_iterates(cs), 4)):
+        for X, (rots, turn, _) in level.items():
             end, end_dir, _ = trace_tokens(expand(cs, Word((X,)), lv).tokens, cs.n)
             assert (rots[0], turn) == (end, end_dir), (lv, X)
             assert rots == rotations(end, cs.n), (lv, X)
+
+
+@pytest.mark.parametrize("name", ["fold-r9", "3464-r9"])
+def test_iterate_rows_follow_expansion(name):
+    # the child at letter i of X's production starts where the production's
+    # prefix before it, expanded lv - 1 times, ends: fold-r9 turns by a half
+    # turn (turn period 2), 3464-r9 lives on n = 12
+    cs = catalog.curveset(name)
+    for lv, level in enumerate(islice(_iterates(cs), 1, 4), 1):
+        for X, (_, _, row) in level.items():
+            tokens = cs.production(X).tokens
+            at = [i for i, tok in enumerate(tokens) if isinstance(tok, str)]
+            assert len(row) == len(at), (lv, X)
+            for (Y, d, tail, z), i in zip(row, at):
+                prefix = expand(cs, Word(tokens[:i]), lv - 1)
+                end, end_dir, _ = trace_tokens(prefix.tokens, cs.n)
+                assert (Y, d, tail) == (tokens[i], end_dir, end), (lv, X, i)
+                assert z == embed_vec(tail, cs.n), (lv, X, i)
 
 
 def test_coverage_raises_on_every_call_for_a_contradictory_coloring():
