@@ -110,7 +110,7 @@ def _pick_grid(ref: str) -> GridSpec:
 
 
 def _axiom(cs: CurveSet, text: str) -> Word:
-    return parse_word(text, cs.n)
+    return parse_word(text, cs.n, cs.double)
 
 
 def _out(text: str, path: str | None) -> None:
@@ -148,8 +148,7 @@ def cmd_expand(args) -> int:
     doc = _load_document(args.input)
     cs = _pick_curveset(doc, args.set)
     word = expand(cs, _axiom(cs, args.axiom), args.k)
-    double = cs.grid.double if cs.grid is not None else True
-    _out(word.to_string(cs.n, double), args.output)
+    _out(word.to_string(cs.n, cs.double), args.output)
     return EXIT_OK
 
 

@@ -176,6 +176,20 @@ def galois_apply(a: tuple[int, ...], k: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=256)
+def _adjugate_norm(den: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
+    """The product of the other Galois conjugates of den, and den's rational
+    field norm; cached, since a numeration system divides by one radix."""
+    adj = unit_coeffs(n)[0]
+    for k in range(2, n):
+        if math.gcd(k, n) == 1:
+            adj = mul_vec(adj, galois_apply(den, k, n), n)
+    norm_vec = mul_vec(den, adj, n)
+    if any(norm_vec[1:]):
+        raise ArithmeticError("field norm did not come out rational")
+    return adj, norm_vec[0]
+
+
 def ring_div_exact(num: tuple[int, ...], den: tuple[int, ...], n: int) -> tuple[int, ...]:
     """num / den in Z[zeta_n] when the quotient lies in the ring.
 
@@ -184,18 +198,7 @@ def ring_div_exact(num: tuple[int, ...], den: tuple[int, ...], n: int) -> tuple[
     """
     if not any(den):
         raise ZeroDivisionError("division by zero in Z[zeta]")
-    adj = None
-    for k in range(2, n + 1):
-        if math.gcd(k, n) != 1:
-            continue
-        conj = galois_apply(den, k, n)
-        adj = conj if adj is None else mul_vec(adj, conj, n)
-    if adj is None:  # n = 1 or 2 never occurs (n >= 3)
-        adj = unit_coeffs(n)[0]
-    norm_vec = mul_vec(den, adj, n)
-    if any(norm_vec[1:]):
-        raise ArithmeticError("field norm did not come out rational")
-    norm = norm_vec[0]
+    adj, norm = _adjugate_norm(den, n)
     prod = mul_vec(num, adj, n)
     if any(c % norm for c in prod):
         raise ArithmeticError("non-exact division in Z[zeta]")

@@ -72,6 +72,11 @@ class CurveSet:
             raise ValueError(f"curve-set {self.name!r} has no turn resolution")
         return self.turn
 
+    @property
+    def double(self) -> bool:
+        """Whether U-turns are allowed; freeform sets allow them."""
+        return self.grid.double if self.grid is not None else True
+
     @cached_property
     def prod(self) -> dict[str, Word]:
         return dict(self.productions)
@@ -338,19 +343,17 @@ SQUARE_POINT_RULES: tuple[tuple[str, str], ...] = (
 
 def embed_triangle_word(text: str) -> Word:
     """Lift a one-letter triangle-grid word onto the five-letter grid whose
-    A-edges form the triangle grid; the result uses turn resolution 6."""
-    for find, repl in TRIANGLE_EMBED_RULES:
-        text = text.replace(find, repl)
-    if text.startswith("+"):
-        text = text[1:]
-    if text.endswith("-"):
-        text = text[:-1]
-    return parse_word(text, 6, merge_adjacent=True)
+    A-edges form the triangle grid; the result uses turn resolution 6.  The
+    ``+`` before the first A and the ``-`` after the last are dropped."""
+    tokens = rewrite(text, TRIANGLE_EMBED_RULES, 6).tokens
+    if tokens[:1] == (1,):
+        tokens = tokens[1:]
+    if tokens[-1:] == (-1,):
+        tokens = tokens[:-1]
+    return Word.from_merged(tokens)
 
 
 def decorate_square_point_word(text: str) -> Word:
     """Re-render a double-square-grid word so it traverses the points of the
     truncated square grid; the result uses turn resolution 8."""
-    for find, repl in SQUARE_POINT_RULES:
-        text = text.replace(find, repl)
-    return parse_word(text, 8, merge_adjacent=True)
+    return rewrite(text, SQUARE_POINT_RULES, 8)

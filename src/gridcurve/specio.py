@@ -6,9 +6,14 @@
     curveset zigzag turn = 3 { F |--> F+F-F  H |--> H+F-F-F+H0H }
     axiom hexring = [A++]^6
 
-Turn runs are maximal same-character runs; '!' (the U-turn) is only valid
-on grids declared double.  A trailing backslash continues a line.  Forward
-references from curve-sets to grids are resolved before returning.
+Words, in productions, transitions and axioms, follow the one grammar of
+``words.parse_word``, read once the turn resolution n is known: a turn run
+is a maximal same-character run of at most n/2 units, and '!' (the U-turn,
++n/2) needs an even n and double edges.  A curve-set reads n and double
+from its grid; a freeform set (``turn = N``, N >= 3) has double edges; an
+axiom uses the largest n among the document's grids (12 without one) and
+double edges.  A trailing backslash continues a line.  Forward references
+from curve-sets to grids are resolved before returning.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .gridmodel import GridSpec, Transition
 from .lsystem import CurveSet
-from .words import Word, format_turn
+from .words import Word, WordError, format_turn, parse_word
 
 
 class ParseError(ValueError):
@@ -100,41 +105,12 @@ class SpecDocument:
         return {it.name: it for it in self.items if isinstance(it, AxiomDef)}
 
 
-@dataclass
-class _RawWord:
-    """Letters and textual turn runs, resolved once the grid's n is known."""
-
-    parts: list[tuple[str, str, int, int]]  # (kind, text, line, col)
-    repeat: int = 1
-
-    def resolve(self, n: int, double: bool) -> Word:
-        tokens: list = []
-        prev_turn = False
-        for kind, text, line, col in self.parts:
-            if kind == "letter":
-                tokens.append(text)
-                prev_turn = False
-                continue
-            if prev_turn:
-                raise ParseError("adjacent turns; merge them in the source", line, col)
-            prev_turn = True
-            if text == "0":
-                tokens.append(0)
-            elif text == "!":
-                if not double:
-                    raise ParseError("'!' is only valid on double-edge grids", line, col)
-                tokens.append(n // 2)
-            else:
-                run = len(text)
-                if run > n // 2:
-                    raise ParseError(
-                        f"turn of {run} exceeds n/2 = {n // 2} units", line, col
-                    )
-                tokens.append(run if text[0] == "+" else -run)
-        word = Word(tokens)
-        if self.repeat != 1:
-            word = word.repeated(self.repeat)
-        return word
+def _word(tok: _Token, n: int, double: bool) -> Word:
+    """The word in a token, read by ``parse_word`` once n is known."""
+    try:
+        return parse_word(tok.text, n, double)
+    except WordError as e:
+        raise ParseError(str(e), tok.line, tok.col + e.offset) from None
 
 
 class _Parser:
@@ -162,6 +138,12 @@ class _Parser:
             raise ParseError(f"expected a name, found {t.text!r}", t.line, t.col)
         return t
 
+    def expect_word(self) -> _Token:
+        t = self.next()
+        if t.kind != "word":
+            raise ParseError(f"expected a word, found {t.text!r}", t.line, t.col)
+        return t
+
     def parse_document(self) -> SpecDocument:
         raw_items: list = []
         while True:
@@ -182,19 +164,24 @@ class _Parser:
                 )
         return self._resolve(raw_items)
 
-    def _grid(self) -> GridSpec:
-        self.expect("grid")
-        name = self.expect_name().text
-        self.expect("{")
+    def _turn(self) -> int:
+        """``turn = N``, the turn resolution of a grid or a freeform set."""
         self.expect("turn")
         self.expect("=")
         t = self.next()
         try:
             n = int(t.text)
         except ValueError:
-            raise ParseError(f"turn resolution must be an integer", t.line, t.col)
+            raise ParseError("turn resolution must be an integer", t.line, t.col) from None
         if n < 3:
             raise ParseError("turn resolution must be >= 3", t.line, t.col)
+        return n
+
+    def _grid(self):
+        self.expect("grid")
+        name = self.expect_name()
+        self.expect("{")
+        n = self._turn()
         self.expect(";")
         self.expect("letters")
         self.expect("=")
@@ -232,99 +219,35 @@ class _Parser:
             if sep.text == "}":
                 break
             raise ParseError(f"expected ',' or '}}', found {sep.text!r}", sep.line, sep.col)
-        return GridSpec(name, n, tuple(letters), tuple(transitions), double)
+        grid = GridSpec(name.text, n, tuple(letters), tuple(transitions), double)
+        return ("grid", name, grid)
 
     def _transition(
         self, tok: _Token, n: int, double: bool, letters: list[str]
     ) -> Transition:
-        text = tok.text
-        if len(text) < 3 or not text[0].isalpha() or not text[-1].isalpha():
-            raise ParseError(f"malformed transition {text!r}", tok.line, tok.col)
-        src, dst = text[0], text[-1]
-        mid = text[1:-1]
-        for c, name in ((src, src), (dst, dst)):
+        tokens = _word(tok, n, double).tokens
+        if len(tokens) != 3 or not isinstance(tokens[1], int):
+            raise ParseError(f"malformed transition {tok.text!r}", tok.line, tok.col)
+        for c in tokens[::2]:
             if c not in letters:
                 raise ParseError(f"unknown letter {c!r}", tok.line, tok.col)
-        if mid == "0":
-            turn = 0
-        elif mid == "!":
-            if not double:
-                raise ParseError(
-                    "'!' is only valid on double-edge grids", tok.line, tok.col
-                )
-            turn = n // 2
-        elif mid and all(c == "+" for c in mid):
-            turn = len(mid)
-        elif mid and all(c == "-" for c in mid):
-            turn = -len(mid)
-        else:
-            raise ParseError(f"malformed turn {mid!r}", tok.line, tok.col)
-        if abs(turn) > n // 2:
-            raise ParseError(
-                f"turn of {abs(turn)} exceeds n/2 = {n // 2} units", tok.line, tok.col
-            )
-        return Transition(src, turn, dst)
-
-    def _raw_word(self, tok: _Token) -> _RawWord:
-        parts: list[tuple[str, str, int, int]] = []
-        text = tok.text
-        col = tok.col
-        i = 0
-        while i < len(text):
-            c = text[i]
-            if c.isalpha():
-                parts.append(("letter", c, tok.line, col + i))
-                i += 1
-            elif c in "+-":
-                j = i
-                while j < len(text) and text[j] == c:
-                    j += 1
-                parts.append(("turn", text[i:j], tok.line, col + i))
-                i = j
-            elif c in "0!":
-                parts.append(("turn", c, tok.line, col + i))
-                i += 1
-            else:
-                raise ParseError(f"unexpected {c!r} in word", tok.line, col + i)
-        if not parts:
-            raise ParseError("empty word", tok.line, tok.col)
-        return _RawWord(parts)
-
-    def _bracket_word(self) -> _RawWord:
-        self.expect("[")
-        t = self.next()
-        raw = self._raw_word(t)
-        self.expect("]")
-        self.expect("^")
-        t = self.next()
-        try:
-            raw.repeat = int(t.text)
-        except ValueError:
-            raise ParseError("exponent must be an integer", t.line, t.col)
-        if raw.repeat < 1:
-            raise ParseError("exponent must be >= 1", t.line, t.col)
-        return raw
+        return Transition(*tokens)
 
     def _curveset(self):
         self.expect("curveset")
-        name = self.expect_name().text
-        t = self.next()
-        grid_ref: tuple[str, int, int] | None = None
+        name = self.expect_name()
+        grid_ref: _Token | None = None
         turn: int | None = None
+        t = self.peek()
         if t.text == "on":
-            g = self.expect_name()
-            grid_ref = (g.text, g.line, g.col)
+            self.next()
+            grid_ref = self.expect_name()
         elif t.text == "turn":
-            self.expect("=")
-            tt = self.next()
-            try:
-                turn = int(tt.text)
-            except ValueError:
-                raise ParseError("turn resolution must be an integer", tt.line, tt.col)
+            turn = self._turn()
         else:
             raise ParseError(f"expected 'on' or 'turn', found {t.text!r}", t.line, t.col)
         self.expect("{")
-        maps: list[tuple[str, _RawWord, int, int]] = []
+        maps: list[tuple[_Token, _Token]] = []
         while True:
             t = self.next()
             if t.text == "}":
@@ -333,84 +256,82 @@ class _Parser:
                 raise ParseError(
                     f"expected a letter, found {t.text!r}", t.line, t.col
                 )
-            letter = t.text
             arrow = self.next()
             if arrow.text != "|-->":
                 raise ParseError(
                     f"expected '|-->', found {arrow.text!r}", arrow.line, arrow.col
                 )
-            w = self.next()
-            if w.kind != "word":
-                raise ParseError(f"expected a word, found {w.text!r}", w.line, w.col)
-            maps.append((letter, self._raw_word(w), t.line, t.col))
+            maps.append((t, self.expect_word()))
         return ("curveset", name, grid_ref, turn, maps)
 
     def _axiom(self):
         self.expect("axiom")
-        name = self.expect_name().text
+        name = self.expect_name()
         self.expect("=")
+        repeat = 1
         if self.peek().text == "[":
-            raw = self._bracket_word()
-        else:
+            self.next()
+            word = self.expect_word()
+            self.expect("]")
+            self.expect("^")
             t = self.next()
-            raw = self._raw_word(t)
-        return ("axiom", name, raw)
+            try:
+                repeat = int(t.text)
+            except ValueError:
+                raise ParseError("exponent must be an integer", t.line, t.col) from None
+            if repeat < 1:
+                raise ParseError("exponent must be >= 1", t.line, t.col)
+        else:
+            word = self.expect_word()
+        return ("axiom", name, word, repeat)
 
     def _resolve(self, raw_items: list) -> SpecDocument:
         doc = SpecDocument()
-        grids: dict[str, GridSpec] = {}
-        names: set[str] = set()
-        for item in raw_items:
-            if isinstance(item, GridSpec):
-                grids[item.name] = item
+        grids = {item[2].name: item[2] for item in raw_items if item[0] == "grid"}
         max_n = max((g.n for g in grids.values()), default=12)
-        for item in raw_items:
-            if isinstance(item, GridSpec):
-                if item.name in names:
-                    raise ParseError(f"duplicate name {item.name!r}", 1, 1)
-                names.add(item.name)
-                doc.items.append(item)
-                continue
-            kind = item[0]
-            if kind == "curveset":
-                _, name, grid_ref, turn, maps = item
-                if name in names:
-                    raise ParseError(f"duplicate name {name!r}", 1, 1)
-                names.add(name)
+        names: set[str] = set()
+        for kind, name, *rest in raw_items:
+            if name.text in names:
+                raise ParseError(f"duplicate name {name.text!r}", name.line, name.col)
+            names.add(name.text)
+            if kind == "grid":
+                doc.items.append(rest[0])
+            elif kind == "curveset":
+                grid_ref, turn, maps = rest
                 if grid_ref is not None:
-                    gname, line, col = grid_ref
-                    grid = grids.get(gname)
+                    grid = grids.get(grid_ref.text)
                     if grid is None:
-                        raise ParseError(f"unknown grid {gname!r}", line, col)
+                        raise ParseError(
+                            f"unknown grid {grid_ref.text!r}", grid_ref.line, grid_ref.col
+                        )
                     n, double = grid.n, grid.double
                 else:
                     grid = None
                     n, double = turn, True
                 prods: dict[str, Word] = {}
-                for letter, raw, line, col in maps:
+                for t, w in maps:
+                    letter = t.text
                     if letter in prods:
-                        raise ParseError(f"duplicate production for {letter!r}", line, col)
+                        raise ParseError(f"duplicate production for {letter!r}", t.line, t.col)
                     if grid is not None and letter not in grid.letters:
                         raise ParseError(
-                            f"letter {letter!r} not in grid {grid.name!r}", line, col
+                            f"letter {letter!r} not in grid {grid.name!r}", t.line, t.col
                         )
-                    prods[letter] = raw.resolve(n, double)
+                    prods[letter] = _word(w, n, double)
                 if grid is not None:
-                    for letter, w, line, col in (
-                        (l, prods[l], line, col) for l, _, line, col in maps
-                    ):
-                        for c in w.letters():
+                    for t, _ in maps:
+                        for c in prods[t.text].letters():
                             if c not in grid.letters:
                                 raise ParseError(
-                                    f"letter {c!r} not in grid {grid.name!r}", line, col
+                                    f"letter {c!r} not in grid {grid.name!r}", t.line, t.col
                                 )
-                doc.items.append(CurveSet.make(name, grid, prods, turn))
-            elif kind == "axiom":
-                _, name, raw = item
-                if name in names:
-                    raise ParseError(f"duplicate name {name!r}", 1, 1)
-                names.add(name)
-                doc.items.append(AxiomDef(name, raw.resolve(max_n, True)))
+                doc.items.append(CurveSet.make(name.text, grid, prods, turn))
+            else:
+                word, repeat = rest
+                axiom = _word(word, max_n, True)
+                if repeat != 1:
+                    axiom = axiom.repeated(repeat)
+                doc.items.append(AxiomDef(name.text, axiom))
         return doc
 
 
@@ -442,10 +363,8 @@ def print_document(doc: SpecDocument) -> str:
                 else f"curveset {item.name} turn = {item.turn} {{"
             )
             lines = [head]
-            n = item.n
-            double = item.grid.double if item.grid is not None else True
             for letter, w in item.productions:
-                lines.append(f"  {letter} |--> {w.to_string(n, double)}")
+                lines.append(f"  {letter} |--> {w.to_string(item.n, item.double)}")
             lines.append("}")
             chunks.append("\n".join(lines))
         elif isinstance(item, AxiomDef):

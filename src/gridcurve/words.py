@@ -14,7 +14,12 @@ from typing import Iterable, Iterator
 
 
 class WordError(ValueError):
-    pass
+    """A malformed word or token; ``offset`` is the index of the offending
+    character when the error comes from parsing text."""
+
+    def __init__(self, message: str, offset: int | None = None):
+        super().__init__(message)
+        self.offset = offset
 
 
 def _merge_tokens(tokens: Iterable) -> tuple:
@@ -145,56 +150,58 @@ def format_turn(t: int, n: int | None = None, double: bool = True) -> str:
     return ("+" if t > 0 else "-") * abs(t)
 
 
-def parse_word(text: str, n: int | None = None,
+def parse_word(text: str, n: int | None = None, double: bool = True,
                merge_adjacent: bool = False) -> Word:
     """Parse a bare word like ``F+F-F`` or a tile form ``[A++]^6``.
 
-    ``!`` requires n (it stands for a turn of n/2).  Turn runs longer than
-    n/2 are rejected when n is known.  Adjacent runs of different turn
-    characters are rejected unless merge_adjacent is set (rewrite recipes
-    produce them legitimately).
+    This is the one reader of the word grammar: letters, maximal runs of
+    ``+`` or ``-`` (one unit each), ``0``, and ``!``.  With n known, a run
+    longer than n/2 is rejected.  ``!`` is the U-turn, +n/2; it needs a
+    known even n and double edges.  Adjacent turns are rejected unless
+    merge_adjacent is set (rewrite recipes produce them legitimately).
+    A ``WordError`` raised here carries the offset in ``text`` of the
+    offending character.
     """
-    text = text.strip()
-    if text.startswith("["):
-        close = text.index("]")
-        inner = text[1:close]
-        rest = text[close + 1 :].strip()
-        if not rest.startswith("^"):
-            raise WordError("tile form needs an exponent: [word]^k")
+    lo, hi, k = 0, len(text), 1
+    if text.lstrip().startswith("["):
+        lo, hi = text.index("[") + 1, text.find("]")
+        if hi < 0:
+            raise WordError("tile form needs a closing ']'", len(text))
+        rest = text[hi + 1 :].strip()
+        if not rest.startswith("^") or not rest[1:].strip().isdecimal():
+            raise WordError("tile form needs an exponent: [word]^k", hi + 1)
         k = int(rest[1:])
-        return parse_word(inner, n, merge_adjacent).repeated(k)
     tokens: list = []
-    i = 0
-    while i < len(text):
+    i = lo
+    while i < hi:
         c = text[i]
+        start = i
+        i += 1
+        if c.isalpha():
+            tokens.append(c)
+            continue
+        if c.isspace():
+            continue
         if c in "+-":
-            j = i
-            while j < len(text) and text[j] == c:
-                j += 1
-            run = j - i
+            while i < hi and text[i] == c:
+                i += 1
+            run = i - start
             if n is not None and run > n // 2:
-                raise WordError(f"turn of {run} exceeds {n}//2 units")
-            tokens.append(run if c == "+" else -run)
-            i = j
+                raise WordError(f"turn of {run} exceeds n/2 = {n // 2} units", start)
+            turn = run if c == "+" else -run
         elif c == "0":
-            tokens.append(0)
-            i += 1
+            turn = 0
         elif c == "!":
             if n is None:
-                raise WordError("'!' needs a known turn resolution")
+                raise WordError("'!' needs a known turn resolution", start)
             if n % 2:
-                raise WordError("'!' needs an even turn resolution")
-            tokens.append(n // 2)
-            i += 1
-        elif c.isalpha():
-            tokens.append(c)
-            i += 1
-        elif c.isspace():
-            i += 1
+                raise WordError("'!' needs an even turn resolution", start)
+            if not double:
+                raise WordError("'!' is only valid on double-edge grids", start)
+            turn = n // 2
         else:
-            raise WordError(f"unexpected character {c!r} in word")
-    if not merge_adjacent:
-        for a, b in zip(tokens, tokens[1:]):
-            if isinstance(a, int) and isinstance(b, int):
-                raise WordError("adjacent turns in source word")
-    return Word(tokens)
+            raise WordError(f"unexpected character {c!r} in word", start)
+        if not merge_adjacent and tokens and isinstance(tokens[-1], int):
+            raise WordError("adjacent turns; merge them in the source", start)
+        tokens.append(turn)
+    return Word(tokens * k)

@@ -63,6 +63,21 @@ def test_render_area_leaving_the_grid(capsys):
     assert err.startswith("error: path leaves grid 'square'")
 
 
+def test_axiom_u_turn_needs_double_edges(capsys):
+    # sq-r5 is on the square grid, which has no double edges
+    for verb in ("expand", "render"):
+        argv = [verb, "catalog:sq-r5", "--axiom", "F!F", "-k", "1"]
+        assert cli.main(argv) == 1, verb
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: '!' is only valid on double-edge grids\n"
+
+
+def test_axiom_u_turn_on_a_double_edge_grid(capsys):
+    assert cli.main(["expand", "catalog:dsq-r4", "--axiom", "A!A", "-k", "0"]) == 0
+    assert capsys.readouterr() == ("A!A\n", "")
+
+
 def test_validate_golden(capsys):
     # exit 0 for a valid set, 2 when a report says Invalid; stdout pinned
     # from the recursive coverage expander

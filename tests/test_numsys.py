@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gridcurve.exactgeom import Point
+from gridcurve.exactgeom import Point, _adjugate_norm
 from gridcurve.numsys import (
     EISENSTEIN,
     GAUSSIAN,
@@ -178,6 +178,14 @@ def test_divide_exact():
     assert divide_exact(G(1, 0), G(-2, 1)) is None
     assert divide_exact(G(5, 0), G(-2, 1)) == G(-2, -1)  # 5 = (-2+i)(-2-i)
     assert divide_exact(G(-7, 1), G(-2, 1)) == G(3, 1)
+
+
+def test_expand_integer_builds_the_radix_adjugate_once():
+    ns = builtin_systems()["radix3"]
+    _adjugate_norm.cache_clear()
+    expand_integer(ns, G(40, -27))
+    info = _adjugate_norm.cache_info()
+    assert info.misses == 1 and info.hits > 1
 
 
 def test_parse_elem():

@@ -164,6 +164,9 @@ INVALID_INPUTS = [
     ("curveset c on missing { F |--> F }", 1, 15),
     ("curveset c { F |--> F }", 1, 12),
     ("curveset c turn = three { F |--> F }", 1, 19),
+    ("curveset z turn = 1 { F |--> F }", 1, 19),
+    ("curveset z turn = -4 { F |--> F }", 1, 19),
+    ("curveset z turn = 3 { F |--> F!F }", 1, 31),
     ("grid g { turn = 4; letters = F; transitions = F+F }\n"
      "curveset c on g { G |--> G }", 2, 19),
     ("grid g { turn = 4; letters = F; transitions = F+F }\n"
@@ -186,9 +189,9 @@ INVALID_INPUTS = [
     ("axiom a = [F+]^0", 1, 16),
     ("axiom a =", 1, 10),
     ("grid g { turn = 4; letters = F; transitions = F+F }\n"
-     "grid g { turn = 4; letters = F; transitions = F+F }", 1, 1),
+     "grid g { turn = 4; letters = F; transitions = F+F }", 2, 6),
     ("grid g { turn = 4; letters = F; transitions = F+F }\n"
-     "curveset g on g { F |--> F }", 1, 1),
+     "curveset g on g { F |--> F }", 2, 10),
 ]
 
 EXTRA_INVALID = [
@@ -223,6 +226,19 @@ def test_invalid_inputs_positions(text, line, col):
 def test_invalid_inputs_rejected(text):
     with pytest.raises(ParseError):
         parse(text)
+
+
+@pytest.mark.parametrize("text,line,col", [
+    ("grid g { turn = 4; letters = F; transitions = F+F }\n"
+     "curveset c on g { F |--> F+F+++F }", 2, 29),
+    ("grid g { turn = 4; letters = F; transitions = F+-F }", 1, 49),
+    ("grid g { turn = 4; letters = F; transitions = F+F }\n"
+     "axiom a = [F+F?]^2", 2, 15),
+])
+def test_word_errors_point_at_the_character(text, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.col) == (line, col), exc.value
 
 
 def test_line_continuation_positions():

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gridcurve.specio import parse
 from gridcurve.words import Word, WordError, format_turn, parse_word
 
 
@@ -24,6 +27,15 @@ def test_parse_tile_form():
     assert w.nletters() == 6
     assert w.turns() == [2] * 6  # five interior turns plus the trailing one
     assert w.tokens[-1] == 2
+
+
+@pytest.mark.parametrize("text,offset", [
+    ("[F+", 3), ("[F+]^x", 4), ("[F+]^-2", 4), ("F+F?", 3), ("F+-F", 2),
+])
+def test_word_errors_carry_the_offset(text, offset):
+    with pytest.raises(WordError) as exc:
+        parse_word(text, 4)
+    assert exc.value.offset == offset
 
 
 def test_adjacent_turns_rejected():
@@ -58,3 +70,36 @@ def test_format_turn():
 def test_pairs():
     w = parse_word("A+B--C", 6)
     assert w.pairs() == [("A", 1, "B"), ("B", -2, "C")]
+
+
+@st.composite
+def _printable_words(draw):
+    """(n, double, word) where every turn of the word is printable at n."""
+    n = draw(st.sampled_from([3, 4, 5, 6, 8, 12]))
+    double = draw(st.booleans())
+    turn = st.integers(-(n // 2), n // 2)
+    tokens: list = []
+    for letter in draw(st.lists(st.sampled_from("ABFL"), max_size=8)):
+        if draw(st.booleans()):
+            tokens.append(draw(turn))
+        tokens.append(letter)
+    if draw(st.booleans()):
+        tokens.append(draw(turn))
+    return n, double, Word(tokens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_printable_words())
+def test_printed_words_parse_back(case):
+    n, double, word = case
+    text = word.to_string(n, double)
+    assert parse_word(text, n, double) == word
+    if not text:
+        return
+    # the same text as a production of a .gcs curve-set
+    doc = parse(
+        f"grid g {{ turn = {n}; letters = ABFL;{' double;' if double else ''}"
+        f" transitions = A0A }}\n"
+        f"curveset c on g {{ A |--> {text} B |--> B F |--> F L |--> L }}"
+    )
+    assert doc.curvesets()["c"].production("A") == word
