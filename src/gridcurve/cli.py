@@ -203,6 +203,9 @@ def cmd_matrix(args) -> int:
 def cmd_dimension(args) -> int:
     doc = _load_document(args.input)
     cs = _pick_curveset(doc, args.set)
+    if args.letter is not None and args.letter not in cs.letters:
+        raise CliError(f"--letter {args.letter!r} is not a letter of {cs.name!r} "
+                       f"({', '.join(cs.letters)})")
     letters = [args.letter] if args.letter else list(cs.letters)
     for letter in letters:
         dim = dimension(cs, letter)
@@ -253,6 +256,8 @@ def cmd_search_colorings(args) -> int:
 
 def cmd_search_curves(args) -> int:
     grid = _pick_grid(args.grid)
+    if args.order < 0:
+        raise CliError(f"--order must be >= 0, got {args.order}")
     result = enumerate_curve_sets(grid, args.order, budget=args.budget)
     print(f"{len(result.curvesets)} curve-sets, "
           f"{'complete' if result.complete else 'budget exceeded'}",

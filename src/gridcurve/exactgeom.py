@@ -3,8 +3,8 @@
 Positions and displacements are integer vectors over the power basis
 {zeta^0, ..., zeta^(phi(n)-1)} of the ring Z[zeta], zeta = exp(2*pi*i/n).
 Equality of points, and hence of directed edges, is decided exactly;
-floating point enters only when exporting coordinates for drawing, and in
-``round_from_embeddings``, whose integer result callers check exactly.
+floating point enters only when exporting coordinates, for drawing and for
+distance bounds.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 
@@ -111,7 +111,7 @@ def add_vec(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def sub_vec(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mul_vec(a: tuple[int, ...], b: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -203,87 +203,6 @@ def ring_div_exact(num: tuple[int, ...], den: tuple[int, ...], n: int) -> tuple[
     if any(c % norm for c in prod):
         raise ArithmeticError("non-exact division in Z[zeta]")
     return tuple(c // norm for c in prod)
-
-
-def dot_vec(row: Sequence[tuple[int, ...]], col: Sequence[tuple[int, ...]], n: int) -> tuple[int, ...]:
-    """Sum of the products of two equally long sequences of ring elements."""
-    acc = (0,) * phi(n)
-    for a, b in zip(row, col):
-        if any(a) and any(b):
-            acc = add_vec(acc, mul_vec(a, b, n))
-    return acc
-
-
-def charpoly(mat: Sequence[Sequence[tuple[int, ...]]], n: int) -> list[tuple[int, ...]]:
-    """det(x*I - mat) over Z[zeta], leading coefficient first.
-
-    Berkowitz's division-free recursion over the leading principal
-    submatrices (Berkowitz, Inform. Process. Lett. 1984): with the next row
-    R, column S and corner a, the polynomial grows by the Toeplitz column
-    1, -a, -R*S, -R*A*S, ..., where A is the submatrix so far.
-    """
-    one = unit_coeffs(n)[0]
-    poly = [one]
-    for m in range(len(mat)):
-        row = mat[m][:m]
-        col = [mat[i][m] for i in range(m)]
-        toeplitz = [one, tuple(-c for c in mat[m][m])]
-        for _ in range(m):
-            toeplitz.append(tuple(-c for c in dot_vec(row, col, n)))
-            col = [dot_vec(mat[i][:m], col, n) for i in range(m)]
-        poly = [
-            dot_vec(toeplitz[i - min(i, m):i + 1][::-1], poly[:min(i, m) + 1], n)
-            for i in range(m + 2)
-        ]
-    return poly
-
-
-def poly_eval(poly: Sequence[tuple[int, ...]], x: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Value at x of a polynomial over Z[zeta], leading coefficient first
-    (Horner's rule)."""
-    acc = (0,) * phi(n)
-    for c in poly:
-        acc = add_vec(mul_vec(acc, x, n), c)
-    return acc
-
-
-@lru_cache(maxsize=None)
-def embedding_reps(n: int) -> tuple[int, ...]:
-    """One Galois map zeta -> zeta^k per complex-conjugate pair; k = 1 first."""
-    return tuple(k for k in range(1, n // 2 + 1) if math.gcd(k, n) == 1)
-
-
-@lru_cache(maxsize=None)
-def _embedding_inverse(n: int) -> tuple[tuple[float, ...], ...]:
-    """Inverse of the real phi(n) x phi(n) matrix that sends power-basis
-    coefficients to the real and imaginary parts of their images under
-    ``embedding_reps(n)`` (Gauss-Jordan with partial pivoting)."""
-    deg = phi(n)
-    rows = []
-    for k in embedding_reps(n):
-        images = [cmath.exp(2j * math.pi * k * j / n) for j in range(deg)]
-        rows.append([z.real for z in images])
-        rows.append([z.imag for z in images])
-    aug = [row + [float(i == j) for j in range(deg)] for i, row in enumerate(rows)]
-    for c in range(deg):
-        piv = max(range(c, deg), key=lambda i: abs(aug[i][c]))
-        aug[c], aug[piv] = aug[piv], aug[c]
-        lead = aug[c][c]
-        aug[c] = [x / lead for x in aug[c]]
-        for i in range(deg):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return tuple(tuple(row[deg:]) for row in aug)
-
-
-def round_from_embeddings(images: Sequence[complex], n: int) -> tuple[int, ...]:
-    """Power-basis coefficients, each rounded to the nearest integer, of the
-    field element whose images under ``embedding_reps(n)`` are ``images``:
-    exact for numeric images close enough to those of a ring element."""
-    reals = [x for z in images for x in (z.real, z.imag)]
-    return tuple(round(sum(a * x for a, x in zip(row, reals)))
-                 for row in _embedding_inverse(n))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,10 @@ the edges within a Euclidean radius, and assigns a letter to every directed
 edge it reaches.  It serves ``detect_translation_lattice`` (cached as
 ``GridSpec.translation_lattice``) and ``GridSpec.target_disc``, which
 realizes once per grid and radius r the disc of edges within r that the
-coverage check must see covered.
+coverage check must see covered.  ``GridSpec.lattice_walks`` holds, per
+basis vector of that lattice, a shortest walk of edges from the seed edge
+to its translate, along which ``validator.vertex_map`` carries a
+curve-set's first iterate.
 """
 
 from __future__ import annotations
@@ -127,6 +130,10 @@ class GridSpec:
     @cached_property
     def translation_lattice(self) -> tuple[Point, Point]:
         return detect_translation_lattice(self)
+
+    @cached_property
+    def lattice_walks(self) -> tuple[tuple[tuple[int, str, int], ...], ...]:
+        return _lattice_walks(self)
 
     @cached_property
     def _target_discs(self) -> dict[float, "TargetDisc"]:
@@ -585,3 +592,56 @@ def _lattice_on_patch(spec: GridSpec, radius: float) -> tuple[Point, Point]:
     raise GridError(
         f"could not detect two independent translations for {spec.name!r}"
     )
+
+
+def _lattice_walks(spec: GridSpec) -> tuple[tuple[tuple[int, str, int], ...], ...]:
+    """For each basis vector v of the translation lattice, the steps of a
+    shortest walk from the seed edge to its translate by v.
+
+    The walk follows a chain of edges, each joined to the next through a
+    transition, and stands on the tail of each in turn.  It moves on to an
+    edge leaving the head by crossing the current edge, (1, letter,
+    direction), and to an edge arriving at the tail by crossing that edge
+    backwards, (-1, letter, direction).  The chain is breadth-first,
+    forward at heads and backward at tails as ``realize`` walks, over the
+    edges whose tails lie within max|v| + 1 of the origin; GridError when
+    that misses a translate.
+    """
+    n = spec.n
+    units = unit_coeffs(n)
+    seed = ((0,) * phi(n), 0)
+    lattice = spec.translation_lattice
+    radius = max(abs(v) for v in lattice) + 1
+    targets = [(v.coeffs, 0) for v in lattice]
+    came: dict[EdgeKey, tuple | None] = {seed: None}  # edge -> (edge before, step)
+    letters = {seed: spec.seed_letter()}
+    frontier = [seed]
+    while frontier and not all(t in came for t in targets):
+        reached = []
+        for edge in frontier:
+            pos, k = edge
+            letter = letters[edge]
+            head = add_vec(pos, units[k])
+            near = [((head, (k + t) % n), spec.forward[(letter, t)], (1, letter, k))
+                    for t in spec.turns_from[letter]]
+            for tr in spec.arrivals[letter]:
+                k0 = (k - tr.turn) % n
+                near.append(((sub_vec(pos, units[k0]), k0), tr.src, (-1, tr.src, k0)))
+            for edge2, letter2, crossed in near:
+                if edge2 not in came:
+                    came[edge2] = (edge, crossed)
+                    letters[edge2] = letter2
+                    if abs(embed_vec(edge2[0], n)) <= radius:
+                        reached.append(edge2)
+        frontier = reached
+    walks = []
+    for edge in targets:
+        if edge not in came:
+            raise GridError(f"no walk from the seed edge to its translate by {edge[0]} "
+                            f"within radius {radius:.3g} of {spec.name!r}")
+        walk = []
+        while came[edge] is not None:
+            edge, crossed = came[edge]
+            walk.append(crossed)
+        walks.append(tuple(reversed(walk)))
+    return tuple(walks)

@@ -1,19 +1,17 @@
-"""The .gcs text format for grids, curve-sets, and axioms.
+"""The .gcs text format for grids and curve-sets.
 
     # comment
     grid square { turn = 4; letters = F; transitions = F+F, F-F }
     curveset r5 on square { F |--> F+F+F-F-F }
     curveset zigzag turn = 3 { F |--> F+F-F  H |--> H+F-F-F+H0H }
-    axiom hexring = [A++]^6
 
-Words, in productions, transitions and axioms, follow the one grammar of
+Words, in productions and transitions, follow the one grammar of
 ``words.parse_word``, read once the turn resolution n is known: a turn run
 is a maximal same-character run of at most n/2 units, and '!' (the U-turn,
 +n/2) needs an even n and double edges.  A curve-set reads n and double
-from its grid; a freeform set (``turn = N``, N >= 3) has double edges; an
-axiom uses the largest n among the document's grids (12 without one) and
-double edges.  A trailing backslash continues a line.  Forward references
-from curve-sets to grids are resolved before returning.
+from its grid; a freeform set (``turn = N``, N >= 3) has double edges.  A
+trailing backslash continues a line.  Forward references from curve-sets
+to grids are resolved before returning.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ class _Token:
     col: int
 
 
-_PUNCT = {"{", "}", "=", ";", ",", "^", "[", "]"}
+_PUNCT = {"{", "}", "=", ";", ","}
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -86,12 +84,6 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 @dataclass
-class AxiomDef:
-    name: str
-    word: Word
-
-
-@dataclass
 class SpecDocument:
     items: list = field(default_factory=list)
 
@@ -100,9 +92,6 @@ class SpecDocument:
 
     def curvesets(self) -> dict[str, CurveSet]:
         return {it.name: it for it in self.items if isinstance(it, CurveSet)}
-
-    def axioms(self) -> dict[str, AxiomDef]:
-        return {it.name: it for it in self.items if isinstance(it, AxiomDef)}
 
 
 def _word(tok: _Token, n: int, double: bool) -> Word:
@@ -154,13 +143,9 @@ class _Parser:
                 raw_items.append(self._grid())
             elif t.text == "curveset":
                 raw_items.append(self._curveset())
-            elif t.text == "axiom":
-                raw_items.append(self._axiom())
             else:
                 raise ParseError(
-                    f"expected 'grid', 'curveset', or 'axiom', found {t.text!r}",
-                    t.line,
-                    t.col,
+                    f"expected 'grid' or 'curveset', found {t.text!r}", t.line, t.col
                 )
         return self._resolve(raw_items)
 
@@ -264,31 +249,9 @@ class _Parser:
             maps.append((t, self.expect_word()))
         return ("curveset", name, grid_ref, turn, maps)
 
-    def _axiom(self):
-        self.expect("axiom")
-        name = self.expect_name()
-        self.expect("=")
-        repeat = 1
-        if self.peek().text == "[":
-            self.next()
-            word = self.expect_word()
-            self.expect("]")
-            self.expect("^")
-            t = self.next()
-            try:
-                repeat = int(t.text)
-            except ValueError:
-                raise ParseError("exponent must be an integer", t.line, t.col) from None
-            if repeat < 1:
-                raise ParseError("exponent must be >= 1", t.line, t.col)
-        else:
-            word = self.expect_word()
-        return ("axiom", name, word, repeat)
-
     def _resolve(self, raw_items: list) -> SpecDocument:
         doc = SpecDocument()
         grids = {item[2].name: item[2] for item in raw_items if item[0] == "grid"}
-        max_n = max((g.n for g in grids.values()), default=12)
         names: set[str] = set()
         for kind, name, *rest in raw_items:
             if name.text in names:
@@ -296,7 +259,7 @@ class _Parser:
             names.add(name.text)
             if kind == "grid":
                 doc.items.append(rest[0])
-            elif kind == "curveset":
+            else:
                 grid_ref, turn, maps = rest
                 if grid_ref is not None:
                     grid = grids.get(grid_ref.text)
@@ -326,12 +289,6 @@ class _Parser:
                                     f"letter {c!r} not in grid {grid.name!r}", t.line, t.col
                                 )
                 doc.items.append(CurveSet.make(name.text, grid, prods, turn))
-            else:
-                word, repeat = rest
-                axiom = _word(word, max_n, True)
-                if repeat != 1:
-                    axiom = axiom.repeated(repeat)
-                doc.items.append(AxiomDef(name.text, axiom))
         return doc
 
 
@@ -367,6 +324,4 @@ def print_document(doc: SpecDocument) -> str:
                 lines.append(f"  {letter} |--> {w.to_string(item.n, item.double)}")
             lines.append("}")
             chunks.append("\n".join(lines))
-        elif isinstance(item, AxiomDef):
-            chunks.append(f"axiom {item.name} = {item.word.to_string()}")
     return "\n\n".join(chunks) + ("\n" if chunks else "")

@@ -10,20 +10,21 @@ uneven growth can still cover every edge.  Interior-filled tiles and
 matrix irreducibility are diagnostics, never verdicts: both tile criteria
 have counterexamples and are encoded as such in the test suite.
 
-Coverage, the aspect ratios of the iterates and the scale eigenvalue all
-read one table of the iterates of every letter, built level by level
-(``_iterates``), so each (level, letter) is walked once per check.
+Coverage and the aspect ratios of the iterates read one table of the
+iterates of every letter, built level by level (``_iterates``), so each
+(level, letter) is walked once per check.  The scale eigenvalue reads only
+the first iterate, as a map of the grid's vertices (``vertex_map``): an
+exact 2x2 integer matrix on the translation lattice.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import islice, product
-from operator import add
+from itertools import combinations, islice
+from operator import add, mul
 
 from .exactgeom import (
     REDRAWS_SEGMENT,
@@ -32,15 +33,11 @@ from .exactgeom import (
     Point,
     StrokeSet,
     add_vec,
-    charpoly,
-    dot_vec,
     embed_vec,
-    embedding_reps,
-    galois_apply,
     phi,
-    poly_eval,
+    ring_div_exact,
     rotations,
-    round_from_embeddings,
+    sub_vec,
     trace_tokens,
     unit_coeffs,
 )
@@ -48,6 +45,7 @@ from .gridmodel import (
     LEFT,
     RIGHT,
     EdgeKey,
+    GridError,
     GridSpec,
     Prototile,
     grid_letters,
@@ -427,12 +425,18 @@ def check_coverage(cs: CurveSet, k: int = 3, r: float = 3.0) -> CoverageDiagnost
     grid's ``target_disc(r)``, realized once per grid out to the Euclidean
     radius r.  One table of the iterates (``_iterates``), max(k, 8) levels
     deep, serves both ``_covered``, which walks the iterates without
-    expanding them, and the aspect ratios of ``_support_aspects``.
+    expanding them, and the aspect ratios of ``_support_aspects``.  A
+    negative k, or a disc that holds no edge, raises ValueError: missing
+    nothing there would say nothing.
     """
     grid = cs.grid
     if grid is None:
         raise ValueError("needs a grid")
+    if k < 0:
+        raise ValueError(f"coverage depth k must be >= 0, got {k}")
     disc = grid.target_disc(r)
+    if not disc.edges:
+        raise ValueError(f"coverage disc of radius r={r} holds no edge")
     table = list(islice(_iterates(cs), max(k, 8) + 1))
     covered = _covered(cs, table, k, r, disc.anchored_faces)
     missing = [e for e in disc.edges if e not in covered]
@@ -455,14 +459,20 @@ def check_coverage(cs: CurveSet, k: int = 3, r: float = 3.0) -> CoverageDiagnost
 # -- scale analysis -------------------------------------------------------
 
 
-# Bounds of the exact-eigenvalue fallback.  Hitting one leaves the scale
-# eigenvalue undetermined (ScaleAnalysis.undetermined), never absent.
-_TURN_PERIOD_LEVELS = 4  # turn vectors tried per turn unit: 4n levels in all
-_ROOT_ITERATIONS = 500  # Durand-Kerner sweeps per embedding
+# The fallback tries M^p for p up to this; see scale_analysis for why no
+# larger p can be the least one.
+_MAX_PERIOD = 6
 
 
 @dataclass
 class ScaleAnalysis:
+    """What ``scale_analysis`` found.  ``common_lambda`` is the displacement
+    that all non-constant letters share, if they do, with its squared
+    length ``lambda_norm``; ``strong`` is the strong form.  Past it,
+    ``eigen`` is the mu with M^p = mu for the vertex map M, with
+    ``eigen_period`` p, set only when ``eigen_ok`` (|mu|^2 = order^p), and
+    ``undetermined`` the reason the vertex map is undefined."""
+
     common_turn: bool
     common_lambda: Point | None
     lambda_norm: int | None
@@ -473,20 +483,101 @@ class ScaleAnalysis:
     undetermined: str | None = None
 
 
+def _walk_image(
+    walk: Iterable[tuple[int, str, int]], turn: dict[str, int], step: dict[str, tuple], n: int
+) -> tuple[tuple, int]:
+    """phi(end) - phi(start) of a walk of (sign, letter, direction) steps
+    (``GridSpec.lattice_walks``), and the net turn T it carries to its
+    last edge from T = 0 on its first (see ``vertex_map``): crossing an
+    edge forward passes on its T plus its letter's net turn, and an edge
+    crossed backward has the T it passes on less that net turn."""
+    pos, T = (0,) * phi(n), 0
+    for sign, L, k in walk:
+        if sign > 0:
+            pos, T = add_vec(pos, step[L][(k + T) % n]), T + turn[L]
+        else:
+            T -= turn[L]
+            pos = sub_vec(pos, step[L][(k + T) % n])
+    return pos, T % n
+
+
+def _lattice_coords(w: Point, v1: Point, v2: Point) -> tuple[int, int] | None:
+    """Integers (x, y) with w = x*v1 + y*v2, or None: Cramer's rule on two
+    coordinates where v1 and v2 are independent, checked on all of them."""
+    a, b, c = v1.coeffs, v2.coeffs, w.coeffs
+    i, j = next((i, j) for i, j in combinations(range(len(a)), 2)
+                if a[i] * b[j] != a[j] * b[i])
+    det = a[i] * b[j] - a[j] * b[i]
+    x, rx = divmod(c[i] * b[j] - c[j] * b[i], det)
+    y, ry = divmod(a[i] * c[j] - a[j] * c[i], det)
+    if rx or ry or v1.scaled(x) + v2.scaled(y) != w:
+        return None
+    return x, y
+
+
+def vertex_map(cs: CurveSet) -> tuple[tuple[int, int], tuple[int, int]] | str:
+    """The first iterate as a map phi on the grid's vertices: its matrix
+    ((a, b), (c, d)) on the basis (v1, v2) of ``grid.translation_lattice``,
+    phi(v1) = a*v1 + c*v2 and phi(v2) = b*v1 + d*v2, or the reason phi is
+    undefined.
+
+    phi fixes the origin, and an edge (p, d) of letter L adds
+    zeta^(d+T) * D_L, where D_L is ``cs.displacement(L)`` and T is the net
+    turn carried along the transitions: 0 on the seed edge, and an edge of
+    letter L passes T plus the net turn of L's production to the edges
+    after it.  phi and T are well defined when the first iterate of every
+    face of ``grid.face_table`` closes in position and in T: the faces span
+    the cycles of the grid, and the corners of the faces at a vertex give
+    every transition through it.  A lattice translation v that leaves T
+    unchanged commutes with phi, which is then Z-linear on the lattice;
+    phi(v) is read along ``grid.lattice_walks``.
+    """
+    grid = cs.grid
+    if grid is None:
+        return "no grid"
+    n = cs.n
+    turn = {X: cs.production(X).net_turn() for X in cs.letters}
+    step = {X: rotations(cs.displacement(X).coeffs, n) for X in cs.letters}
+    for key, steps in grid.face_table.steps.items():
+        if _walk_image(((1, L, d) for _, d, L in steps), turn, step, n) != ((0,) * phi(n), 0):
+            face = Word(grid.face_table.word[key]).to_string(n, grid.double)
+            return f"the first iterate of the face {face} does not close"
+    try:
+        lattice = grid.translation_lattice
+        walks = grid.lattice_walks
+    except GridError as exc:
+        return str(exc)
+    cols = []
+    for v, walk in zip(lattice, walks):
+        w, T = _walk_image(walk, turn, step, n)
+        if T:
+            return f"the translation by {v.coeffs} changes the net turn T"
+        xy = _lattice_coords(Point(n, w), *lattice)
+        if xy is None:
+            return f"the image of {v.coeffs} is not in the translation lattice"
+        cols.append(xy)
+    (a, c), (b, d) = cols
+    return (a, b), (c, d)
+
+
 def scale_analysis(cs: CurveSet, expected_order: int | None = None) -> ScaleAnalysis:
     """Strong form: all non-constant displacements equal, |lambda|^2 = order.
 
-    Fallback for families with per-letter displacements: follow the net
-    turns of the iterates to their period p and take the product M of the
-    exact displacement matrices over one period.  ``eigen`` is a dominant
-    eigenvalue of M (largest modulus) with |eigen|^2 = order^p.  Both
-    properties that define it are checked exactly: its squared norm is the
-    rational integer order^p, and the characteristic polynomial of M,
-    evaluated over Z[zeta] by Horner's rule, vanishes at it.  When several
-    dominant eigenvalues pass, the one with the smallest argument in
-    [0, 2*pi) is reported.  The turn period search and the numeric root
-    finder are bounded; hitting a bound, or a nilpotent M, sets
-    ``undetermined`` to the reason instead.
+    Fallback for families with per-letter displacements: the least p <=
+    _MAX_PERIOD for which M^p, with M = ``vertex_map(cs)``, acts on the
+    translation lattice as multiplication by one mu in Z[zeta]:
+    mu = M^p*v1 / v1 exactly (``ring_div_exact``), and M^p*v2 = mu*v2.
+    ``eigen`` is that mu, with period p, when |mu|^2 = order^p.  An
+    undefined vertex map sets ``undetermined`` to the reason instead.
+
+    No larger p can be the least.  If mu is not real, M commutes with
+    multiplication by mu, so by i: M is itself a complex multiplication and
+    p = 1.  If mu is real, M^p = mu*I, so the ratio of M's two eigenvalues
+    is a root of unity.  It lies in the field of M's characteristic
+    polynomial, of degree at most 2 over Q, so its order q is 1, 2, 3, 4
+    or 6.  If the eigenvalues differ, M is diagonalizable and M^q is its
+    least power that is a real multiple of I; if they are equal, M is that
+    already or no power of it is.
     """
     n = cs.n
     try:
@@ -508,177 +599,26 @@ def scale_analysis(cs: CurveSet, expected_order: int | None = None) -> ScaleAnal
         norm = common.norm2_int()
         strong = common_turn and norm == r and taus == {0}
     analysis = ScaleAnalysis(common_turn, common, norm, strong)
-    if not strong:
-        _eigen_analysis(cs, r, analysis)
+    if strong:
+        return analysis
+    mat = vertex_map(cs)
+    if isinstance(mat, str):
+        analysis.undetermined = mat
+        return analysis
+    v1, v2 = cs.grid.translation_lattice
+    power = mat
+    for p in range(1, _MAX_PERIOD + 1):
+        (a, b), (c, d) = power
+        try:
+            mu = Point(n, ring_div_exact((v1.scaled(a) + v2.scaled(c)).coeffs, v1.coeffs, n))
+        except ArithmeticError:  # v1 is not an eigenvector of M^p
+            mu = None
+        if mu is not None and mu * v2 == v1.scaled(b) + v2.scaled(d):
+            if mu.norm2_int() == r ** p:
+                analysis.eigen, analysis.eigen_period, analysis.eigen_ok = mu, p, True
+            break
+        power = tuple(tuple(sum(map(mul, row, col)) for col in zip(*mat)) for row in power)
     return analysis
-
-
-def _eigen_analysis(cs: CurveSet, r: int, out: ScaleAnalysis) -> None:
-    """Set ``out.eigen`` from the period matrix M, or ``out.undetermined``.
-
-    An element of Z[zeta] is fixed by its images under one Galois map
-    zeta -> zeta^k per complex-conjugate pair: its power-basis coefficients
-    solve a real phi(n) x phi(n) system.  An eigenvalue lambda is a root of
-    the characteristic polynomial chi of M, and sigma_k(lambda) a root of
-    sigma_k(chi) of the same squared modulus order^p.  So a dominant root
-    of chi and one root on that circle per other embedding, solved for and
-    rounded, make a candidate, and only the exact checks accept it.
-    chi(lambda) = +-det(M - lambda*I), so chi(lambda) = 0 decides the
-    eigenvalue exactly; since Z[zeta] is an integral domain and lambda is
-    not 0, the factors x stripped from chi do not change the answer.
-    """
-    n = cs.n
-    periodic = _period_matrix(cs)
-    if periodic is None:
-        out.undetermined = (
-            "net turns of the iterates do not repeat within "
-            f"{_TURN_PERIOD_LEVELS * n + 1} levels")
-        return
-    prod_mat, period = periodic
-    poly = charpoly(prod_mat, n)
-    while not any(poly[-1]):  # roots at zero are never the answer
-        poly.pop()
-    if len(poly) == 1:
-        out.undetermined = "the displacement matrix is nilpotent"
-        return
-    target = r ** period
-    circle = math.sqrt(target)
-    choices = []
-    for k in embedding_reps(n):
-        clusters = _root_clusters([embed_vec(galois_apply(c, k, n), n) for c in poly])
-        if clusters is None:
-            out.undetermined = (
-                f"root finder did not converge in {_ROOT_ITERATIONS} iterations")
-            return
-        if k == 1:  # the clusters that may hold a root of largest modulus
-            top = max(lo for _, lo, _ in clusters)
-            clusters = [cl for cl in clusters if cl[2] >= top]
-        # sigma_k(lambda) has the rational squared modulus order^p as well
-        choices.append([z for zs, lo, hi in clusters if lo <= circle <= hi for z in zs])
-    tried = set()
-    found = []
-    for zs in product(*choices):
-        coeffs = round_from_embeddings(zs, n)
-        if coeffs in tried:
-            continue
-        tried.add(coeffs)
-        cand = Point(n, coeffs)
-        if cand.norm2_int() == target and not any(poly_eval(poly, coeffs, n)):
-            found.append(cand)
-    if found:
-        out.eigen = min(found, key=lambda lam: _argument(lam.to_complex()))
-        out.eigen_period = period
-        out.eigen_ok = True
-
-
-def _period_matrix(cs: CurveSet) -> tuple[list[list[tuple]], int] | None:
-    """Product of the exact displacement matrices over one period of the
-    net turns of the iterates, with that period; None when the turns do
-    not repeat within the period bound.
-
-    The matrix of level lv sums, per child of X's lv-th iterate, the unit
-    vector of the child's direction into entry (X, child letter), so it
-    reads the directions of the direction-0 rows of ``_iterates``.
-    """
-    n = cs.n
-    letters = cs.letters
-    levels = []  # levels 1, 2, ... of the table
-    seen = []  # their net turns, in letter order
-    for level in islice(_iterates(cs), 1, _TURN_PERIOD_LEVELS * n + 2):
-        levels.append(level)
-        turns = tuple(level[X][1] for X in letters)
-        if turns in seen:
-            k0 = seen.index(turns)
-            break
-        seen.append(turns)
-    else:
-        return None
-    period = len(seen) - k0
-    # level k0 + 1 + p turns as level k0 + 1 does, so the rows of the levels
-    # k0 + 2 up to the repeat use one period of turns
-    unit = unit_coeffs(n)
-    zerov = (0,) * phi(n)
-
-    def mat_mul(a, b):
-        cols = list(zip(*b))
-        return [[dot_vec(row, col, n) for col in cols] for row in a]
-
-    prod_mat = None
-    for level in levels[k0 + 1:]:
-        m_lv = [[zerov for _ in letters] for _ in letters]
-        for xi, X in enumerate(letters):
-            for Y, d, _, _ in level[X][2]:
-                yi = letters.index(Y)
-                m_lv[xi][yi] = add_vec(m_lv[xi][yi], unit[d])
-        prod_mat = m_lv if prod_mat is None else mat_mul(m_lv, prod_mat)
-    return prod_mat, period
-
-
-def _root_clusters(coeffs: list[complex]) -> list[tuple[list[complex], float, float]] | None:
-    """Roots of a monic polynomial (leading coefficient first), as clusters
-    of approximations with an interval that holds the moduli of their roots;
-    None when ``_ROOT_ITERATIONS`` Durand-Kerner sweeps do not settle them.
-
-    An approximation is settled once its residual is within the rounding
-    error of Horner's rule, which approximations of a multiple root reach
-    too.  The disc of radius d*|W_i| around approximation z_i, where W_i is
-    its Weierstrass correction p(z_i) / prod(z_i - z_j), holds a root, and
-    a connected union of k such discs holds exactly k roots (Gerschgorin's
-    theorem on diag(z) - 1*W^T, whose characteristic polynomial is p).  Each
-    cluster is one such union, so a multiple root is one cluster.
-    """
-    d = len(coeffs) - 1
-    radius = 1 + max(abs(c) for c in coeffs[1:])
-    zs = [radius * (0.4 + 0.9j) ** i for i in range(d)]
-    eps = 16 * d * 2.0 ** -52
-
-    def residual(z: complex) -> tuple[complex, float]:
-        val, bound = 0j, 0.0
-        for c in coeffs:
-            val = val * z + c
-            bound = bound * abs(z) + abs(c)
-        return val, eps * bound
-
-    def others(i: int, z: complex) -> complex:
-        den = 1 + 0j
-        for j, w in enumerate(zs):
-            if j != i:
-                den *= z - w
-        return den
-
-    for _ in range(_ROOT_ITERATIONS):
-        settled = True
-        for i, z in enumerate(zs):
-            val, noise = residual(z)
-            if abs(val) > noise:
-                settled = False
-                den = others(i, z)
-                zs[i] = z - val / den if den else z + noise * 1j
-        if settled:
-            break
-    else:
-        return None
-    clusters: list[list[tuple[complex, float]]] = []
-    for i, z in enumerate(zs):
-        val, noise = residual(z)
-        den = abs(others(i, z))
-        disc = (z, d * max(abs(val), noise) / den if den else math.inf)
-        near, far = [], []
-        for cl in clusters:
-            touches = any(abs(z - w) <= disc[1] + rho for w, rho in cl)
-            (near if touches else far).append(cl)
-        clusters = far + [[disc] + [x for cl in near for x in cl]]
-    return [
-        ([z for z, _ in cl], min(abs(z) - rho for z, rho in cl),
-         max(abs(z) + rho for z, rho in cl))
-        for cl in clusters
-    ]
-
-
-def _argument(z: complex) -> float:
-    """Argument in [0, 2*pi), with rounding noise below zero read as 0."""
-    a = cmath.phase(z)
-    return a + 2 * math.pi if a < -1e-9 else max(a, 0.0)
 
 
 # -- aggregation -----------------------------------------------------------

@@ -171,6 +171,8 @@ def parse_word(text: str, n: int | None = None, double: bool = True,
         if not rest.startswith("^") or not rest[1:].strip().isdecimal():
             raise WordError("tile form needs an exponent: [word]^k", hi + 1)
         k = int(rest[1:])
+        if k < 1:
+            raise WordError("tile form needs an exponent >= 1", hi + 1)
     tokens: list = []
     i = lo
     while i < hi:

@@ -96,10 +96,31 @@ def test_validate_golden(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == pin, argv
 
 
+def test_validate_empty_coverage_disc_is_bad_input(capsys):
+    # a disc without edges, or a negative depth, used to pass sausage as
+    # ValidWithCaveats or end in a traceback
+    runs = [
+        (["catalog:sausage", "-k", "6", "-r", "0"],
+         "coverage disc of radius r=0.0 holds no edge"),
+        (["catalog:sausage", "-k", "6", "-r", "0.4"],
+         "coverage disc of radius r=0.4 holds no edge"),
+        (["catalog:sq-r5", "-k", "-1"], "coverage depth k must be >= 0, got -1"),
+    ]
+    for argv, why in runs:
+        assert cli.main(["validate", *argv]) == 1, argv
+        assert capsys.readouterr() == ("", f"error: {why}\n")
+
+
 def test_dimension_golden(capsys):
     assert cli.main(["dimension", "catalog:ju19"]) == 0
     out, err = capsys.readouterr()
     assert (out, err) == ("A 2.000000000\nB 2.000000000\n", "")
+
+
+def test_dimension_unknown_letter_names_the_argument(capsys):
+    assert cli.main(["dimension", "catalog:sq-r5", "--letter", "Z"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: --letter 'Z' is not a letter of 'sq-r5' (F)\n")
 
 
 def test_dimension_undetermined_at_the_iteration_bound(capsys, monkeypatch):
@@ -153,6 +174,11 @@ def test_search_curves_golden(capsys):
     assert out.count("curveset found-") == 8
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "f63e4dfd1be1d265857e809cfb78bcc2197760db9ff773fe9654b1f33ea819d1")
+
+
+def test_search_curves_negative_order_names_the_argument(capsys):
+    assert cli.main(["search-curves", "--grid", "square", "--order", "-3"]) == 1
+    assert capsys.readouterr() == ("", "error: --order must be >= 0, got -3\n")
 
 
 def test_search_curves_budget_exceeded(capsys):

@@ -17,19 +17,13 @@ from gridcurve.exactgeom import (
     Point,
     StrokeSet,
     canonicalize,
-    charpoly,
     cyclotomic,
     embed_vec,
-    embedding_reps,
-    galois_apply,
-    mul_vec,
     normalize_turn,
     phi,
-    poly_eval,
     ring_div_exact,
     rotate_vec,
     rotations,
-    round_from_embeddings,
     trace_tokens,
     unit_coeffs,
 )
@@ -254,74 +248,6 @@ def test_lattice_examples():
         Lattice(Point(4, (0, 0)), Point(4, (0, 0)))
     with pytest.raises(ValueError, match="mixed"):
         Lattice(Point(4, (1, 0)), Point(6, (0, 1)))
-
-
-def _leibniz_det(mat, n):
-    """det over Z[zeta] by the permutation expansion, as a reference."""
-    size = len(mat)
-    total = (0,) * phi(n)
-    for perm in itertools.permutations(range(size)):
-        term = unit_coeffs(n)[0]
-        for i, j in enumerate(perm):
-            term = mul_vec(term, mat[i][j], n)
-        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-        sign = -1 if inversions % 2 else 1
-        total = tuple(t + sign * c for t, c in zip(total, term))
-    return total
-
-
-@pytest.mark.parametrize("n", NS)
-def test_charpoly_matches_determinant(n):
-    rng = random.Random(n)
-    deg = phi(n)
-    one = unit_coeffs(n)[0]
-    for size in (1, 2, 3, 4):
-        mat = [[tuple(rng.randint(-2, 2) for _ in range(deg)) for _ in range(size)]
-               for _ in range(size)]
-        poly = charpoly(mat, n)
-        assert len(poly) == size + 1 and poly[0] == one
-        for _ in range(3):
-            lam = tuple(rng.randint(-3, 3) for _ in range(deg))
-            value = poly_eval(poly, lam, n)
-            shifted = [[tuple((lam[k] if i == j else 0) - mat[i][j][k] for k in range(deg))
-                        for j in range(size)] for i in range(size)]
-            assert value == _leibniz_det(shifted, n)
-
-
-def test_poly_eval_on_triangular_charpolys():
-    # chi of an upper-triangular matrix is the product of the x - d_i over
-    # its diagonal: zero at each d_i, and that product at any other point
-    n = 12
-    rng = random.Random(12)
-    zero, one = (0,) * phi(n), unit_coeffs(n)[0]
-    for size in (1, 2, 3, 4, 5):
-        mat = [[tuple(rng.randint(-3, 3) for _ in range(phi(n))) if j >= i else zero
-                for j in range(size)] for i in range(size)]
-        diag = [mat[i][i] for i in range(size)]
-        poly = charpoly(mat, n)
-        for d in diag:
-            assert poly_eval(poly, d, n) == zero
-        for _ in range(5):
-            x = tuple(rng.randint(-4, 4) for _ in range(phi(n)))
-            want = one
-            for d in diag:
-                want = mul_vec(want, tuple(a - b for a, b in zip(x, d)), n)
-            assert poly_eval(poly, x, n) == want
-    i = unit_coeffs(n)[3]
-    assert poly_eval([one, zero, one], i, n) == zero  # x^2 + 1 at i
-    assert poly_eval([], i, n) == zero
-
-
-@pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 9, 12])
-def test_round_from_embeddings_recovers_ring_elements(n):
-    rng = random.Random(100 + n)
-    assert embedding_reps(n)[0] == 1 and 2 * len(embedding_reps(n)) == phi(n)
-    for _ in range(50):
-        a = tuple(rng.randint(-40, 40) for _ in range(phi(n)))
-        images = [embed_vec(galois_apply(a, k, n), n) for k in embedding_reps(n)]
-        assert round_from_embeddings(images, n) == a
-        nudged = [z + 0.01 * cmath.exp(1j * rng.random() * 6.3) for z in images]
-        assert round_from_embeddings(nudged, n) == a
 
 
 def push_walk(strokes: StrokeSet, edges, prev_d=None) -> list:

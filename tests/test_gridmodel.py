@@ -279,6 +279,21 @@ def test_translation_lattice_cached_for_torus_builds(monkeypatch):
     assert (first.v1, first.v2) == (again.v1, again.v2) == grid.translation_lattice
 
 
+def test_lattice_walks_reach_the_translates_over_grid_edges(all_grids):
+    # each walk crosses edges of the realized grid, with their letters, one
+    # after another from the origin, and ends at its lattice vector
+    for name, grid in all_grids.items():
+        n, units = grid.n, unit_coeffs(grid.n)
+        patch = realize(grid, 14)
+        for v, walk in zip(grid.translation_lattice, grid.lattice_walks):
+            pos = (0,) * phi(n)
+            for sign, L, k in walk:
+                tail = pos if sign > 0 else tuple(a - b for a, b in zip(pos, units[k]))
+                assert patch.edges[(tail, k)] == L, name
+                pos = add_vec(tail, units[k]) if sign > 0 else tail
+            assert pos == v.coeffs, name
+
+
 def test_translation_lattice_square():
     v1, v2 = detect_translation_lattice(catalog.grid("square"))
     z1, z2 = v1.to_complex(), v2.to_complex()

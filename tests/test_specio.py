@@ -20,12 +20,20 @@ def test_parse_3446_transitions():
     assert g.backward[(-3, "B")] == "A"
 
 
+def test_axiom_item_fails_at_its_token():
+    with pytest.raises(ParseError) as exc:
+        parse("grid h { turn = 12; letters = A; transitions = A++A }\n"
+              "axiom ring = [A++]^6\n")
+    assert (exc.value.line, exc.value.col) == (2, 1)
+    assert "expected 'grid' or 'curveset', found 'axiom'" in str(exc.value)
+
+
 def test_tile_word_semantics():
     doc = parse(
         "grid h { turn = 12; letters = A; transitions = A++A }\n"
-        "axiom ring = [A++]^6\n"
+        "curveset ring on h { A |--> [A++]^6 }\n"
     )
-    w = doc.axioms()["ring"].word
+    w = doc.curvesets()["ring"].production("A")
     assert w.nletters() == 6
     assert w.turns() == [2] * 6
     assert isinstance(w.tokens[-1], int)
@@ -183,11 +191,15 @@ INVALID_INPUTS = [
      "curveset c on g { F --> F }", 2, 21),
     ("grid g { turn = 4; letters = F; transitions = F+F }\n"
      "curveset c on g { F |--> F?F }", 2, 27),
-    ("axiom a = [F+^6", 1, 11),
-    ("axiom a = [F+]6", 1, 15),
-    ("axiom a = [F+]^x", 1, 16),
-    ("axiom a = [F+]^0", 1, 16),
-    ("axiom a =", 1, 10),
+    ("grid g { turn = 4; letters = F; transitions = F+F }\n"
+     "curveset c on g { F |--> [F+^6 }", 2, 31),
+    ("grid g { turn = 4; letters = F; transitions = F+F }\n"
+     "curveset c on g { F |--> [F+]6 }", 2, 30),
+    ("grid g { turn = 4; letters = F; transitions = F+F }\n"
+     "curveset c on g { F |--> [F+]^x }", 2, 30),
+    ("grid g { turn = 4; letters = F; transitions = F+F }\n"
+     "curveset c on g { F |--> [F+]^0 }", 2, 30),
+    ("axiom a =", 1, 1),
     ("grid g { turn = 4; letters = F; transitions = F+F }\n"
      "grid g { turn = 4; letters = F; transitions = F+F }", 2, 6),
     ("grid g { turn = 4; letters = F; transitions = F+F }\n"
@@ -233,7 +245,7 @@ def test_invalid_inputs_rejected(text):
      "curveset c on g { F |--> F+F+++F }", 2, 29),
     ("grid g { turn = 4; letters = F; transitions = F+-F }", 1, 49),
     ("grid g { turn = 4; letters = F; transitions = F+F }\n"
-     "axiom a = [F+F?]^2", 2, 15),
+     "curveset c on g { F |--> [F+F?]^2 }", 2, 30),
 ])
 def test_word_errors_point_at_the_character(text, line, col):
     with pytest.raises(ParseError) as exc:

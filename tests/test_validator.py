@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import json
@@ -13,9 +14,8 @@ import pytest
 from gridcurve import catalog, gridmodel, validator
 from gridcurve.exactgeom import (
     Point,
-    charpoly,
+    add_vec,
     embed_vec,
-    poly_eval,
     rotations,
     trace_tokens,
     unit_coeffs,
@@ -29,14 +29,13 @@ from gridcurve.gridmodel import (
     prototiles,
     realize,
 )
-from gridcurve.lsystem import CurveSet, UnequalRowSums, expand, order, subst_matrix
+from gridcurve.lsystem import CurveSet, UnequalRowSums, expand, expand_tagged, order, subst_matrix
 from gridcurve.validator import (
     INVALID,
     VALID,
     VALID_WITH_CAVEATS,
     _covered,
     _iterates,
-    _period_matrix,
     check_coverage,
     check_dekking1,
     check_grid_consistent,
@@ -45,6 +44,7 @@ from gridcurve.validator import (
     is_invalid,
     scale_analysis,
     validate,
+    vertex_map,
 )
 from gridcurve.words import Word, parse_word
 
@@ -385,6 +385,16 @@ def test_coverage_raises_on_every_call_for_a_contradictory_coloring():
             check_coverage(cs, 2, 3.0)
 
 
+def test_coverage_rejects_a_negative_depth_and_an_empty_disc():
+    cs = catalog.curveset("sausage")
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        check_coverage(cs, -1, 3.0)
+    for r in (0.0, 0.4):  # the nearest edge midpoints lie at 1/2
+        with pytest.raises(ValueError, match="holds no edge"):
+            check_coverage(cs, 6, r)
+    assert check_coverage(cs, 6, 0.5).total > 0
+
+
 def test_target_disc_realized_once_per_radius(monkeypatch):
     base = catalog.grid("square")
     grid = GridSpec(base.name, base.n, base.letters, base.transitions)
@@ -426,11 +436,16 @@ def test_scale_eigen_ju19():
     assert sa.eigen.norm2_int() == 19
 
 
-def test_scale_eigen_folding_period_two():
-    sa = scale_analysis(catalog.curveset("fold-r9"))
+def test_scale_eigen_folding_u_turn():
+    # both productions turn by a U-turn, so phi reverses every edge and
+    # -3 acts on the lattice already; (-3)^2 = 9 is the square of period 2
+    cs = catalog.curveset("fold-r9")
+    sa = scale_analysis(cs)
     assert not sa.strong
-    assert sa.eigen_ok and sa.eigen_period == 2
-    assert sa.eigen.norm2_int() == 81
+    assert {cs.production(X).net_turn() % 4 for X in cs.letters} == {2}
+    assert vertex_map(cs) == ((-3, 0), (0, -3))
+    assert sa.eigen_ok and sa.eigen_period == 1
+    assert sa.eigen == Point(4, (-3, 0))
 
 
 def test_scale_fold_r5_mismatch():
@@ -442,11 +457,11 @@ def test_scale_fold_r5_mismatch():
 
 
 def test_scale_eigen_pinned(monkeypatch):
-    # every catalog curve-set that reaches the exact-eigenvalue fallback
+    # every catalog curve-set that reaches the vertex-map fallback
     reached = []
-    inner = validator._eigen_analysis
-    monkeypatch.setattr(validator, "_eigen_analysis",
-                        lambda cs, r, out: (reached.append(cs.name), inner(cs, r, out)))
+    inner = validator.vertex_map
+    monkeypatch.setattr(validator, "vertex_map",
+                        lambda cs: (reached.append(cs.name), inner(cs))[1])
     got = {}
     for entry in catalog.CURVE_ENTRIES:
         sa = scale_analysis(catalog.curveset(entry.name))
@@ -455,22 +470,123 @@ def test_scale_eigen_pinned(monkeypatch):
     doc = json.loads(Path(__file__).with_name("scale_eigen.json").read_text())
     assert len(got) == 26
     assert got == doc["pins"]
-    assert set(doc["changed"]) == {"3464-fhg-r9"}
+    assert set(doc["changed"]) == {
+        "3464-fhg-r9", "fold-r9", "sq-set-r3", "sq-set-r4", "trihex-set6-r16"}
 
 
-def test_scale_eigen_conjugate_pair_smallest_argument():
-    # 3*zeta^2 and 3*zeta^10 are both dominant, of squared modulus 9
-    cs = catalog.curveset("3464-fhg-r9")
-    mat, period = _period_matrix(cs)
-    assert period == 1
-    pair = [Point(12, unit_coeffs(12)[k]).scaled(3) for k in (2, 10)]
-    for lam in pair:
-        assert lam.norm2_int() == 9
-        assert not any(poly_eval(charpoly(mat, 12), lam.coeffs, 12))
+def test_scale_eigen_sixth_power():
+    # M has trace 3 and determinant 3, so its eigenvalues are sqrt(3) times
+    # sixth roots of unity: M^6 = -27, and no smaller power is scalar
+    cs = catalog.curveset("sq-set-r3")
+    assert vertex_map(cs) == ((1, -1), (1, 2))
     sa = scale_analysis(cs)
-    assert sa.eigen_ok and sa.eigen == pair[0]
+    assert sa.eigen_ok and sa.eigen_period == 6
+    assert sa.eigen == Point(4, (-27, 0))
+
+
+def test_scale_eigen_conjugate_pair_is_the_complex_multiplication():
+    # M has trace 3 and determinant 9: its eigenvalues are the conjugate
+    # pair 3*zeta^2 and 3*zeta^10, and phi multiplies the lattice by the
+    # first
+    cs = catalog.curveset("3464-fhg-r9")
+    (a, b), (c, d) = vertex_map(cs)
+    assert (a + d, a * d - b * c) == (3, 9)
+    sa = scale_analysis(cs)
+    assert sa.eigen_ok and sa.eigen == Point(12, unit_coeffs(12)[2]).scaled(3)
     assert sa.eigen.coeffs == (0, 0, 3, 0)
+    assert sa.eigen_period == 1
     assert sa.undetermined is None
+
+
+def test_sq_set_r4_vertex_map_is_the_same_along_its_letter_cycle():
+    # the first iterate of sq-set-r4 carries the grid's letters shifted by
+    # the cycle A -> D -> C -> B -> A, so level k + 1 of its iterates
+    # places the productions shifted k times; every shift has the same
+    # vertex map, so the scale eigenvalue 2 holds at every level
+    cs = catalog.curveset("sq-set-r4")
+    shift = dict(zip("ABCD", "DABC"))
+    letters = {X: X for X in cs.letters}
+    for _ in range(4):
+        twin = CurveSet.make(cs.name, cs.grid,
+                             {X: cs.production(letters[X]) for X in cs.letters})
+        assert vertex_map(twin) == ((2, 0), (0, 2))
+        letters = {X: shift[Y] for X, Y in letters.items()}
+    sa = scale_analysis(cs)
+    assert sa.eigen_ok and sa.eigen == Point(4, (2, 0)) and sa.eigen_period == 1
+
+
+def vertex_images(cs: CurveSet, radius: float) -> dict[tuple, tuple]:
+    """phi of vertex_map on every vertex of the grid edges whose tails lie
+    within radius, from a breadth-first walk that carries phi and the net
+    turn T across every transition at heads and tails, as a reference."""
+    grid, n = cs.grid, cs.n
+    units = unit_coeffs(n)
+    turn = {X: cs.production(X).net_turn() for X in cs.letters}
+    step = {X: rotations(cs.displacement(X).coeffs, n) for X in cs.letters}
+    origin = (0,) * len(units[0])
+    image = {origin: origin}
+    state = {(origin, 0): (grid.seed_letter(), 0)}  # edge -> (letter, T)
+    frontier = [(origin, 0)]
+    while frontier:
+        reached = []
+        for pos, k in frontier:
+            letter, T = state[(pos, k)]
+            head = add_vec(pos, units[k])
+            image.setdefault(head, add_vec(image[pos], step[letter][(k + T) % n]))
+            near = [((head, (k + t) % n), grid.forward[(letter, t)], T + turn[letter])
+                    for t in grid.turns_from[letter]]
+            for tr in grid.arrivals[letter]:
+                k0 = (k - tr.turn) % n
+                T0 = T - turn[tr.src]
+                tail = tuple(a - b for a, b in zip(pos, units[k0]))
+                image.setdefault(tail, tuple(
+                    a - b for a, b in zip(image[pos], step[tr.src][(k0 + T0) % n])))
+                near.append(((tail, k0), tr.src, T0))
+            for edge, letter2, T2 in near:
+                if edge not in state:
+                    state[edge] = (letter2, T2)
+                    if abs(embed_vec(edge[0], n)) <= radius:
+                        reached.append(edge)
+        frontier = reached
+    return image
+
+
+@pytest.mark.parametrize("name", GRID_SETS)
+def test_vertex_map_sends_the_first_iterate_onto_the_second(name):
+    # phi maps every vertex of the first iterate of the seed letter onto
+    # the tail of that edge's first child in the second iterate, and it
+    # commutes with the lattice translations by the matrix vertex_map gives
+    cs = catalog.curveset(name)
+    grid, n = cs.grid, cs.n
+    seed = grid.seed_letter()
+    end, _, first = trace_tokens(expand(cs, Word((seed,)), 1).tokens, n)
+    # the second iterate expands the first iterate's own letters, which
+    # are the grid's up to a letter map: a cycle on sq-set-r4, else none
+    arrival = grid.arrivals[seed][0]
+    carried = grid_letters(grid, first, arrival.src, -arrival.turn)
+    letter_map = {X: L for X, (_, _, L) in zip(carried, first)}
+    assert [letter_map[X] for X in carried] == [L for _, _, L in first]
+    moved = {X: L for X, L in letter_map.items() if X != L}
+    assert moved == ({"A": "D", "B": "A", "C": "B", "D": "C"} if name == "sq-set-r4" else {})
+    twin = CurveSet.make(name, grid, {X: cs.production(letter_map.get(X, X))
+                                      for X in grid.letters})
+    word, tags = expand_tagged(cs, Word((seed,)), 2)
+    end2, _, second = trace_tokens(word.tokens, n)
+    child = {}
+    for (tail, _, _), i in zip(second, tags):
+        child.setdefault(i, tail)
+    radius = max(abs(embed_vec(p, n)) for p, _, _ in first) + 2
+    image = vertex_images(twin, radius)
+    assert [image[p] for p, _, _ in first] + [image[end]] == [
+        child[i] for i in range(len(first))] + [end2]
+
+    (a, b), (c, d) = vertex_map(cs)
+    v1, v2 = grid.translation_lattice
+    image = vertex_images(cs, radius)
+    for v, w in ((v1, v1.scaled(a) + v2.scaled(c)), (v2, v1.scaled(b) + v2.scaled(d))):
+        shifted = [(u, add_vec(u, v.coeffs)) for u in image if add_vec(u, v.coeffs) in image]
+        assert len(shifted) >= 2
+        assert all(image[uv] == add_vec(image[u], w.coeffs) for u, uv in shifted)
 
 
 def _period_one_eigen_sets() -> list[str]:
@@ -491,7 +607,7 @@ PERIOD_ONE_EIGEN_SETS = _period_one_eigen_sets()
 
 
 def test_period_one_eigen_sets_include_the_large_orders():
-    assert {"3464-r9", "ju19", "3464-r37", "d31212-r27"} <= set(PERIOD_ONE_EIGEN_SETS)
+    assert {"3464-r9", "ju19", "3464-r37", "d31212-r27", "fold-r9"} <= set(PERIOD_ONE_EIGEN_SETS)
 
 
 @pytest.mark.parametrize("name", PERIOD_ONE_EIGEN_SETS)
@@ -502,69 +618,38 @@ def test_scale_eigen_of_second_iterate_is_the_square(name):
         f"{name}^2", cs.grid, {X: expand(cs, Word((X,)), 2) for X in cs.letters}, cs.turn)
     assert order(twice) == order(cs) ** 2
     sa = scale_analysis(twice)
+    if sa.strong:  # fold-r9: the U-turns cancel in the square
+        assert sa.common_lambda == lam * lam
+        return
     assert sa.eigen_ok, sa.undetermined
     assert sa.eigen == lam * lam
     assert sa.eigen_period == 1
 
 
-@pytest.mark.parametrize("roots", [
-    [3, 3, 3, 3, 1, 1],
-    [3, 3, 3, 3, 3, 3],
-    [3j, -3j, 3, -3, 1, 1],
-    [2 + 1j, 2 + 1j, 2 + 1j, 2 - 1j, 0.5],
-    [5, -4, 1],
-])
-def test_root_clusters_hold_multiple_roots(roots):
-    coeffs = [1 + 0j]
-    for r in roots:  # expand prod(x - r), leading coefficient first
-        coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
-    clusters = validator._root_clusters(coeffs)
-    assert sum(len(zs) for zs, _, _ in clusters) == len(roots)
-    for r in set(roots):
-        holding = [(zs, lo, hi) for zs, lo, hi in clusters
-                   if lo <= abs(r) <= hi and min(abs(z - r) for z in zs) < 0.05]
-        assert len(holding) == 1
-        assert len(holding[0][0]) == roots.count(r)
-
-
-def test_root_clusters_iteration_bound(monkeypatch):
-    monkeypatch.setattr(validator, "_ROOT_ITERATIONS", 3)
-    assert validator._root_clusters([1, -12, 54, -108, 81]) is None  # (x - 3)^4
-
-
-def test_scale_undetermined_turn_period():
-    # net turns mod 3 run through 24 distinct vectors before repeating
-    prods = {
-        "A": Word(("C",)),
-        "B": Word(("B", "C")),
-        "C": Word(("A", 1, "A", "A", "A", "B", "B", "B", "C", "C")),
-    }
-    sa = scale_analysis(CurveSet.make("long-period", None, prods, 3))
-    assert not sa.strong and not sa.eigen_ok
-    assert sa.undetermined == "net turns of the iterates do not repeat within 13 levels"
-
-
-def test_scale_undetermined_nilpotent_matrix():
-    # F, U-turn, F: the two edges cancel, so the displacement matrix is zero
-    cs = CurveSet.make("there-and-back", None, {"A": Word(("A", 2, "A", 2))}, 4)
-    assert _period_matrix(cs) == ([[(0, 0)]], 1)
-    sa = scale_analysis(cs)
-    assert sa.undetermined == "the displacement matrix is nilpotent"
-    assert not sa.eigen_ok
-
-
-@pytest.mark.parametrize("knob, why", [
-    ("_ROOT_ITERATIONS", "root finder did not converge in 0 iterations"),
-    ("_TURN_PERIOD_LEVELS", "net turns of the iterates do not repeat within 1 levels"),
-])
-def test_validate_reports_undetermined_scale(monkeypatch, knob, why):
-    before = validate(catalog.curveset("ju19"))
-    monkeypatch.setattr(validator, knob, 0)
-    report = validate(catalog.curveset("ju19"))
-    assert not report.scale.eigen_ok
-    assert report.scale.undetermined == why
+def test_scale_undetermined_when_a_face_does_not_close():
+    # both displacements are 1 + i, but the turn each production carries
+    # rotates the square face's four images into one direction
+    grid = catalog.grid("sq-lr")
+    cs = CurveSet.make("open-face", grid, {"L": parse_word("L+R", 4), "R": parse_word("R+L", 4)})
+    why = "the first iterate of the face L-R-L-R- does not close"
+    assert vertex_map(cs) == why
+    report = validate(cs)
+    assert report.scale.undetermined == why and not report.scale.eigen_ok
     assert f"scale eigenvalue undetermined: {why}" in report.reasons
     assert not any(r.startswith("no common displacement") for r in report.reasons)
+
+
+def test_scale_undetermined_without_a_translation_lattice(monkeypatch):
+    # lattice detection on patches too small to hold two translations
+    cs = catalog.curveset("ju19")
+    before = validate(cs)
+    monkeypatch.setattr(gridmodel, "_LATTICE_RADII", (2,))
+    fresh = CurveSet.make(cs.name, dataclasses.replace(cs.grid), cs.prod)
+    why = f"could not detect two independent translations for {cs.grid.name!r}"
+    assert vertex_map(fresh) == why
+    report = validate(fresh)
+    assert report.scale.undetermined == why and not report.scale.eigen_ok
+    assert f"scale eigenvalue undetermined: {why}" in report.reasons
     assert report.verdict == before.verdict
 
 
@@ -591,10 +676,12 @@ def test_is_invalid_matches_validate_on_catalog():
     # both answers occur: the two Invalid entries fail only coverage
     assert kinds == {VALID, VALID_WITH_CAVEATS, INVALID}
     # every report of the catalog, pinned before validate lost its
-    # dekking_form parameter
+    # dekking_form parameter; re-pinned when the scale fallback moved to the
+    # vertex map, which changed one reason line each of fold-r9, sq-set-r3,
+    # sq-set-r4 and trihex-set6-r16 and nothing else
     assert len(reports) == 66
     assert hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest() == (
-        "3d743ed5ab686b0167ddb0f26e78cac40da0c3dc46597c87483f7b350fd58a64")
+        "a65736e61cfd20466b84a4d8a4b37eefa07df391f39791509553a3c47a3f7fec")
 
 
 def relabelled(cs: CurveSet) -> CurveSet:
@@ -616,7 +703,8 @@ def test_verdict_invariant_under_letter_relabelling():
         cov, scale = rep.coverage, rep.scale
         return (rep.verdict, rep.order, rep.scale_consistent,
                 None if cov is None else (cov.missing, cov.total, cov.rising_aspect),
-                scale and (scale.common_turn, scale.strong, scale.eigen_ok, scale.undetermined))
+                scale and (scale.common_turn, scale.strong, scale.eigen_ok, scale.eigen,
+                           scale.eigen_period, scale.undetermined))
 
     for name in GRID_SETS:
         cs = catalog.curveset(name)

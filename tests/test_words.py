@@ -30,7 +30,7 @@ def test_parse_tile_form():
 
 
 @pytest.mark.parametrize("text,offset", [
-    ("[F+", 3), ("[F+]^x", 4), ("[F+]^-2", 4), ("F+F?", 3), ("F+-F", 2),
+    ("[F+", 3), ("[F+]^x", 4), ("[F+]^-2", 4), ("[F+]^0", 4), ("F+F?", 3), ("F+-F", 2),
 ])
 def test_word_errors_carry_the_offset(text, offset):
     with pytest.raises(WordError) as exc:
