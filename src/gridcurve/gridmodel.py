@@ -8,15 +8,20 @@ holds, per letter and side, the turn that continues the face, the face's
 boundary word, and its exact edges and vertex sum from an edge in each
 direction.  Prototiles, face instances and face centres come from that
 table, and ``grid_letters`` carries the grid's letters along a traced path.
-Realizing a grid walks the transitions outward from a seed edge, through
-the edges within a Euclidean radius, and assigns a letter to every directed
-edge it reaches.  It serves ``detect_translation_lattice`` (cached as
-``GridSpec.translation_lattice``) and ``GridSpec.target_disc``, which
-realizes once per grid and radius r the disc of edges within r that the
-coverage check must see covered.  ``GridSpec.lattice_walks`` holds, per
-basis vector of that lattice, a shortest walk of edges from the seed edge
-to its translate, along which ``validator.vertex_map`` carries a
-curve-set's first iterate.
+For the same reason one edge's letter decides the letter of every edge
+reachable from it, and ``closure`` walks the transitions breadth-first
+from a seed edge to find them, raising InconsistentColoring where two
+letters meet on one edge.  Its three uses: ``realize`` closes out to a
+Euclidean radius; ``detect_translation_lattice`` (cached as
+``GridSpec.translation_lattice``) closes modulo a candidate lattice, a
+finite quotient whose closing proves the lattice exactly; and
+``search.TorusPatch`` closes modulo a multiple of that lattice.
+``GridSpec.target_disc`` realizes once per grid and radius r the disc of
+edges within r that the coverage check must see covered.
+``GridSpec.lattice_walks`` holds, per basis vector of the lattice, a
+shortest walk of edges from the seed edge to its translate, read back
+along a realized patch's levels, along which ``validator.vertex_map``
+carries a curve-set's first iterate.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from operator import add
 from typing import NamedTuple
 
 from .exactgeom import (
+    Lattice,
     Point,
     add_vec,
     embed_vec,
@@ -133,7 +139,12 @@ class GridSpec:
 
     @cached_property
     def lattice_walks(self) -> tuple[tuple[tuple[int, str, int], ...], ...]:
-        return _lattice_walks(self)
+        """For each basis vector v of the translation lattice, the steps of
+        a walk from the seed edge to its translate by v (``Patch.walk``),
+        on the patch in which ``detect_translation_lattice`` found both."""
+        lattice = self.translation_lattice
+        patch = realize(self, next(r for r in _LATTICE_RADII if abs(lattice[1]) <= r - 0.5))
+        return tuple(patch.walk((v.coeffs, 0)) for v in lattice)
 
     @cached_property
     def _target_discs(self) -> dict[float, "TargetDisc"]:
@@ -162,15 +173,16 @@ class GridSpec:
         pos, k = edge
         return [((tuple(map(add, pos, rots[k])), (d + k) % self.n), c) for rots, d, c in steps]
 
-    def face_center(self, edge: EdgeKey, letter: str, side: str) -> complex | None:
-        """Mean of the vertices of the face on one side of an edge; None
-        when the face does not close."""
+    def face_vertices(self, edge: EdgeKey, letter: str, side: str) -> tuple[tuple, int] | None:
+        """The exact sum of the vertices of the face on one side of an edge,
+        and their number, which give its centre; None when the face does
+        not close."""
         sums = self.face_table.vertex_sum.get((letter, side))
         if sums is None:
             return None
         m = len(self.face_table.word[(letter, side)]) // 2
         pos, k = edge  # sums[k] is read from an edge in direction k
-        return embed_vec(tuple(m * c + s for c, s in zip(pos, sums[k])), self.n) / m
+        return tuple(m * c + s for c, s in zip(pos, sums[k])), m
 
     def has_transition(self, src: str, turn: int, dst: str) -> bool:
         return self.forward.get((src, normalize_turn(turn, self.n))) == dst
@@ -337,29 +349,20 @@ def check_grid(spec: GridSpec) -> list[str]:
 
 
 class Patch:
-    """A realized disc of the grid: letters assigned to directed edges."""
+    """A realized disc of the grid: letters assigned to directed edges, in
+    the order ``closure`` reaches them, with each edge's breadth-first
+    level in ``depth``."""
 
-    def __init__(self, spec: GridSpec):
+    def __init__(self, spec: GridSpec, edges: dict[EdgeKey, str], depth: dict[EdgeKey, int]):
         self.spec = spec
         self.n = spec.n
-        self.edges: dict[EdgeKey, str] = {}
-        self.depth: dict[EdgeKey, int] = {}
+        self.edges = edges
+        self.depth = depth
         self.out_at: dict[tuple, list[EdgeKey]] = {}
+        for edge in edges:
+            self.out_at.setdefault(edge[0], []).append(edge)
         self._units = unit_coeffs(spec.n)
         self._faces: list["Face"] | None = None
-
-    # -- construction -------------------------------------------------
-
-    def _add(self, edge: EdgeKey, letter: str, depth: int) -> bool:
-        got = self.edges.get(edge)
-        if got is not None:
-            if got != letter:
-                raise InconsistentColoring(edge, got, letter)
-            return False
-        self.edges[edge] = letter
-        self.depth[edge] = depth
-        self.out_at.setdefault(edge[0], []).append(edge)
-        return True
 
     # -- queries ------------------------------------------------------
 
@@ -373,6 +376,26 @@ class Patch:
             t = normalize_turn(e2[1] - edge[1], self.n)
             out.append((t, e2))
         return out
+
+    def walk(self, edge: EdgeKey) -> tuple[tuple[int, str, int], ...]:
+        """The steps of a shortest walk in the patch from the seed edge to
+        ``edge``, read back along ``depth``: each edge before ``edge`` is a
+        neighbour of the next one level lower.
+
+        The walk follows a chain of edges, each joined to the next through
+        a transition, and stands on the tail of each in turn.  It moves on
+        to an edge leaving the head by crossing the current edge, (1,
+        letter, direction), and to an edge arriving at the tail by crossing
+        that edge backwards, (-1, letter, direction).
+        """
+        steps = []
+        while self.depth[edge]:
+            below, letter = self.depth[edge] - 1, self.edges[edge]
+            sign, before, L = next(
+                near for near in _near(self.spec, edge, letter) if self.depth.get(near[1]) == below)
+            steps.append((1, L, before[1]) if sign < 0 else (-1, letter, edge[1]))
+            edge = before
+        return tuple(reversed(steps))
 
     # -- faces ----------------------------------------------------------
 
@@ -443,42 +466,70 @@ def _midpoint_norm(edge: EdgeKey, n: int) -> float:
     return abs(embed_vec(pos, n) + embed_vec(unit_coeffs(n)[k], n) / 2)
 
 
-def realize(spec: GridSpec, radius: float) -> Patch:
-    """Breadth-first closure of the transitions out to a Euclidean radius.
+def _near(spec: GridSpec, edge: EdgeKey, letter: str) -> list[tuple[int, EdgeKey, str]]:
+    """The neighbours of an edge of ``letter`` through the transitions, with
+    the letters these force on them: (1, edge, letter) for each edge after
+    it at its head, in ``turns_from`` order, then (-1, edge, letter) for each
+    edge before it at its tail, in ``arrivals`` order."""
+    n, units = spec.n, unit_coeffs(spec.n)
+    pos, k = edge
+    head = add_vec(pos, units[k])
+    out = [(1, (head, (k + t) % n), spec.forward[(letter, t)]) for t in spec.turns_from.get(letter, ())]
+    for tr in spec.arrivals.get(letter, ()):
+        k0 = (k - tr.turn) % n
+        out.append((-1, (sub_vec(pos, units[k0]), k0), tr.src))
+    return out
+
+
+def closure(
+    spec: GridSpec, reduce=None, within=None, limit: int | None = None
+) -> tuple[dict[EdgeKey, str], dict[EdgeKey, int]]:
+    """Breadth-first closure of the transitions from the seed edge.
 
     The seed is the first alphabet letter, tail at the origin, direction 0.
-    Transitions are applied forward at heads and backward at tails of every
-    edge whose midpoint lies within ``radius`` of the origin, so the patch
-    holds those edges and their neighbours; ``Patch.depth`` holds each
-    edge's breadth-first level.  A contradiction among them raises
-    InconsistentColoring.
+    Each edge reached adds its neighbours (``_near``) with the letters the
+    transitions force on them, level by level.  Only the edges that
+    ``within`` accepts are expanded (all when it is None).  ``reduce`` maps
+    each tail to its representative modulo a lattice, so the closure is the
+    quotient of the grid by that lattice.  Returns the letters of the edges
+    in the order reached and each edge's breadth-first level.  Two letters
+    on one edge raise InconsistentColoring; more than ``limit`` edges raise
+    GridError.
     """
-    patch = Patch(spec)
     seed: EdgeKey = ((0,) * phi(spec.n), 0)
-    patch._add(seed, spec.seed_letter(), 0)
+    letters = {seed: spec.seed_letter()}
+    depth = {seed: 0}
     frontier = [seed]
-    n, units = spec.n, unit_coeffs(spec.n)
-    d = 0
+    level = 0
     while frontier:
-        d += 1
-        new_frontier: list[EdgeKey] = []
+        level += 1
+        reached = []
         for edge in frontier:
-            if _midpoint_norm(edge, n) > radius:
+            if within is not None and not within(edge):
                 continue
-            letter = patch.edges[edge]
-            pos, k = edge
-            head = add_vec(pos, units[k])
-            for t in spec.turns_from.get(letter, ()):
-                e2 = (head, (k + t) % n)
-                if patch._add(e2, spec.forward[(letter, t)], d):
-                    new_frontier.append(e2)
-            for tr in spec.arrivals.get(letter, ()):
-                k0 = (k - tr.turn) % n
-                e0 = (sub_vec(pos, units[k0]), k0)
-                if patch._add(e0, tr.src, d):
-                    new_frontier.append(e0)
-        frontier = new_frontier
-    return patch
+            for _, e2, letter in _near(spec, edge, letters[edge]):
+                if reduce is not None:
+                    e2 = (reduce(e2[0]), e2[1])
+                got = letters.get(e2)
+                if got is None:
+                    letters[e2] = letter
+                    depth[e2] = level
+                    reached.append(e2)
+                elif got != letter:
+                    raise InconsistentColoring(e2, got, letter)
+        if limit is not None and len(letters) > limit:
+            raise GridError(f"the closure of {spec.name!r} exceeds {limit} edges")
+        frontier = reached
+    return letters, depth
+
+
+def realize(spec: GridSpec, radius: float) -> Patch:
+    """The patch of the edges whose midpoints lie within ``radius`` of the
+    origin and their neighbours: the ``closure`` that expands exactly those
+    edges.  A contradiction among them raises InconsistentColoring.
+    """
+    n = spec.n
+    return Patch(spec, *closure(spec, within=lambda edge: _midpoint_norm(edge, n) <= radius))
 
 
 @dataclass(frozen=True)
@@ -541,107 +592,43 @@ def prototiles(spec: GridSpec) -> list[Prototile]:
 
 
 # Euclidean radii of the patches detect_translation_lattice tries, in order
-_LATTICE_RADII = (6, 9, 12)
+_LATTICE_RADII = (2, 3, 4, 6, 9, 12)
 
 
 def detect_translation_lattice(spec: GridSpec) -> tuple[Point, Point]:
     """Two shortest independent translations mapping the coloring onto itself.
 
-    Verified on the patch that ``realize`` grows to a Euclidean radius of
-    6, then of 9 and 12 while that fails, and the last failure is raised: a
-    translation v carries every edge whose tail lies within radius - |v| - 1
-    of the origin onto an edge of the same letter.
-    ``GridSpec.translation_lattice`` caches the result.  Torus construction
-    re-verifies it exactly, so a too-small patch fails loudly rather than
-    silently.
+    The transitions are deterministic, so the letter of one edge decides
+    the letters of all edges reachable from it.  If the coloring is
+    consistent and the edge (v, 0) carries the seed letter, the coloring
+    read from that edge is the seed's coloring translated by v, so v is a
+    translation.  The candidates are such edges of the patch that
+    ``realize`` grows to a radius r, with 0 < |v| <= r - 1/2 so that the
+    patch holds all of them; ordered by (|v|, coefficients), the first one
+    and the first one independent of it (exactly: v1 * conj(v2) is not
+    real) are taken.  r runs through ``_LATTICE_RADII`` until two are found.
+
+    The pair is proved by ``closure`` modulo the lattice it spans, a finite
+    quotient: every class has an edge with its tail within (|v1| + |v2|) / 2
+    of the origin, which the patch holds, so the patch's edge count bounds
+    it.  If it closes without a conflict, its letters lift to a consistent
+    coloring of the whole plane that v1 and v2 carry onto itself, and that
+    is the coloring the seed decides.  A conflict raises
+    InconsistentColoring: a consistent coloring would carry no conflict
+    into the quotient.
+    ``GridSpec.translation_lattice`` caches the result.
     """
+    n, seed = spec.n, spec.seed_letter()
     for radius in _LATTICE_RADII:
-        try:
-            return _lattice_on_patch(spec, radius)
-        except GridError as exc:
-            last = exc
-    raise last
-
-
-def _lattice_on_patch(spec: GridSpec, radius: float) -> tuple[Point, Point]:
-    patch = realize(spec, radius)
-    norms = {pos: abs(embed_vec(pos, spec.n)) for pos, _ in patch.edges}
-    candidates = sorted(
-        (Point(spec.n, pos) for (pos, k), letter in patch.edges.items()
-         if k == 0 and letter == spec.seed_letter() and any(pos) and norms[pos] <= radius - 1.5),
-        key=lambda p: (abs(p), p.coeffs))
-
-    def is_translation(v: Point) -> bool:
-        vk = v.coeffs
-        limit = radius - abs(v) - 1.0
-        if limit <= 0.5:
-            return False
-        inner = [(e, letter) for e, letter in patch.edges.items() if norms[e[0]] <= limit]
-        return bool(inner) and all(
-            patch.edges.get((add_vec(pos, vk), k)) == letter for (pos, k), letter in inner)
-
-    valid: list[Point] = []
-    for v in candidates:
-        if not is_translation(v):
-            continue
-        valid.append(v)
-        for u in valid[:-1]:
-            cross = (u.to_complex() * v.to_complex().conjugate()).imag
-            if abs(cross) > 1e-9:
-                return u, v
+        patch = realize(spec, radius)
+        found = sorted(
+            (Point(n, pos) for (pos, k), letter in patch.edges.items()
+             if k == 0 and letter == seed and any(pos) and abs(embed_vec(pos, n)) <= radius - 0.5),
+            key=lambda p: (abs(p), p.coeffs))
+        for v in found:
+            if found[0] * v.conjugate() != found[0].conjugate() * v:  # independent
+                closure(spec, Lattice(found[0], v).reduce, limit=len(patch.edges))
+                return found[0], v
     raise GridError(
         f"could not detect two independent translations for {spec.name!r}"
     )
-
-
-def _lattice_walks(spec: GridSpec) -> tuple[tuple[tuple[int, str, int], ...], ...]:
-    """For each basis vector v of the translation lattice, the steps of a
-    shortest walk from the seed edge to its translate by v.
-
-    The walk follows a chain of edges, each joined to the next through a
-    transition, and stands on the tail of each in turn.  It moves on to an
-    edge leaving the head by crossing the current edge, (1, letter,
-    direction), and to an edge arriving at the tail by crossing that edge
-    backwards, (-1, letter, direction).  The chain is breadth-first,
-    forward at heads and backward at tails as ``realize`` walks, over the
-    edges whose tails lie within max|v| + 1 of the origin; GridError when
-    that misses a translate.
-    """
-    n = spec.n
-    units = unit_coeffs(n)
-    seed = ((0,) * phi(n), 0)
-    lattice = spec.translation_lattice
-    radius = max(abs(v) for v in lattice) + 1
-    targets = [(v.coeffs, 0) for v in lattice]
-    came: dict[EdgeKey, tuple | None] = {seed: None}  # edge -> (edge before, step)
-    letters = {seed: spec.seed_letter()}
-    frontier = [seed]
-    while frontier and not all(t in came for t in targets):
-        reached = []
-        for edge in frontier:
-            pos, k = edge
-            letter = letters[edge]
-            head = add_vec(pos, units[k])
-            near = [((head, (k + t) % n), spec.forward[(letter, t)], (1, letter, k))
-                    for t in spec.turns_from[letter]]
-            for tr in spec.arrivals[letter]:
-                k0 = (k - tr.turn) % n
-                near.append(((sub_vec(pos, units[k0]), k0), tr.src, (-1, tr.src, k0)))
-            for edge2, letter2, crossed in near:
-                if edge2 not in came:
-                    came[edge2] = (edge, crossed)
-                    letters[edge2] = letter2
-                    if abs(embed_vec(edge2[0], n)) <= radius:
-                        reached.append(edge2)
-        frontier = reached
-    walks = []
-    for edge in targets:
-        if edge not in came:
-            raise GridError(f"no walk from the seed edge to its translate by {edge[0]} "
-                            f"within radius {radius:.3g} of {spec.name!r}")
-        walk = []
-        while came[edge] is not None:
-            edge, crossed = came[edge]
-            walk.append(crossed)
-        walks.append(tuple(reversed(walk)))
-    return tuple(walks)

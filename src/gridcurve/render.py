@@ -186,7 +186,8 @@ def render_line(
 
 def _face_centers(grid: GridSpec, edges) -> list[tuple[complex | None, complex | None]]:
     """Left and right face centers of every traced edge, from the face
-    table; None where the face never closes or is a digon.  The path
+    table, each computed once per face, keyed by its exact vertex sum and
+    size; None where the face never closes or is a digon.  The path
     starts at the tail of the grid's seed edge, and the grid's letters on
     it are carried from an edge that arrives there."""
     arrivals = grid.arrivals.get(grid.seed_letter())
@@ -195,14 +196,18 @@ def _face_centers(grid: GridSpec, edges) -> list[tuple[complex | None, complex |
     start = arrivals[0]
     letters = grid_letters(grid, edges, start.src, -start.turn)
     sense = grid.face_table.sense
-    out = []
-    for (pos, k, _), letter in zip(edges, letters):
-        out.append(tuple(
-            None if sense.get((letter, side)) == DIGON
-            else grid.face_center((pos, k), letter, side)
-            for side in (LEFT, RIGHT)
-        ))
-    return out
+    centres: dict = {None: None}  # (exact vertex sum, size) -> centre; None: no face
+
+    def centre(pos: tuple, k: int, letter: str, side: str) -> complex | None:
+        if sense.get((letter, side)) == DIGON:
+            return None
+        face = grid.face_vertices((pos, k), letter, side)
+        if face not in centres:
+            centres[face] = embed_vec(face[0], grid.n) / face[1]
+        return centres[face]
+
+    return [(centre(pos, k, letter, LEFT), centre(pos, k, letter, RIGHT))
+            for (pos, k, _), letter in zip(edges, letters)]
 
 
 def render_area(

@@ -11,7 +11,7 @@ translation, and (by default) the torus rotations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .exactgeom import (
@@ -30,6 +30,7 @@ from .gridmodel import (
     EdgeKey,
     GridSpec,
     Transition,
+    closure,
 )
 from .lsystem import CurveSet, UnequalRowSums, order
 from .validator import is_invalid
@@ -63,55 +64,29 @@ class TorusPatch:
     v1: Point
     v2: Point
     lattice: Lattice
-    edges: list[tuple[tuple, int, str]] = field(default_factory=list)
-    index: dict[EdgeKey, int] = field(default_factory=dict)
-    succ: list[dict[int, int]] = field(default_factory=list)
-    pred: list[dict[int, int]] = field(default_factory=list)
+    edges: list[tuple[tuple, int, str]]
+    index: dict[EdgeKey, int]
+    succ: list[dict[int, int]]
+    pred: list[dict[int, int]]
 
     @staticmethod
     def build(base: GridSpec, R: int, C: int) -> "TorusPatch":
+        """The quotient that ``closure`` reaches modulo the lattice, with its
+        successor and predecessor maps filled in one pass in edge order."""
         v1, v2 = base.translation_lattice
-        tp = TorusPatch(base, R, C, v1, v2, Lattice(v1.scaled(R), v2.scaled(C)))
-        tp._fill()
+        lattice = Lattice(v1.scaled(R), v2.scaled(C))
+        letters, _ = closure(base, lattice.reduce)
+        edges = [(pos, k, letter) for (pos, k), letter in letters.items()]
+        tp = TorusPatch(base, R, C, v1, v2, lattice, edges, {e: i for i, e in enumerate(letters)},
+                        [{} for _ in edges], [{} for _ in edges])
+        units = unit_coeffs(base.n)
+        for ei, (pos, k, letter) in enumerate(edges):
+            head = lattice.reduce(add_vec(pos, units[k]))
+            for t in base.turns_from.get(letter, ()):
+                sj = tp.index[(head, (k + t) % base.n)]
+                tp.succ[ei][t] = sj
+                tp.pred[sj][t] = ei
         return tp
-
-    def _fill(self) -> None:
-        n = self.base.n
-        units = unit_coeffs(n)
-        reduce = self.lattice.reduce
-        frontier: list[int] = []
-        self._claim(((0,) * phi(n), 0), self.base.seed_letter(), frontier)
-        while frontier:
-            new_frontier = []
-            # edges are numbered in the order they are reached, so this
-            # visits them in ascending order
-            for ei in frontier:
-                pos, k, letter = self.edges[ei]
-                head = reduce(add_vec(pos, units[k]))
-                for t in self.base.turns_from.get(letter, ()):
-                    dst = self.base.forward[(letter, t)]
-                    sj = self._claim((head, (k + t) % n), dst, new_frontier)
-                    self.succ[ei][t] = sj
-                    self.pred[sj][t] = ei
-                for tr in self.base.arrivals.get(letter, ()):
-                    k0 = (k - tr.turn) % n
-                    tail0 = reduce(sub_vec(pos, units[k0]))
-                    self._claim((tail0, k0), tr.src, new_frontier)
-            frontier = new_frontier
-
-    def _claim(self, edge: EdgeKey, letter: str, frontier: list[int]) -> int:
-        got = self.index.get(edge)
-        if got is None:
-            got = self.index[edge] = len(self.edges)
-            self.edges.append((edge[0], edge[1], letter))
-            self.succ.append({})
-            self.pred.append({})
-            frontier.append(got)
-        elif self.edges[got][2] != letter:
-            raise ValueError(
-                f"torus quotient conflicts with the coloring at {edge}"
-            )
-        return got
 
     def __len__(self) -> int:
         return len(self.edges)

@@ -36,6 +36,7 @@ from .exactgeom import (
     embed_vec,
     phi,
     ring_div_exact,
+    rotate_vec,
     rotations,
     sub_vec,
     trace_tokens,
@@ -336,10 +337,8 @@ def _covered(
     which disc edges are covered.
     """
     n = cs.n
-    origin = (0,) * phi(n)
-    # reach[lv][X]: distance from the tail that the lv-th iterate of X can
-    # reach, at most; offsets keep their length under rotation, so the rows
-    # of direction 0 give it
+    # reach[lv][X]: how far the lv-th iterate of X reaches from its tail, at
+    # most; rotation keeps lengths, so direction 0 gives it
     reach = [dict.fromkeys(cs.letters, 1.0)]
     for level in table[1:k + 1]:
         below = reach[-1]
@@ -350,6 +349,7 @@ def _covered(
     # limit[lv][X]: a subtree whose tail lies farther out is pruned
     limit = [{X: r + far + 1.0 for X, far in level.items()} for level in reach]
     rows = {(lv, X, 0): table[lv][X][2] for lv in range(1, k + 1) for X in cs.letters}
+    units = [embed_vec(u, n) for u in unit_coeffs(n)]
     stack = []
     for tokens, anchor, dirk in faces:
         for X, d, pos in _walk(tokens, table[k], n, anchor, dirk)[0]:
@@ -363,8 +363,8 @@ def _covered(
         lv, X, pos, z, dirk = stack.pop()
         row = rows.get((lv, X, dirk))
         if row is None:
-            children, _, _ = _walk(cs.production(X).tokens, table[lv - 1], n, origin, dirk)
-            row = rows[(lv, X, dirk)] = [(Y, d, p, embed_vec(p, n)) for Y, d, p in children]
+            row = rows[(lv, X, dirk)] = [(Y, (d + dirk) % n, rotate_vec(p, dirk, n), w * units[dirk])
+                                         for Y, d, p, w in rows[(lv, X, 0)]]
         below = limit[lv - 1]
         for Y, dY, offset, z_offset in row:
             zY = z + z_offset

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from gridcurve import catalog, gridmodel
-from gridcurve.exactgeom import Point, add_vec, embed_vec, phi, unit_coeffs
+from gridcurve.exactgeom import Lattice, Point, add_vec, embed_vec, phi, unit_coeffs
 from gridcurve.gridmodel import (
     CCW,
     CW,
@@ -16,6 +16,7 @@ from gridcurve.gridmodel import (
     InconsistentColoring,
     Transition,
     check_grid,
+    closure,
     detect_translation_lattice,
     face_key,
     prototiles,
@@ -151,7 +152,8 @@ def test_face_cover(all_grids):
             assert g.face_table.turn[(letter, RIGHT)] == min(turns, key=key), (name, e)
             for side, face in ((LEFT, faces[lf]), (RIGHT, faces[rf])):
                 tails = [Point(g.n, f[0]).to_complex() for f in face.cycle]
-                center = g.face_center(e, letter, side)
+                vertex_sum, size = g.face_vertices(e, letter, side)
+                center = embed_vec(vertex_sum, g.n) / size
                 assert abs(center - sum(tails) / len(tails)) < 1e-9, (name, e, side)
 
 
@@ -263,6 +265,80 @@ def test_translation_lattices_pinned(all_grids):
            for name, g in all_grids.items()}
     assert len(got) == 32
     assert got == pinned
+
+
+def test_every_seed_letter_edge_is_a_translation(all_grids):
+    # the check that lattice detection made before it proved its lattice on
+    # the quotient: on a patch of radius 6, every direction-0 edge with the
+    # seed letter at v carries the edges whose tails lie within 6 - |v| - 1
+    # onto edges of the same letter
+    checked = 0
+    for name, g in all_grids.items():
+        patch = realize(g, 6)
+        norm = {pos: abs(embed_vec(pos, g.n)) for pos, _ in patch.edges}
+        for (v, k), letter in patch.edges.items():
+            if k or letter != g.seed_letter() or not any(v):
+                continue
+            inner = [(e, L) for e, L in patch.edges.items() if norm[e[0]] <= 6 - norm[v] - 1]
+            assert all(patch.edges.get((add_vec(pos, v), d)) == L for (pos, d), L in inner), (name, v)
+            checked += bool(inner)
+    assert checked > 100
+
+
+def test_contradictory_coloring_raises_from_lattice_and_torus():
+    from gridcurve.search import TorusPatch
+
+    # every (letter, turn) and (turn, letter) pair is unique, yet walking
+    # the transitions forces two letters onto one edge
+    transitions = (T("A", 1, "A"), T("B", -1, "A"), T("B", 0, "B"))
+    with pytest.raises(InconsistentColoring):
+        detect_translation_lattice(GridSpec("contradictory", 4, ("A", "B"), transitions))
+    with pytest.raises(InconsistentColoring):
+        TorusPatch.build(GridSpec("contradictory", 4, ("A", "B"), transitions), 2, 2)
+
+
+def test_detection_proves_its_lattice_on_the_quotient(monkeypatch):
+    # detection closes the grid modulo the lattice it returns, once: the
+    # quotient that the 1x1 torus also holds
+    from gridcurve.search import TorusPatch
+
+    quotients = []
+    real = gridmodel.closure
+
+    def recording(spec, reduce=None, **kwargs):
+        out = real(spec, reduce, **kwargs)
+        if reduce is not None:
+            quotients.append(out[0])
+        return out
+
+    monkeypatch.setattr(gridmodel, "closure", recording)
+    for name in ("square", "3446-3464", "d31212", "trihex-set6"):
+        base = catalog.grid(name)
+        torus = TorusPatch.build(GridSpec(name, base.n, base.letters, base.transitions, base.double), 1, 1)
+        quotients.clear()
+        assert detect_translation_lattice(base) == (torus.v1, torus.v2)
+        assert [list(q.items()) for q in quotients] == [
+            [((pos, k), letter) for pos, k, letter in torus.edges]], name
+
+
+def test_quotient_by_a_non_translation_conflicts(all_grids):
+    # a direction-0 edge at u with another letter than the seed's is no
+    # translation, and closing the grid modulo a lattice through u puts
+    # both letters on the seed edge's class
+    tried = 0
+    for name, g in all_grids.items():
+        v1, v2 = g.translation_lattice
+        assert closure(g, Lattice(v1, v2).reduce)[0], name
+        patch = realize(g, 4)
+        for (u, k), letter in patch.edges.items():
+            if k == 0 and letter != g.seed_letter():
+                w = Point(g.n, u)  # paired with a lattice vector not parallel to it
+                other = v2 if w * v1.conjugate() == w.conjugate() * v1 else v1
+                with pytest.raises(InconsistentColoring):
+                    closure(g, Lattice(w, other).reduce)
+                tried += 1
+                break
+    assert tried >= 10  # the grids with another letter in direction 0
 
 
 def test_translation_lattice_cached_for_torus_builds(monkeypatch):

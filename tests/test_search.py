@@ -105,6 +105,31 @@ def test_torus_successor_and_predecessor_maps(all_grids):
         assert sum(map(len, tp.pred)) == sum(map(len, tp.succ))
 
 
+# (edges, sha256 of the edges, successor and predecessor maps in order),
+# pinned from the torus builder that walked the quotient on its own
+TORUS_PINS = {
+    "square 5x5": (100, "e08209ae8173fe336a15e9ecd1c15099d2f9ac79f43a4e228c70c8aaa768aba0"),
+    "square 4x4": (64, "69c42f5da85a1b7ee06fb6b325a0dc24f1643ccd178d774df117ca0ee682c19f"),
+    "triangle 6x6": (108, "70448141d2818d300383d0d7b0c94169c072355c899d8e4ed4402a87a6622ab9"),
+    "trihex 2x2": (24, "cc59a3b467a77a4277bb771a8c07ef7b0cc345c2c0abfcfcb06f6570ab960a99"),
+    "3464 2x3": (72, "0728fdb18e1e362a47babd99e2939b6539fc2e11d6eb28835229104df0cd32a1"),
+    "d-square 3x3": (36, "1d1ff2bab5094887aba8cdb66ebfd3938aab9ae814c3656a14117958d5a6ca58"),
+    "d488 2x2": (48, "82e20f29f65b4d9a6f77f9712a73e72a834b6bd21315ae4356583d27235d229c"),
+    "d31212 1x2": (36, "82044856c7b20aa64fa111540ccfd1f891d9061b4627a1be6ada9a247ccf3534"),
+}
+
+
+def test_torus_quotients_pinned():
+    got = {}
+    for key in TORUS_PINS:
+        name, size = key.split()
+        tp = TorusPatch.build(catalog.grid(name), *map(int, size.split("x")))
+        blob = json.dumps([tp.edges, [list(s.items()) for s in tp.succ],
+                           [list(p.items()) for p in tp.pred]])
+        got[key] = (len(tp), hashlib.sha256(blob.encode()).hexdigest())
+    assert got == TORUS_PINS
+
+
 def test_search_colorings_budget_exceeded(monkeypatch):
     monkeypatch.setattr(search, "_COLORING_BUDGET", 10)
     with pytest.raises(SearchBudgetExceeded, match="over 10 nodes"):

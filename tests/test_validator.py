@@ -16,6 +16,7 @@ from gridcurve.exactgeom import (
     Point,
     add_vec,
     embed_vec,
+    normalize_turn,
     rotations,
     trace_tokens,
     unit_coeffs,
@@ -711,6 +712,28 @@ def test_verdict_invariant_under_letter_relabelling():
         twin = relabelled(cs)
         assert set(twin.letters).isdisjoint(cs.letters)
         assert summary(validate(twin)) == summary(validate(cs)), name
+
+
+def test_verdict_invariant_under_mirror_on_sign_symmetric_grids():
+    # on a grid without double edges whose transitions are closed under
+    # turn negation, the mirror map carries the coloring onto itself, so
+    # negating every turn of the productions changes no verdict; double
+    # grids are left out, since their stroke lanes are chiral at a U-turn
+    checked = 0
+    for entry in catalog.CURVE_ENTRIES:
+        cs = catalog.curveset(entry.name)
+        grid = cs.grid
+        if grid is None or grid.double or {(t.src, t.turn, t.dst) for t in grid.transitions} != {
+                (t.src, normalize_turn(-t.turn, grid.n), t.dst) for t in grid.transitions}:
+            continue
+        twin = CurveSet.make(cs.name, grid, {
+            X: Word(normalize_turn(-t, cs.n) if isinstance(t, int) else t for t in w.tokens)
+            for X, w in cs.productions})
+        reps = [validate(c, coverage_k=entry.coverage_k) for c in (cs, twin)]
+        assert len({(r.verdict, r.order, r.coverage.missing, r.coverage.total) for r in reps}) == 1, (
+            entry.name)
+        checked += 1
+    assert checked == 16
 
 
 def test_validate_generic_mode():
