@@ -190,15 +190,3 @@ def curveset(name: str) -> CurveSet:
         if cs is not None:
             return cs
     raise CatalogError(f"no curve-set named {name!r} in the catalog")
-
-
-def entry(name: str) -> CatalogEntry:
-    e = ENTRY_BY_NAME.get(name)
-    if e is None:
-        raise CatalogError(f"no catalog entry named {name!r}")
-    return e
-
-
-def regression_sets() -> list[CurveSet]:
-    """Curve-sets expected to validate as Valid or ValidWithCaveats."""
-    return [curveset(e.name) for e in CURVE_ENTRIES if e.kind == VALID]

@@ -306,22 +306,16 @@ def cmd_numsys(args) -> int:
     return EXIT_OK
 
 
+def _required(args, name: str) -> str:
+    value = getattr(args, name)
+    if value is None:
+        raise CliError(f"transform --op {args.op} needs --{name}")
+    return value
+
+
 def cmd_transform(args) -> int:
-    if args.op == "folding":
-        w = parse_word(args.word, 4)
-        _out(make_folding(w).to_string(4, False), args.output)
-        return EXIT_OK
-    if args.op == "revcomp":
-        relabel = {}
-        if args.relabel:
-            for pair in args.relabel.split(","):
-                a, b = pair.split(":")
-                relabel[a] = b
-        w = parse_word(args.word, args.turn)
-        _out(w.reversed_complement(relabel).to_string(args.turn), args.output)
-        return EXIT_OK
     if args.op == "drop":
-        doc = _load_document(args.input)
+        doc = _load_document(_required(args, "input"))
         cs = _pick_curveset(doc, args.set)
         out = drop_letters_normalize(cs, set(args.drop or ""), args.target_n)
         lines = [
@@ -329,11 +323,26 @@ def cmd_transform(args) -> int:
         ]
         _out("\n".join(lines), args.output)
         return EXIT_OK
+    word = _required(args, "word")
+    if args.op == "folding":
+        w = parse_word(word, 4)
+        _out(make_folding(w).to_string(4, False), args.output)
+        return EXIT_OK
+    if args.op == "revcomp":
+        relabel = {}
+        for pair in args.relabel.split(",") if args.relabel else ():
+            if pair.count(":") != 1:
+                raise CliError(f"--relabel expects A:B pairs separated by commas, got {pair!r}")
+            a, b = pair.split(":")
+            relabel[a] = b
+        w = parse_word(word, args.turn)
+        _out(w.reversed_complement(relabel).to_string(args.turn), args.output)
+        return EXIT_OK
     if args.op == "embed":
-        _out(embed_triangle_word(args.word).to_string(6, False), args.output)
+        _out(embed_triangle_word(word).to_string(6, False), args.output)
         return EXIT_OK
     if args.op == "decorate":
-        _out(decorate_square_point_word(args.word).to_string(8, False),
+        _out(decorate_square_point_word(word).to_string(8, False),
              args.output)
         return EXIT_OK
     if args.op == "rewrite":
@@ -343,7 +352,7 @@ def cmd_transform(args) -> int:
                 raise CliError(f"rule {rule!r} is not find=replace")
             find, repl = rule.split("=", 1)
             rules.append((find, repl))
-        w = rewrite(args.word, rules, args.turn)
+        w = rewrite(word, rules, args.turn)
         _out(w.to_string(args.turn), args.output)
         return EXIT_OK
     raise CliError(f"unknown transform {args.op!r}")

@@ -125,20 +125,6 @@ def mul_vec(a: tuple[int, ...], b: tuple[int, ...], n: int) -> tuple[int, ...]:
     return canonicalize(conv, n)
 
 
-def conj_vec(a: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Complex conjugate: zeta^j maps to zeta^(n-j)."""
-    reps = _power_reps(n)
-    deg = phi(n)
-    out = [0] * deg
-    for j, c in enumerate(a):
-        if c == 0:
-            continue
-        rep = reps[(n - j) % n]
-        for i in range(deg):
-            out[i] += c * rep[i]
-    return tuple(out)
-
-
 def rotate_vec(a: tuple[int, ...], k: int, n: int) -> tuple[int, ...]:
     """Multiply by zeta^k."""
     k %= n
@@ -163,7 +149,8 @@ def embed_vec(a: Sequence[int], n: int) -> complex:
 
 
 def galois_apply(a: tuple[int, ...], k: int, n: int) -> tuple[int, ...]:
-    """Image of a under zeta -> zeta^k (k coprime to n)."""
+    """Image of a under zeta -> zeta^k (k coprime to n); k = n - 1 is the
+    complex conjugate."""
     reps = _power_reps(n)
     deg = phi(n)
     out = [0] * deg
@@ -236,10 +223,7 @@ class Point:
         return Point(self.n, mul_vec(self.coeffs, other.coeffs, self.n))
 
     def conjugate(self) -> "Point":
-        return Point(self.n, conj_vec(self.coeffs, self.n))
-
-    def rotated(self, k: int) -> "Point":
-        return Point(self.n, rotate_vec(self.coeffs, k, self.n))
+        return Point(self.n, galois_apply(self.coeffs, self.n - 1, self.n))
 
     def scaled(self, m: int) -> "Point":
         return Point(self.n, tuple(m * c for c in self.coeffs))

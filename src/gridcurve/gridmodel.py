@@ -20,8 +20,8 @@ finite quotient whose closing proves the lattice exactly; and
 edges within r that the coverage check must see covered.
 ``GridSpec.lattice_walks`` holds, per basis vector of the lattice, a
 shortest walk of edges from the seed edge to its translate, read back
-along a realized patch's levels, along which ``validator.vertex_map``
-carries a curve-set's first iterate.
+along the levels of the patch in which the lattice was found, along which
+``validator.vertex_map`` carries a curve-set's first iterate.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .exactgeom import (
 from .words import Word, format_turn
 
 EdgeKey = tuple  # ((coeff, ...), dir_k)
+Walk = tuple  # ((sign, letter, dir_k), ...), see Patch.walk
 
 CCW = "CCW"
 CW = "CW"
@@ -104,10 +105,6 @@ class GridSpec:
         return {(t.src, t.turn): t.dst for t in self.transitions}
 
     @cached_property
-    def backward(self) -> dict[tuple[int, str], str]:
-        return {(t.turn, t.dst): t.src for t in self.transitions}
-
-    @cached_property
     def arrivals(self) -> dict[str, tuple[Transition, ...]]:
         """Transitions into each letter, in transition order."""
         out: dict[str, list[Transition]] = {c: [] for c in self.letters}
@@ -123,28 +120,22 @@ class GridSpec:
         return {c: tuple(sorted(ts)) for c, ts in out.items()}
 
     @cached_property
-    def pair_turns(self) -> dict[tuple[str, str], tuple[int, ...]]:
-        out: dict[tuple[str, str], list[int]] = {}
-        for t in self.transitions:
-            out.setdefault((t.src, t.dst), []).append(t.turn)
-        return {k: tuple(sorted(v)) for k, v in out.items()}
-
-    @cached_property
     def face_table(self) -> "FaceTable":
         return _build_face_table(self)
 
     @cached_property
-    def translation_lattice(self) -> tuple[Point, Point]:
+    def _lattice(self) -> tuple[tuple[Point, Point], tuple[Walk, Walk]]:
         return detect_translation_lattice(self)
 
-    @cached_property
-    def lattice_walks(self) -> tuple[tuple[tuple[int, str, int], ...], ...]:
+    @property
+    def translation_lattice(self) -> tuple[Point, Point]:
+        return self._lattice[0]
+
+    @property
+    def lattice_walks(self) -> tuple[Walk, Walk]:
         """For each basis vector v of the translation lattice, the steps of
-        a walk from the seed edge to its translate by v (``Patch.walk``),
-        on the patch in which ``detect_translation_lattice`` found both."""
-        lattice = self.translation_lattice
-        patch = realize(self, next(r for r in _LATTICE_RADII if abs(lattice[1]) <= r - 0.5))
-        return tuple(patch.walk((v.coeffs, 0)) for v in lattice)
+        a walk from the seed edge to its translate by v (``Patch.walk``)."""
+        return self._lattice[1]
 
     @cached_property
     def _target_discs(self) -> dict[float, "TargetDisc"]:
@@ -369,15 +360,7 @@ class Patch:
     def head(self, edge: EdgeKey) -> tuple:
         return add_vec(edge[0], self._units[edge[1]])
 
-    def successors(self, edge: EdgeKey) -> list[tuple[int, EdgeKey]]:
-        h = self.head(edge)
-        out = []
-        for e2 in self.out_at.get(h, ()):
-            t = normalize_turn(e2[1] - edge[1], self.n)
-            out.append((t, e2))
-        return out
-
-    def walk(self, edge: EdgeKey) -> tuple[tuple[int, str, int], ...]:
+    def walk(self, edge: EdgeKey) -> Walk:
         """The steps of a shortest walk in the patch from the seed edge to
         ``edge``, read back along ``depth``: each edge before ``edge`` is a
         neighbour of the next one level lower.
@@ -595,8 +578,9 @@ def prototiles(spec: GridSpec) -> list[Prototile]:
 _LATTICE_RADII = (2, 3, 4, 6, 9, 12)
 
 
-def detect_translation_lattice(spec: GridSpec) -> tuple[Point, Point]:
-    """Two shortest independent translations mapping the coloring onto itself.
+def detect_translation_lattice(spec: GridSpec) -> tuple[tuple[Point, Point], tuple[Walk, Walk]]:
+    """Two shortest independent translations mapping the coloring onto
+    itself, and a walk from the seed edge to each one's translate.
 
     The transitions are deterministic, so the letter of one edge decides
     the letters of all edges reachable from it.  If the coloring is
@@ -616,7 +600,9 @@ def detect_translation_lattice(spec: GridSpec) -> tuple[Point, Point]:
     is the coloring the seed decides.  A conflict raises
     InconsistentColoring: a consistent coloring would carry no conflict
     into the quotient.
-    ``GridSpec.translation_lattice`` caches the result.
+    The walks are read back along the same patch (``Patch.walk``), which
+    holds both translates.  ``GridSpec.translation_lattice`` and
+    ``GridSpec.lattice_walks`` cache the result.
     """
     n, seed = spec.n, spec.seed_letter()
     for radius in _LATTICE_RADII:
@@ -628,7 +614,8 @@ def detect_translation_lattice(spec: GridSpec) -> tuple[Point, Point]:
         for v in found:
             if found[0] * v.conjugate() != found[0].conjugate() * v:  # independent
                 closure(spec, Lattice(found[0], v).reduce, limit=len(patch.edges))
-                return found[0], v
+                basis = found[0], v
+                return basis, tuple(patch.walk((u.coeffs, 0)) for u in basis)
     raise GridError(
         f"could not detect two independent translations for {spec.name!r}"
     )

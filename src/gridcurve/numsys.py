@@ -129,16 +129,6 @@ def expand_integer(ns: NumerationSystem, z: Point) -> Expansion:
     return Expansion(out)
 
 
-def reconstruct(ns: NumerationSystem, digits: list[int]) -> Point:
-    """Sum d_i * radix^i, exactly."""
-    acc = Point.zero(ns.radix.n)
-    power = Point(ns.radix.n, (1, 0))
-    for i in digits:
-        acc = acc + ns.digits[i] * power
-        power = power * ns.radix
-    return acc
-
-
 def fundamental_region_points(ns: NumerationSystem, k: int) -> list[Point]:
     """All k-digit combinations sum d_i radix^i (duplicates removed)."""
     if k < 0:
@@ -149,32 +139,3 @@ def fundamental_region_points(ns: NumerationSystem, k: int) -> list[Point]:
         acc = list(dict.fromkeys(p + d * power for p in acc for d in ns.digits))
         power = power * ns.radix
     return acc
-
-
-def fundamental_region_count(ns: NumerationSystem, k: int) -> int:
-    """Number of distinct depth-k points (|digits|^k iff digits are a CRS)."""
-    return len(fundamental_region_points(ns, k))
-
-
-# the four worked systems shipped with the tool
-def builtin_systems() -> dict[str, NumerationSystem]:
-    g = lambda a, b: Point(4, (a, b))
-    e = lambda a, b: Point(6, (a, b))
-    return {
-        "radix3": NumerationSystem.make(
-            g(3, 0),
-            [g(0, 0), g(1, -1), g(-1, 1), g(0, 2), g(0, -2),
-             g(1, 3), g(-1, -3), g(2, 2), g(-2, -2)],
-        ),
-        "radix-1+3w": NumerationSystem.make(
-            e(-1, 3),
-            [e(0, 0), e(0, 1), e(0, -1), e(-1, 1), e(1, -1), e(-2, 2), e(1, 1)],
-        ),
-        "radix-2": NumerationSystem.make(
-            e(-2, 0), [e(0, 0), e(1, 0), e(0, 1), e(1, 1)]
-        ),
-        "radix-2+i": NumerationSystem.make(
-            g(-2, 1),
-            [g(0, 0), g(1, 0), g(-1, 0), g(1, -1), g(-1, 1)],
-        ),
-    }

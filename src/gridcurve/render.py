@@ -274,7 +274,10 @@ def check_svg(text: str) -> bool:
     """Structural check: well-formed XML, one svg root, finite coordinates."""
     import xml.etree.ElementTree as ET
 
-    root = ET.fromstring(text)
+    try:
+        root = ET.fromstring(text)
+    except ET.ParseError:
+        return False
     if not root.tag.endswith("svg"):
         return False
     return all(math.isfinite(num) for num in _numbers(text))

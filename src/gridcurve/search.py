@@ -19,7 +19,7 @@ from .exactgeom import (
     Point,
     StrokeSet,
     add_vec,
-    conj_vec,
+    galois_apply,
     normalize_turn,
     phi,
     rotate_vec,
@@ -91,17 +91,6 @@ class TorusPatch:
     def __len__(self) -> int:
         return len(self.edges)
 
-    def letter_counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for _, _, letter in self.edges:
-            out[letter] = out.get(letter, 0) + 1
-        return out
-
-    def successor(self, ei: int, t: int) -> int | None:
-        """The edge that follows edge ei after turn t; None when t is not a
-        turn out of its letter."""
-        return self.succ[ei].get(t)
-
     def symmetries(self, point_group: bool = True) -> list[list[int]]:
         """Edge permutations induced by maps x -> zeta^j x + u and, with the
         point group enabled, x -> zeta^j conj(x) + u, that keep the torus
@@ -117,7 +106,7 @@ class TorusPatch:
         for flip in flips:
             for j in rot_range:
                 def linear(p: tuple) -> tuple:
-                    return rotate_vec(conj_vec(p, n) if flip else p, j, n)
+                    return rotate_vec(galois_apply(p, n - 1, n) if flip else p, j, n)
 
                 # the map acts on the torus, as a bijection, only if it
                 # keeps the lattice

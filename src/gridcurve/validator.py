@@ -427,13 +427,16 @@ def check_coverage(cs: CurveSet, k: int = 3, r: float = 3.0) -> CoverageDiagnost
     deep, serves both ``_covered``, which walks the iterates without
     expanding them, and the aspect ratios of ``_support_aspects``.  A
     negative k, or a disc that holds no edge, raises ValueError: missing
-    nothing there would say nothing.
+    nothing there would say nothing.  So does a radius that is not finite,
+    whose disc would grow without end.
     """
     grid = cs.grid
     if grid is None:
         raise ValueError("needs a grid")
     if k < 0:
         raise ValueError(f"coverage depth k must be >= 0, got {k}")
+    if not math.isfinite(r):
+        raise ValueError(f"coverage radius r must be finite, got {r}")
     disc = grid.target_disc(r)
     if not disc.edges:
         raise ValueError(f"coverage disc of radius r={r} holds no edge")

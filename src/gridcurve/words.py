@@ -96,9 +96,6 @@ class Word:
                 out.append(relabel.get(tok, tok))
         return Word(out)
 
-    def relabeled(self, relabel: dict[str, str]) -> "Word":
-        return Word(relabel.get(t, t) if isinstance(t, str) else t for t in self.tokens)
-
     def normalized(self, n: int) -> "Word":
         """Reduce every turn mod n into (-n/2, n/2]."""
         from .exactgeom import normalize_turn

@@ -3,6 +3,8 @@
 import hashlib
 import json
 
+import pytest
+
 from gridcurve import cli, lsystem, search
 
 
@@ -109,6 +111,12 @@ def test_validate_empty_coverage_disc_is_bad_input(capsys):
     for argv, why in runs:
         assert cli.main(["validate", *argv]) == 1, argv
         assert capsys.readouterr() == ("", f"error: {why}\n")
+
+
+def test_validate_infinite_radius_is_bad_input(capsys, bounded_closure):
+    # an infinite disc used to grow without end
+    assert cli.main(["validate", "catalog:sq-r5", "-r", "inf"]) == 1
+    assert capsys.readouterr() == ("", "error: coverage radius r must be finite, got inf\n")
 
 
 def test_dimension_golden(capsys):
@@ -303,6 +311,30 @@ def test_transform_drop_golden(capsys):
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()
     assert (out, err) == ("", "error: letters ['A'] are not constants\n")
+
+
+@pytest.mark.parametrize("op, argv, why", [
+    ("folding", [], "transform --op folding needs --word"),
+    ("revcomp", [], "transform --op revcomp needs --word"),
+    ("revcomp", ["--word", "A+B", "--relabel", "A"],
+     "--relabel expects A:B pairs separated by commas, got 'A'"),
+    ("revcomp", ["--word", "A+B", "--relabel", "A:B:C"],
+     "--relabel expects A:B pairs separated by commas, got 'A:B:C'"),
+    ("drop", ["--drop", "B"], "transform --op drop needs --input"),
+    ("embed", [], "transform --op embed needs --word"),
+    ("decorate", [], "transform --op decorate needs --word"),
+    ("rewrite", ["--rules", "A=B"], "transform --op rewrite needs --word"),
+])
+def test_transform_missing_or_malformed_argument_is_bad_input(capsys, op, argv, why):
+    # each used to end in a traceback, or in "not enough values to unpack"
+    assert cli.main(["transform", "--op", op, *argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {why}\n")
+
+
+def test_transform_revcomp_relabels(capsys):
+    argv = ["transform", "--op", "revcomp", "--word", "A+B", "--relabel", "A:B,B:A"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == ("A-B\n", "")
 
 
 def test_catalog_golden(capsys):

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from gridcurve import catalog, gridmodel
-from gridcurve.exactgeom import Lattice, Point, add_vec, embed_vec, phi, unit_coeffs
+from gridcurve.exactgeom import Lattice, Point, add_vec, embed_vec, normalize_turn, phi, unit_coeffs
 from gridcurve.gridmodel import (
     CCW,
     CW,
@@ -46,7 +46,7 @@ def test_check_grid_3366():
     assert len(g.transitions) == 11
     assert check_grid(g) == []
     # three different turns lead from D to E
-    assert set(g.pair_turns[("D", "E")]) == {2, -2, 0}
+    assert {t.turn for t in g.transitions if (t.src, t.dst) == ("D", "E")} == {2, -2, 0}
 
 
 def test_uturn_needs_double():
@@ -70,8 +70,8 @@ def test_realize_triangle_valency():
 def test_realize_square_no_straight():
     patch = realize(catalog.grid("square"), 3)
     for edge in patch.edges:
-        for t, e2 in patch.successors(edge):
-            assert t != 0
+        for e2 in patch.out_at.get(patch.head(edge), ()):
+            assert e2[1] != edge[1]
 
 
 def test_realize_broken_coloring_raises():
@@ -145,7 +145,7 @@ def test_face_cover(all_grids):
             assert faces[rf].sense in (CW, DIGON)
             if g.double:
                 assert faces[rf].sense == DIGON
-            turns = [t for t, _ in patch.successors(e)]
+            turns = [normalize_turn(e2[1] - e[1], g.n) for e2 in patch.out_at.get(patch.head(e), ())]
             letter = patch.edges[e]
             key = lambda t: face_key(t, g.n)
             assert g.face_table.turn[(letter, LEFT)] == max(turns, key=key), (name, e)
@@ -261,7 +261,7 @@ def test_translation_lattices_pinned(all_grids):
     # pinned from the earlier detect_translation_lattice, which verified on
     # patches of edge depth 12, 18 and 26
     pinned = json.loads(Path(__file__).with_name("translation_lattices.json").read_text())
-    got = {name: [list(v.coeffs) for v in detect_translation_lattice(g)]
+    got = {name: [list(v.coeffs) for v in detect_translation_lattice(g)[0]]
            for name, g in all_grids.items()}
     assert len(got) == 32
     assert got == pinned
@@ -316,7 +316,7 @@ def test_detection_proves_its_lattice_on_the_quotient(monkeypatch):
         base = catalog.grid(name)
         torus = TorusPatch.build(GridSpec(name, base.n, base.letters, base.transitions, base.double), 1, 1)
         quotients.clear()
-        assert detect_translation_lattice(base) == (torus.v1, torus.v2)
+        assert detect_translation_lattice(base)[0] == (torus.v1, torus.v2)
         assert [list(q.items()) for q in quotients] == [
             [((pos, k), letter) for pos, k, letter in torus.edges]], name
 
@@ -353,6 +353,8 @@ def test_translation_lattice_cached_for_torus_builds(monkeypatch):
     again = TorusPatch.build(grid, 3, 3)
     assert len(calls) == 1
     assert (first.v1, first.v2) == (again.v1, again.v2) == grid.translation_lattice
+    # the walks come from the patch in which the lattice was found
+    assert len(grid.lattice_walks) == 2 and len(calls) == 1
 
 
 def test_lattice_walks_reach_the_translates_over_grid_edges(all_grids):
@@ -371,7 +373,7 @@ def test_lattice_walks_reach_the_translates_over_grid_edges(all_grids):
 
 
 def test_translation_lattice_square():
-    v1, v2 = detect_translation_lattice(catalog.grid("square"))
+    (v1, v2), _ = detect_translation_lattice(catalog.grid("square"))
     z1, z2 = v1.to_complex(), v2.to_complex()
     # the diagonal lattice: both vectors of squared length 2, independent
     assert abs(abs(z1) ** 2 - 2) < 1e-9

@@ -57,24 +57,44 @@ def _names(node: ast.AST) -> set[str]:
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
-def _unreferenced(sources: dict[str, str], wanted,
+def _units(module: str, tree: ast.Module):
+    """(owners, names) for each statement of a module: a module-level
+    statement is owned by the name it defines, and each statement of a
+    module-level class by the class and, if it is a method, by
+    "Class.method" as well."""
+    for node in tree.body:
+        own = getattr(node, "name", None)
+        if not isinstance(node, ast.ClassDef):
+            yield {(module, own)}, _names(node)
+            continue
+        header = node.bases + node.keywords + node.decorator_list
+        yield {(module, own)}, set().union(*map(_names, header))
+        for stmt in node.body:
+            member = getattr(stmt, "name", None)
+            yield {(module, own), (module, f"{own}.{member}")}, _names(stmt)
+
+
+def _unreferenced(sources: dict[str, str], wanted, members=None,
                   users: Iterable[str] = ()) -> list[tuple[str, str]]:
-    """Module-level definitions for which ``wanted(node)`` holds and that no
-    statement of any of the modules references outside their own body, and
-    no statement of the users references at all."""
-    defined = []
-    refs: dict[tuple[str, str | None], set[str]] = {}
+    """Module-level definitions for which ``wanted(node)`` holds, and methods
+    of module-level classes, "Class.method", for which ``members(node)``
+    holds, whose name no statement of any of the modules references outside
+    the definition itself and that are not among the users."""
+    defined, units = [], []
     for module, source in sources.items():
-        for node in ast.parse(source).body:
-            own = getattr(node, "name", None)
-            if own is not None and wanted(node):
-                defined.append((module, own))
-            refs.setdefault((module, own), set()).update(_names(node))
-    outside = set().union(*map(_names, map(ast.parse, users)))
+        tree = ast.parse(source)
+        units += _units(module, tree)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and wanted(node):
+                defined.append((module, node.name, node.name))
+            if isinstance(node, ast.ClassDef) and members is not None:
+                defined += [(module, f"{node.name}.{m.name}", m.name) for m in node.body
+                            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)) and members(m)]
+    users = set(users)
     return sorted(
-        (module, name) for module, name in defined
-        if name not in outside
-        and not any(name in used for key, used in refs.items() if key != (module, name))
+        (module, qualified) for module, qualified, name in defined
+        if name not in users
+        and not any(name in used for owners, used in units if (module, qualified) not in owners)
     )
 
 
@@ -86,14 +106,39 @@ def unreferenced_private_functions(sources: dict[str, str]) -> list[tuple[str, s
         and node.name.startswith("_") and not node.name.startswith("__"))
 
 
+def _public(node: ast.AST) -> bool:
+    return not node.name.startswith("_")
+
+
 def unreferenced_public_names(sources: dict[str, str],
-                              tests: Iterable[str]) -> list[tuple[str, str]]:
-    """Module-level functions and classes without a leading underscore that
-    neither a statement of the modules, outside their own body, nor a test
-    references."""
-    return _unreferenced(sources, lambda node: isinstance(
-        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_"), tests)
+                              users: Iterable[str]) -> list[tuple[str, str]]:
+    """Module-level functions and classes, and methods of those classes,
+    without a leading underscore that no statement of the modules references
+    outside the definition itself and that are not among the users' names.
+    Tests are no users: code that only a test calls belongs in the tests."""
+    return _unreferenced(sources, _public, _public, users)
+
+
+def benchmark_names(benchmark: Iterable[str], traced: Iterable[str]) -> set[str]:
+    """The names of gridcurve that the benchmark uses: each name it imports
+    from gridcurve, each attribute it reads from what it imports (as in
+    ``gridmodel.Patch.faces``), and each part of a traced name."""
+    out = {part for name in traced for part in name.split(".")}
+    for source in benchmark:
+        tree = ast.parse(source)
+        imports = [alias for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "gridcurve"
+                   for alias in node.names]
+        out |= {alias.name for alias in imports}
+        imported = {alias.asname or alias.name for alias in imports}
+        for node in ast.walk(tree):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.append(node.attr)
+                node = node.value
+            if isinstance(node, ast.Name) and node.id in imported:
+                out.update(chain)
+    return out
 
 
 def private_imports(source: str) -> list[tuple[str, int]]:
@@ -301,8 +346,9 @@ def test_scan_flags_unreferenced_private_functions():
 
 def test_no_unreferenced_public_names():
     sources = {path.name: path.read_text() for path in SOURCES}
-    tests = [path.read_text() for path in TESTS]
-    assert unreferenced_public_names(sources, tests) == []
+    users = benchmark_names([path.read_text() for path in BENCHMARK],
+                            traced_names((ROOT / "perfbench" / "tracing.py").read_text()))
+    assert unreferenced_public_names(sources, users) == []
 
 
 def test_every_default_is_passed_somewhere():
@@ -354,18 +400,39 @@ def test_scan_flags_unreferenced_public_names():
             "def used_here(): return 1\n"
             "def used_elsewhere(): return 2\n"
             "def only_itself(k): return only_itself(k - 1) if k else 0\n"
-            "def unused(): return 3\n"
+            "def tested(): return 3\n"
+            "def benchmarked(): return 4\n"
             "def _private(): return used_here()\n"
-            "class Tested:\n"
-            "    def method(self): return Tested()\n"
+            "class Patch:\n"
+            "    def head(self): return 1\n"
+            "    def walk(self): return self.head()\n"
+            "    def faces(self): return Patch()\n"
+            "    def successors(self): return self.successors()\n"
+            "    def _build(self): return 5\n"
+            "    def __len__(self): return 6\n"
             "class Lonely:\n"
             "    def make(self): return Lonely()\n"
         ),
-        "b.py": "from .a import used_elsewhere\nx = used_elsewhere()\n",
+        "b.py": "from .a import Patch, used_elsewhere\nx = used_elsewhere(), Patch().walk()\n",
     }
-    tests = ["from a import Tested\ndef test_k():\n    assert Tested().method()\n"]
-    assert unreferenced_public_names(sources, tests) == [
-        ("a.py", "Lonely"), ("a.py", "only_itself"), ("a.py", "unused")]
+    # a test that calls tested() and Patch().successors() makes no difference
+    users = benchmark_names(["from gridcurve.a import benchmarked\nbenchmarked()\n"],
+                            traced_names("TARGETS = {'a.Patch.faces': None}\n"))
+    assert unreferenced_public_names(sources, users) == [
+        ("a.py", "Lonely"), ("a.py", "Lonely.make"), ("a.py", "Patch.successors"),
+        ("a.py", "only_itself"), ("a.py", "tested")]
+
+
+def test_benchmark_names_are_imports_their_attributes_and_traced_names():
+    source = (
+        "import json\n"
+        "from gridcurve import catalog, gridmodel as gm\n"
+        "from gridcurve.render import check_svg\n"
+        "def check(entry):\n"
+        "    return catalog.grid(entry.name), gm.Patch.faces, json.dumps(entry.order)\n"
+    )
+    assert benchmark_names([source], ["validator.validate"]) == {
+        "catalog", "gridmodel", "check_svg", "grid", "Patch", "faces", "validator", "validate"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

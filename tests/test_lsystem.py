@@ -152,7 +152,7 @@ def test_reversal_complement_split_pair():
 def test_drop_letters_trihex_to_triangle():
     cs = catalog.curveset("trihex-ab-r16")
     out = drop_letters_normalize(cs, {"B"}, target_n=3)
-    w = out.production("A").relabeled({"A": "F"})
+    w = Word("F" if t == "A" else t for t in out.production("A").tokens)
     assert w.to_string(3, False) == "F+F-F-F+F-F+F+F0F-F-F+F-F+F+F-F"
 
 

@@ -9,16 +9,13 @@ from gridcurve.numsys import (
     GAUSSIAN,
     Expansion,
     NumerationSystem,
-    builtin_systems,
     check_residue_system,
     divide_exact,
     expand_integer,
     format_elem,
-    fundamental_region_count,
     fundamental_region_points,
     parse_elem,
     plot_elem,
-    reconstruct,
 )
 
 
@@ -28,6 +25,43 @@ def G(a, b):
 
 def E(a, b):
     return Point(6, (a, b))
+
+
+def reconstruct(ns: NumerationSystem, digits: list[int]) -> Point:
+    """Sum d_i * radix^i, exactly."""
+    acc = Point.zero(ns.radix.n)
+    power = Point(ns.radix.n, (1, 0))
+    for i in digits:
+        acc = acc + ns.digits[i] * power
+        power = power * ns.radix
+    return acc
+
+
+def fundamental_region_count(ns: NumerationSystem, k: int) -> int:
+    """Number of distinct depth-k points (|digits|^k iff digits are a CRS)."""
+    return len(fundamental_region_points(ns, k))
+
+
+# four worked systems
+def builtin_systems() -> dict[str, NumerationSystem]:
+    return {
+        "radix3": NumerationSystem.make(
+            G(3, 0),
+            [G(0, 0), G(1, -1), G(-1, 1), G(0, 2), G(0, -2),
+             G(1, 3), G(-1, -3), G(2, 2), G(-2, -2)],
+        ),
+        "radix-1+3w": NumerationSystem.make(
+            E(-1, 3),
+            [E(0, 0), E(0, 1), E(0, -1), E(-1, 1), E(1, -1), E(-2, 2), E(1, 1)],
+        ),
+        "radix-2": NumerationSystem.make(
+            E(-2, 0), [E(0, 0), E(1, 0), E(0, 1), E(1, 1)]
+        ),
+        "radix-2+i": NumerationSystem.make(
+            G(-2, 1),
+            [G(0, 0), G(1, 0), G(-1, 0), G(1, -1), G(-1, 1)],
+        ),
+    }
 
 
 def test_norms():

@@ -264,6 +264,11 @@ def test_svg_structure_many():
             assert tag in allowed
 
 
+def test_check_svg_rejects_malformed_xml():
+    for text in ("<svg", "", "<svg></g>", '<svg xmlns="http://www.w3.org/2000/svg"><path d="M 0 0"></svg>'):
+        assert not check_svg(text), text
+
+
 @pytest.mark.parametrize("coords", ["nan inf", "1 NaN", "-Infinity 2", "+inf 0", "1e999 0"])
 def test_check_svg_rejects_non_finite_coordinates(coords):
     svg = f'<svg xmlns="http://www.w3.org/2000/svg"><path d="M {coords} L 1 2"/></svg>'

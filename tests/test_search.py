@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -77,8 +78,8 @@ def test_torus_symmetries_are_automorphisms(name, R, C, count):
     def commutes(perm, sign):
         for e in range(len(tp)):
             for t in turns:
-                s = tp.successor(e, t)
-                if s is not None and perm[s] != tp.successor(perm[e], normalize_turn(sign * t, grid.n)):
+                s = tp.succ[e].get(t)
+                if s is not None and perm[s] != tp.succ[perm[e]].get(normalize_turn(sign * t, grid.n)):
                     return False
         return True
 
@@ -404,7 +405,7 @@ def test_enumerate_determinism():
 def test_orbit_equinumerosity_all_catalog(all_grids):
     for name, grid in sorted(all_grids.items()):
         tp = TorusPatch.build(grid, 1, 1)
-        counts = tp.letter_counts()
+        counts = Counter(letter for _, _, letter in tp.edges)
         assert len(set(counts.values())) == 1, (name, counts)
         assert set(counts) == set(grid.letters)
 

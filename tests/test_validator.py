@@ -319,7 +319,7 @@ def test_coverage_pinned():
     pinned = json.loads(Path(__file__).with_name("coverage.json").read_text())
     got = {}
     for name in GRID_SETS:
-        k = catalog.entry(name).coverage_k
+        k = catalog.ENTRY_BY_NAME[name].coverage_k
         cov = check_coverage(catalog.curveset(name), k, 3.0)
         got[name] = {"k": k, "missing": cov.missing, "total": cov.total,
                      "missing_sample": [[list(p), d] for p, d in cov.missing_sample]}
@@ -394,6 +394,14 @@ def test_coverage_rejects_a_negative_depth_and_an_empty_disc():
         with pytest.raises(ValueError, match="holds no edge"):
             check_coverage(cs, 6, r)
     assert check_coverage(cs, 6, 0.5).total > 0
+
+
+def test_coverage_rejects_a_radius_that_is_not_finite(bounded_closure):
+    # the disc of an infinite radius never stops growing
+    cs = catalog.curveset("sq-r5")
+    for r in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"coverage radius r must be finite, got {r}"):
+            check_coverage(cs, 3, r)
 
 
 def test_target_disc_realized_once_per_radius(monkeypatch):
