@@ -323,13 +323,6 @@ class StrokeSet:
     def chord(self, in_d: int, out_d: int) -> tuple[int, int]:
         return ((4 * in_d + 2 * self.n - 1) % self.lanes, (4 * out_d + 1) % self.lanes)
 
-    def crosses(self, vertex: tuple[int, ...], in_d: int, out_d: int) -> bool:
-        """Whether a stroke through vertex, in along in_d and out along
-        out_d, interleaves with a stroke already there."""
-        chord = self.chord(in_d, out_d)
-        return any(_chords_cross(chord, other, self.lanes)
-                   for other in self.chords.get(vertex, ()))
-
     def push(self, tail: tuple[int, ...], d: int, prev_d: int | None) -> str | None:
         edge = (tail, d)
         if edge in self.edges:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .exactgeom import Point, normalize_turn, trace_tokens
+from .exactgeom import normalize_turn
 from .gridmodel import GridSpec
 from .words import Word, WordError, parse_word
 
@@ -95,11 +95,6 @@ class CurveSet:
 
     def production(self, letter: str) -> Word:
         return self.prod[letter]
-
-    def displacement(self, letter: str) -> Point:
-        """End point of the production traced from the origin, direction 0."""
-        end, _, _ = trace_tokens(self.production(letter).tokens, self.n)
-        return Point(self.n, end)
 
     def with_name(self, name: str) -> "CurveSet":
         return CurveSet(name, self.grid, self.productions, self.turn)
@@ -281,6 +276,8 @@ def drop_letters_normalize(
     turns are rescaled by n/target_n (all merged turns must be divisible);
     half-turn results become U-turns on the coarser resolution.
     """
+    if target_n is not None and target_n < 1:
+        raise TransformError(f"--target-n must be >= 1, got {target_n}")
     drop = set(drop)
     n = cs.n
     bad = drop - cs.constants

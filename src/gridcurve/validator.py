@@ -10,11 +10,13 @@ uneven growth can still cover every edge.  Interior-filled tiles and
 matrix irreducibility are diagnostics, never verdicts: both tile criteria
 have counterexamples and are encoded as such in the test suite.
 
-Coverage and the aspect ratios of the iterates read one table of the
-iterates of every letter, built level by level (``_iterates``), so each
-(level, letter) is walked once per check.  The scale eigenvalue reads only
-the first iterate, as a map of the grid's vertices (``vertex_map``): an
-exact 2x2 integer matrix on the translation lattice.
+Coverage reads one table of the iterates of every letter, built level by
+level (``_iterates``), so each (level, letter) is walked once per check.
+The scale eigenvalue and the growth of the tiles read only the first
+iterate, as a map of the grid's vertices (``vertex_map``): an exact 2x2
+integer matrix M on the translation lattice.  Growth is uneven exactly
+when M's two eigenvalues differ in modulus or M is a Jordan block
+(``_uneven``), decided from M's trace and determinant.
 """
 
 from __future__ import annotations
@@ -82,15 +84,11 @@ _VIOLATIONS = {
 }
 
 
-def check_self_avoiding(
-    word: Word, grid: GridSpec | None, n: int | None = None, closed: bool = False
-) -> SelfAvoidReport:
+def check_self_avoiding(word: Word, grid: GridSpec | None, n: int | None = None) -> SelfAvoidReport:
     """Push the word's edges, in order, onto a ``StrokeSet``: no repeated
     directed edge, no doubly drawn segment, no two visits of a vertex whose
     strokes interleave around it.  Double-edge grids, and words checked
-    without a grid, may draw a segment once in each direction.  A closed
-    word must also end where it starts, and its last and first edges make
-    one more stroke through that base vertex.
+    without a grid, may draw a segment once in each direction.
     """
     if grid is not None:
         n = grid.n
@@ -102,7 +100,7 @@ def check_self_avoiding(
         if n is None:
             raise ValueError("need a grid or a turn resolution")
         double = True
-    end, _, edges = trace_tokens(word.tokens, n)
+    _, _, edges = trace_tokens(word.tokens, n)
     strokes = StrokeSet(n, double)
     push = strokes.push
     prev_d = None
@@ -111,12 +109,6 @@ def check_self_avoiding(
         if broken is not None:
             return SelfAvoidReport(False, _VIOLATIONS[broken].format(i=i))
         prev_d = d
-    if closed and edges:
-        base, first_d, _ = edges[0]
-        if end != base:
-            return SelfAvoidReport(False, "closed word does not return to start")
-        if strokes.crosses(base, prev_d, first_d):
-            return SelfAvoidReport(False, "strokes cross at the base vertex")
     return SelfAvoidReport(True)
 
 
@@ -154,27 +146,19 @@ def check_grid_consistent(cs: CurveSet) -> tuple[bool, list[str]]:
 # -- Dekking-style criteria ----------------------------------------------
 
 
-def check_dekking1(cs: CurveSet, form: str = "transitions") -> tuple[bool, str | None]:
-    """Self-avoidance of the first iterates of all prototiles (or of all
-    transitions; the two forms are equivalent)."""
+def check_dekking1(cs: CurveSet) -> tuple[bool, str | None]:
+    """Self-avoidance of the first iterates of all transitions (Dekking's
+    criterion; the first iterates of all prototiles are an equivalent
+    form)."""
     grid = cs.grid
     if grid is None:
         raise ValueError("needs a grid")
-    if form == "transitions":
-        for tr in grid.transitions:
-            w = cs.production(tr.src).concat(tr.turn, cs.production(tr.dst))
-            rep = check_self_avoiding(w, grid)
-            if not rep.ok:
-                return False, f"transition {tr}: {rep.violation}"
-        return True, None
-    if form == "prototiles":
-        for tile in prototiles(grid):
-            w = expand(cs, tile.boundary_word(), 1)
-            rep = check_self_avoiding(w, grid, closed=True)
-            if not rep.ok:
-                return False, f"tile {tile}: {rep.violation}"
-        return True, None
-    raise ValueError(f"unknown form {form!r}")
+    for tr in grid.transitions:
+        w = cs.production(tr.src).concat(tr.turn, cs.production(tr.dst))
+        rep = check_self_avoiding(w, grid)
+        if not rep.ok:
+            return False, f"transition {tr}: {rep.violation}"
+    return True, None
 
 
 def check_interior_filled(cs: CurveSet, tile: Prototile) -> bool:
@@ -261,8 +245,6 @@ class CoverageDiagnostic:
     r: float
     missing: int
     total: int
-    aspects: dict[str, list[float]]
-    rising_aspect: bool
     missing_sample: list[EdgeKey] = field(default_factory=list)
 
     @property
@@ -346,6 +328,9 @@ def _covered(
             X: max((abs(z) + below[Y] for Y, _, _, z in row), default=0.0)
             for X, (_, _, row) in level.items()
         })
+    # an infinite reach would prune nothing
+    if not all(math.isfinite(far) for level in reach for far in level.values()):
+        raise OverflowError("the reach of the iterates overflows a float")
     # limit[lv][X]: a subtree whose tail lies farther out is pruned
     limit = [{X: r + far + 1.0 for X, far in level.items()} for level in reach]
     rows = {(lv, X, 0): table[lv][X][2] for lv in range(1, k + 1) for X in cs.letters}
@@ -378,57 +363,18 @@ def _covered(
     return covered
 
 
-def _support_aspects(cs: CurveSet, levels: list[dict[str, tuple]]) -> dict[str, list[float]]:
-    """Bounding-box aspect ratio of each letter's iterates, via support
-    values over the grid's direction fan (no expansion needed); levels
-    holds the levels 1, 2, ... of ``_iterates``, one ratio per level."""
-    n = cs.n
-    if 360 % n:
-        return {X: [1.0] * len(levels) for X in cs.letters}
-    letters = cs.letters
-    g = math.gcd(90, 360 // n)
-    angles = [math.radians(a) for a in range(0, 360, g)]
-    na = len(angles)
-    rot_step = (360 // n) // g
-    # level 0 is a single edge from the origin in direction 0, so the
-    # support in direction a is max(0, cos a)
-    prev = {X: [max(0.0, math.cos(a)) for a in angles] for X in letters}
-    out: dict[str, list[float]] = {X: [] for X in letters}
-    for level in levels:
-        cur: dict[str, list[float]] = {}
-        for X in letters:
-            row = level[X][2]
-            vals = []
-            for ai, a in enumerate(angles):
-                ca, sa = math.cos(a), math.sin(a)
-                best = 0.0
-                for tok, dirk, _, base in row:
-                    ai2 = (ai - dirk * rot_step) % na
-                    best = max(best, base.real * ca + base.imag * sa + prev[tok][ai2])
-                vals.append(best)
-            cur[X] = vals
-        prev = cur
-        for X in letters:
-            sup = lambda deg: cur[X][(deg // g) % na]
-            w = sup(0) + sup(180)
-            h = sup(90) + sup(270)
-            lo, hi = min(w, h), max(w, h)
-            out[X].append(hi / lo if lo > 1e-9 else float("inf"))
-    return out
-
-
 def check_coverage(cs: CurveSet, k: int = 3, r: float = 3.0) -> CoverageDiagnostic:
     """Expand the faces around the seed vertex k times; report grid edges
     within distance r of the seed that no iterate covers.
 
     The target edges and the anchored faces at the origin come from the
     grid's ``target_disc(r)``, realized once per grid out to the Euclidean
-    radius r.  One table of the iterates (``_iterates``), max(k, 8) levels
-    deep, serves both ``_covered``, which walks the iterates without
-    expanding them, and the aspect ratios of ``_support_aspects``.  A
-    negative k, or a disc that holds no edge, raises ValueError: missing
-    nothing there would say nothing.  So does a radius that is not finite,
-    whose disc would grow without end.
+    radius r.  The levels 0 to k of ``_iterates`` serve ``_covered``, which
+    walks the iterates without expanding them.  A negative k, or a disc
+    that holds no edge, raises ValueError: missing nothing there would say
+    nothing.  So does a radius that is not finite, whose disc would grow
+    without end, and a k so deep that the float embedding of the iterates'
+    offsets, which the prune test reads, overflows.
     """
     grid = cs.grid
     if grid is None:
@@ -440,23 +386,13 @@ def check_coverage(cs: CurveSet, k: int = 3, r: float = 3.0) -> CoverageDiagnost
     disc = grid.target_disc(r)
     if not disc.edges:
         raise ValueError(f"coverage disc of radius r={r} holds no edge")
-    table = list(islice(_iterates(cs), max(k, 8) + 1))
-    covered = _covered(cs, table, k, r, disc.anchored_faces)
+    try:
+        covered = _covered(cs, list(islice(_iterates(cs), k + 1)), k, r, disc.anchored_faces)
+    except OverflowError:
+        raise ValueError(
+            f"coverage depth k={k} is too deep: the iterates' offsets overflow a float") from None
     missing = [e for e in disc.edges if e not in covered]
-    aspects = _support_aspects(cs, table[1:])
-    rising = False
-    for series in aspects.values():
-        # bounded shapes oscillate below their early maximum; unbounded
-        # growth keeps setting new highs by a clear margin
-        if len(series) >= 3:
-            a, b, c = max(series[:-2]), series[-2], series[-1]
-            if b > 1.1 * a and c > 1.1 * max(a, b):
-                rising = True
-        if len(series) >= 2 and series[-1] == float("inf") == series[-2]:
-            rising = True
-    return CoverageDiagnostic(
-        k, r, len(missing), len(disc.edges), aspects, rising, missing[:8]
-    )
+    return CoverageDiagnostic(k, r, len(missing), len(disc.edges), missing[:8])
 
 
 # -- scale analysis -------------------------------------------------------
@@ -474,7 +410,9 @@ class ScaleAnalysis:
     length ``lambda_norm``; ``strong`` is the strong form.  Past it,
     ``eigen`` is the mu with M^p = mu for the vertex map M, with
     ``eigen_period`` p, set only when ``eigen_ok`` (|mu|^2 = order^p), and
-    ``undetermined`` the reason the vertex map is undefined."""
+    ``undetermined`` the reason the vertex map is undefined.
+    ``uneven_growth`` is ``_uneven(M)``, False for a strong set without
+    constants, and None where M is undefined or was not sought."""
 
     common_turn: bool
     common_lambda: Point | None
@@ -484,23 +422,26 @@ class ScaleAnalysis:
     eigen_period: int = 1
     eigen_ok: bool = False
     undetermined: str | None = None
+    uneven_growth: bool | None = None
 
 
 def _walk_image(
-    walk: Iterable[tuple[int, str, int]], turn: dict[str, int], step: dict[str, tuple], n: int
+    walk: Iterable[tuple[int, str, int]], first: dict[str, tuple], n: int
 ) -> tuple[tuple, int]:
     """phi(end) - phi(start) of a walk of (sign, letter, direction) steps
     (``GridSpec.lattice_walks``), and the net turn T it carries to its
     last edge from T = 0 on its first (see ``vertex_map``): crossing an
     edge forward passes on its T plus its letter's net turn, and an edge
-    crossed backward has the T it passes on less that net turn."""
+    crossed backward has the T it passes on less that net turn.  ``first``
+    is level 1 of ``_iterates``."""
     pos, T = (0,) * phi(n), 0
     for sign, L, k in walk:
+        rots, turn, _ = first[L]
         if sign > 0:
-            pos, T = add_vec(pos, step[L][(k + T) % n]), T + turn[L]
+            pos, T = add_vec(pos, rots[(k + T) % n]), T + turn
         else:
-            T -= turn[L]
-            pos = sub_vec(pos, step[L][(k + T) % n])
+            T -= turn
+            pos = sub_vec(pos, rots[(k + T) % n])
     return pos, T % n
 
 
@@ -525,13 +466,14 @@ def vertex_map(cs: CurveSet) -> tuple[tuple[int, int], tuple[int, int]] | str:
     undefined.
 
     phi fixes the origin, and an edge (p, d) of letter L adds
-    zeta^(d+T) * D_L, where D_L is ``cs.displacement(L)`` and T is the net
-    turn carried along the transitions: 0 on the seed edge, and an edge of
-    letter L passes T plus the net turn of L's production to the edges
-    after it.  phi and T are well defined when the first iterate of every
-    face of ``grid.face_table`` closes in position and in T: the faces span
-    the cycles of the grid, and the corners of the faces at a vertex give
-    every transition through it.  A lattice translation v that leaves T
+    zeta^(d+T) * D_L, where D_L is the displacement of L's first iterate,
+    read with its rotations and net turn from level 1 of ``_iterates``, and
+    T is the net turn carried along the transitions: 0 on the seed edge,
+    and an edge of letter L passes T plus the net turn of L's production to
+    the edges after it.  phi and T are well defined when the first iterate
+    of every face of ``grid.face_table`` closes in position and in T: the
+    faces span the cycles of the grid, and the corners of the faces at a
+    vertex give every transition through it.  A lattice translation v that leaves T
     unchanged commutes with phi, which is then Z-linear on the lattice;
     phi(v) is read along ``grid.lattice_walks``.
     """
@@ -539,10 +481,9 @@ def vertex_map(cs: CurveSet) -> tuple[tuple[int, int], tuple[int, int]] | str:
     if grid is None:
         return "no grid"
     n = cs.n
-    turn = {X: cs.production(X).net_turn() for X in cs.letters}
-    step = {X: rotations(cs.displacement(X).coeffs, n) for X in cs.letters}
+    _, first = islice(_iterates(cs), 2)
     for key, steps in grid.face_table.steps.items():
-        if _walk_image(((1, L, d) for _, d, L in steps), turn, step, n) != ((0,) * phi(n), 0):
+        if _walk_image(((1, L, d) for _, d, L in steps), first, n) != ((0,) * phi(n), 0):
             face = Word(grid.face_table.word[key]).to_string(n, grid.double)
             return f"the first iterate of the face {face} does not close"
     try:
@@ -552,7 +493,7 @@ def vertex_map(cs: CurveSet) -> tuple[tuple[int, int], tuple[int, int]] | str:
         return str(exc)
     cols = []
     for v, walk in zip(lattice, walks):
-        w, T = _walk_image(walk, turn, step, n)
+        w, T = _walk_image(walk, first, n)
         if T:
             return f"the translation by {v.coeffs} changes the net turn T"
         xy = _lattice_coords(Point(n, w), *lattice)
@@ -561,6 +502,35 @@ def vertex_map(cs: CurveSet) -> tuple[tuple[int, int], tuple[int, int]] | str:
         cols.append(xy)
     (a, c), (b, d) = cols
     return (a, b), (c, d)
+
+
+def _uneven(M: tuple[tuple[int, int], tuple[int, int]]) -> bool:
+    """Whether the tiles grow unevenly under phi, whose matrix on the
+    translation lattice is M = ((a, b), (c, d)) (``vertex_map``).
+
+    Growth here is the tile's growth under phi: phi^k maps a fundamental
+    domain of the lattice onto the k-th inflated tile, whose shape is that
+    of M^k.  A constant letter's iterate stays one edge long, so it does not
+    grow and is no evidence either way.  Growth is even when M^k stays a
+    similarity up to a bounded distortion, which holds exactly when M is
+    diagonalizable over C with eigenvalues of one modulus.  Let t = a + d
+    and Delta = t^2 - 4 det M.
+    - Delta < 0: a complex conjugate pair, so M is conjugate over R to a
+      rotation times a scalar.  Even.
+    - t = 0 < Delta: the real pair +-sqrt(-det M), and M^2 = -det M * I.
+      Even.
+    - M scalar.  Even.
+    - Delta > 0 and t != 0: two real eigenvalues of different moduli, so
+      the aspect ratio of M^k grows like the k-th power of their ratio.
+      Uneven.
+    - Delta = 0 and M not scalar: a Jordan block lambda*I + N with N != 0
+      and N^2 = 0, so M^k = lambda^k*I + k*lambda^(k-1)*N distorts linearly
+      in k, and at lambda = 0 it flattens the plane onto a line.  Uneven.
+    """
+    (a, b), (c, d) = M
+    t = a + d
+    delta = t * t - 4 * (a * d - b * c)
+    return not (delta < 0 or (t == 0 and delta > 0) or (b == c == 0 and a == d))
 
 
 def scale_analysis(cs: CurveSet, expected_order: int | None = None) -> ScaleAnalysis:
@@ -581,6 +551,10 @@ def scale_analysis(cs: CurveSet, expected_order: int | None = None) -> ScaleAnal
     or 6.  If the eigenvalues differ, M is diagonalizable and M^q is its
     least power that is a real multiple of I; if they are equal, M is that
     already or no power of it is.
+
+    ``uneven_growth`` is read from M too (``_uneven``), except on a strong
+    set without constants, where phi is multiplication by lambda and
+    growth is even without M.
     """
     n = cs.n
     try:
@@ -588,25 +562,29 @@ def scale_analysis(cs: CurveSet, expected_order: int | None = None) -> ScaleAnal
     except UnequalRowSums:
         return ScaleAnalysis(False, None, None, False)
     noncon = [X for X in cs.letters if X not in cs.constants]
-    if not noncon:
-        return ScaleAnalysis(True, None, None, True)
-    taus = {cs.production(X).net_turn() % n for X in noncon}
+    if not noncon:  # phi is the identity
+        return ScaleAnalysis(True, None, None, True, uneven_growth=False)
+    _, first = islice(_iterates(cs), 2)
+    taus = {first[X][1] for X in noncon}
     common_turn = len(taus) == 1
-    lams = {X: cs.displacement(X) for X in noncon}
-    vals = {lam.coeffs for lam in lams.values()}
+    vals = {first[X][0][0] for X in noncon}
     common = None
     norm = None
     strong = False
     if len(vals) == 1:
-        common = next(iter(lams.values()))
+        common = Point(n, vals.pop())
         norm = common.norm2_int()
         strong = common_turn and norm == r and taus == {0}
     analysis = ScaleAnalysis(common_turn, common, norm, strong)
-    if strong:
+    if strong and not cs.constants:
+        analysis.uneven_growth = False
         return analysis
     mat = vertex_map(cs)
     if isinstance(mat, str):
         analysis.undetermined = mat
+        return analysis
+    analysis.uneven_growth = _uneven(mat)
+    if strong:
         return analysis
     v1, v2 = cs.grid.translation_lattice
     power = mat
@@ -664,9 +642,10 @@ class ValidationReport:
             lines.append(f"interiorFilled: {filled}")
         if self.coverage is not None:
             c = self.coverage
+            rising = self.scale.uneven_growth
             lines.append(
                 f"coverage: k={c.k} r={c.r} missing={c.missing}/{c.total}"
-                f" risingAspect={'yes' if c.rising_aspect else 'no'}"
+                f" risingAspect={'undetermined' if rising is None else na(rising)}"
             )
         lines.append(f"verdict: {self.verdict}")
         for why in self.reasons:
@@ -691,7 +670,7 @@ class ValidationReport:
                 "r": self.coverage.r,
                 "missing": self.coverage.missing,
                 "total": self.coverage.total,
-                "risingAspect": self.coverage.rising_aspect,
+                "risingAspect": self.scale.uneven_growth,
             },
             "verdict": self.verdict,
             "reasons": self.reasons,
@@ -707,11 +686,12 @@ def _iterates_self_avoid(cs: CurveSet) -> bool:
     )
 
 
-def is_invalid(cs: CurveSet, coverage_k: int = 3) -> bool:
-    """True exactly when ``validate(cs, coverage_k).verdict`` is INVALID.
-    Only the hard checks run, cheapest first, and the first failure
-    decides: equal row sums, grid consistency, Dekking-1, then coverage.  The report-only diagnostics (scale, irreducibility, filled
-    interiors) are skipped."""
+def is_invalid(cs: CurveSet) -> bool:
+    """True exactly when ``validate(cs).verdict`` is INVALID.  Only the
+    hard checks run, cheapest first, and the first failure decides: equal
+    row sums, grid consistency, Dekking-1, then coverage.  The report-only
+    diagnostics (scale and growth, irreducibility, filled interiors) are
+    skipped."""
     if cs.grid is None:
         return not _iterates_self_avoid(cs)
     try:
@@ -719,7 +699,7 @@ def is_invalid(cs: CurveSet, coverage_k: int = 3) -> bool:
     except UnequalRowSums:
         return True
     return not (check_grid_consistent(cs)[0] and check_dekking1(cs)[0]
-                and check_coverage(cs, coverage_k).ok)
+                and check_coverage(cs).ok)
 
 
 def validate(
@@ -781,7 +761,7 @@ def validate(
                 f"coverage: {coverage.missing} of {coverage.total} edges missed "
                 f"at k={coverage.k}, r={coverage.r}"
             )
-        if coverage.rising_aspect:
+        if scale.uneven_growth:
             reasons.append("aspect ratio of iterates keeps rising (uneven growth)")
     if not irr:
         reasons.append("substitution matrix is reducible")
@@ -789,7 +769,7 @@ def validate(
     hard = gc and sa and coverage is not None and coverage.ok and r is not None
     if not hard:
         verdict = INVALID
-    elif scale.strong and not coverage.rising_aspect and irr:
+    elif scale.strong and not scale.uneven_growth and irr:
         verdict = VALID
     else:
         verdict = VALID_WITH_CAVEATS

@@ -69,12 +69,6 @@ class Word:
     def nletters(self) -> int:
         return sum(map(str.__instancecheck__, self.tokens))
 
-    def turns(self) -> list[int]:
-        return [t for t in self.tokens if isinstance(t, int)]
-
-    def net_turn(self) -> int:
-        return sum(self.turns())
-
     def alphabet(self) -> set[str]:
         return set(self.letters())
 

@@ -82,14 +82,16 @@ def test_axiom_u_turn_on_a_double_edge_grid(capsys):
 
 def test_validate_golden(capsys):
     # exit 0 for a valid set, 2 when a report says Invalid; stdout pinned
-    # from the recursive coverage expander
+    # from the recursive coverage expander, fischer's re-pinned when growth
+    # moved to the vertex map: its risingAspect became true, with the
+    # reason line for it
     runs = [
         (["validate", "catalog:sq-r5"], 0,
          "245b7b8834c748c656dee923f79ffbb5c70a45262a70fe22d986cadc090205cc"),
         (["validate", "catalog:sausage"], 2,
          "1130af00356d16d594b51405964d91dbf376020917bd6a5b9f700e4e2e23c96d"),
         (["validate", "catalog:fischer", "--json"], 2,
-         "3997ccde884bf2c9777ef58d6b5a675b0bca21ee0c6994f9e48c5d42aea7464f"),
+         "0ee6471f82d92b1fee4d6818e6c39a91fe43436611c089cf5604202e8fd64ed7"),
     ]
     for argv, code, pin in runs:
         assert cli.main(argv) == code, argv
@@ -117,6 +119,17 @@ def test_validate_infinite_radius_is_bad_input(capsys, bounded_closure):
     # an infinite disc used to grow without end
     assert cli.main(["validate", "catalog:sq-r5", "-r", "inf"]) == 1
     assert capsys.readouterr() == ("", "error: coverage radius r must be finite, got inf\n")
+
+
+def test_validate_coverage_depth_beyond_the_float_embedding(capsys):
+    # at k = 1000 the offsets of sq-r5's iterates pass 1e308 and used to end
+    # in an OverflowError traceback
+    assert cli.main(["validate", "catalog:sq-r5", "-k", "600"]) == 0
+    out, err = capsys.readouterr()
+    assert "verdict: Valid\n" in out and err == ""
+    assert cli.main(["validate", "catalog:sq-r5", "-k", "1000"]) == 1
+    assert capsys.readouterr() == ("", "error: coverage depth k=1000 is too deep: "
+                                       "the iterates' offsets overflow a float\n")
 
 
 def test_dimension_golden(capsys):
@@ -311,6 +324,16 @@ def test_transform_drop_golden(capsys):
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()
     assert (out, err) == ("", "error: letters ['A'] are not constants\n")
+
+
+@pytest.mark.parametrize("target_n", ["0", "-4"])
+def test_transform_drop_target_resolution_below_one(capsys, target_n):
+    # 0 used to end in a ZeroDivisionError traceback, -4 in "turn 3 not
+    # printable at resolution -4"
+    argv = ["transform", "--op", "drop", "--input", "catalog:d488-r5",
+            "--drop", "Bb", "--target-n", target_n]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: --target-n must be >= 1, got {target_n}\n")
 
 
 @pytest.mark.parametrize("op, argv, why", [

@@ -299,4 +299,3 @@ def test_stroke_set_rules():
     assert cross.push((0, 0), 3, 3) is None
     assert cross.push((-1, 0), 0, None) is None
     assert cross.push((0, 0), 0, 0) == STROKES_CROSS
-    assert cross.crosses((0, 0), 0, 0) and not cross.crosses((0, 0), 3, 3)

@@ -376,9 +376,9 @@ def test_search_candidates_are_those_passing_dekking1(search_candidates, monkeyp
 
     seen = []
 
-    def recording(cs, coverage_k=3):
+    def recording(cs):
         seen.append(cs)
-        return is_invalid(cs, coverage_k=coverage_k)
+        return is_invalid(cs)
 
     monkeypatch.setattr(search, "is_invalid", recording)
     total = 0

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import math
 import random
 import re
 import string
@@ -14,6 +15,8 @@ import pytest
 from gridcurve import catalog, gridmodel, validator
 from gridcurve.exactgeom import (
     Point,
+    StrokeSet,
+    _chords_cross,
     add_vec,
     embed_vec,
     normalize_turn,
@@ -37,6 +40,7 @@ from gridcurve.validator import (
     VALID_WITH_CAVEATS,
     _covered,
     _iterates,
+    _uneven,
     check_coverage,
     check_dekking1,
     check_grid_consistent,
@@ -55,6 +59,35 @@ GRID_SETS = [e.name for e in catalog.CURVE_ENTRIES if catalog.curveset(e.name).g
 # -- self-avoidance ----------------------------------------------------------
 
 
+def closed_self_avoiding(word: Word, grid: GridSpec) -> tuple[bool, str | None]:
+    """``check_self_avoiding`` of a closed word: it must also end where it
+    starts, and its last and first edges make one more stroke through that
+    base vertex, which must not interleave with the strokes already there."""
+    rep = check_self_avoiding(word, grid)
+    if not rep.ok:
+        return False, rep.violation
+    end, _, edges = trace_tokens(word.tokens, grid.n)
+    if not edges:
+        return True, None
+    base, first_d, _ = edges[0]
+    if end != base:
+        return False, "closed word does not return to start"
+    strokes = StrokeSet(grid.n, grid.double)
+    closing = strokes.chord(edges[-1][1], first_d)
+    if any(_chords_cross(closing, strokes.chord(a, b), strokes.lanes)
+           for (_, a, _), (tail, b, _) in zip(edges, edges[1:]) if tail == base):
+        return False, "strokes cross at the base vertex"
+    return True, None
+
+
+def dekking1_prototiles(cs: CurveSet) -> bool:
+    """The prototile form of Dekking-1, the oracle of the transition form
+    that ``check_dekking1`` runs: the first iterate of every prototile's
+    boundary self-avoids as a closed word."""
+    return all(closed_self_avoiding(expand(cs, tile.boundary_word(), 1), cs.grid)[0]
+               for tile in prototiles(cs.grid))
+
+
 def test_self_avoiding_terdragon_motif():
     tri = catalog.grid("triangle")
     assert check_self_avoiding(parse_word("F+F-F"), tri).ok
@@ -71,7 +104,7 @@ def test_self_avoiding_fold_r5_tiles():
     cs = catalog.curveset("fold-r5")
     for tile in prototiles(cs.grid):
         w = expand(cs, tile.boundary_word(), 1)
-        assert check_self_avoiding(w, cs.grid, closed=True).ok
+        assert closed_self_avoiding(w, cs.grid)[0]
 
 
 def test_self_avoiding_double_edges():
@@ -112,9 +145,13 @@ def test_self_avoiding_pinned():
              ("square", "triangle", "d-square", "d-hexagon", "3464")}
     assert {c["grid"] for c in doc["cases"]} == set(grids)
     for case in doc["cases"]:
-        rep = check_self_avoiding(Word(case["tokens"]), grids[case["grid"]],
-                                  closed=case["closed"])
-        assert (rep.ok, rep.violation) == (case["ok"], case["violation"]), case
+        word, grid = Word(case["tokens"]), grids[case["grid"]]
+        if case["closed"]:
+            got = closed_self_avoiding(word, grid)
+        else:
+            rep = check_self_avoiding(word, grid)
+            got = rep.ok, rep.violation
+        assert got == (case["ok"], case["violation"]), case
     kinds = {re.sub(r"\d+", "#", c["violation"] or "") for c in doc["cases"]}
     assert len(kinds) == 7  # every verdict check_self_avoiding can give
 
@@ -143,8 +180,8 @@ def test_grid_consistent_junction_violation():
 
 def test_dekking1_ju19_both_forms():
     ju = catalog.curveset("ju19")
-    assert check_dekking1(ju, "transitions")[0]
-    assert check_dekking1(ju, "prototiles")[0]
+    assert check_dekking1(ju)[0]
+    assert dekking1_prototiles(ju)
 
 
 def test_dekking1_mutated_ju19_fails():
@@ -159,20 +196,20 @@ def test_dekking1_mutated_ju19_fails():
         prods = dict(ju.prod)
         prods["A"] = Word(tuple(flipped))
         mutant = CurveSet.make("mutant", ju.grid, prods)
-        if not check_dekking1(mutant, "transitions")[0]:
+        if not check_dekking1(mutant)[0]:
             failures += 1
     assert failures > 0
 
 
 def test_dekking1_fold_r9():
-    assert check_dekking1(catalog.curveset("fold-r9"), "transitions")[0]
-    assert check_dekking1(catalog.curveset("fold-r9"), "prototiles")[0]
+    assert check_dekking1(catalog.curveset("fold-r9"))[0]
+    assert dekking1_prototiles(catalog.curveset("fold-r9"))
 
 
 def test_dekking1_equivalence_catalog(regression_sets):
     for cs in regression_sets:
-        t = check_dekking1(cs, "transitions")[0]
-        p = check_dekking1(cs, "prototiles")[0]
+        t = check_dekking1(cs)[0]
+        p = dekking1_prototiles(cs)
         assert t == p, cs.name
 
 
@@ -199,8 +236,8 @@ def test_dekking1_forms_on_mutants():
         prods = dict(cs.prod)
         prods[letter] = Word(tuple(tokens))
         mutant = CurveSet.make("mutant", cs.grid, prods)
-        t = check_dekking1(mutant, "transitions")[0]
-        p = check_dekking1(mutant, "prototiles")[0]
+        t = check_dekking1(mutant)[0]
+        p = dekking1_prototiles(mutant)
         if p:
             assert t, (cs.name, letter, i)
         total += 1
@@ -217,7 +254,7 @@ def test_monotone_self_avoidance(regression_sets):
         for letter in cs.letters:
             if letter in cs.constants:
                 continue
-            if not check_dekking1(cs, "transitions")[0]:
+            if not check_dekking1(cs)[0]:
                 continue
             for k in range(1, 5):
                 w = expand(cs, Word((letter,)), k)
@@ -310,7 +347,6 @@ def test_interior_filled_fischer_yet_no_coverage():
 def test_coverage_ju19():
     cov = check_coverage(catalog.curveset("ju19"), 3, 3.0)
     assert cov.missing == 0
-    assert not cov.rising_aspect
 
 
 def test_coverage_pinned():
@@ -348,7 +384,7 @@ def test_displacement_table_follows_net_turns():
     # fold-r9's productions turn by a half turn, so the second letter of an
     # iterate starts half a turn away from where its production alone says
     cs = catalog.curveset("fold-r9")
-    assert {cs.production(X).net_turn() % cs.n for X in cs.letters} == {2}
+    assert {trace_tokens(cs.production(X).tokens, cs.n)[1] for X in cs.letters} == {2}
     for lv, level in enumerate(islice(_iterates(cs), 4)):
         for X, (rots, turn, _) in level.items():
             end, end_dir, _ = trace_tokens(expand(cs, Word((X,)), lv).tokens, cs.n)
@@ -421,11 +457,13 @@ def test_target_disc_realized_once_per_radius(monkeypatch):
 
 
 def test_coverage_keili():
-    cov = check_coverage(catalog.curveset("keili"), 6, 3.0)
-    assert cov.missing == 0
-    assert cov.rising_aspect
-    series = cov.aspects["C"]
-    assert series[-1] > series[-2] > series[-3]
+    # keili covers, yet its tiles grow unevenly: the vertex map has trace 5
+    # and determinant 6, so the eigenvalues 2 and 3
+    cs = catalog.curveset("keili")
+    assert check_coverage(cs, 6, 3.0).missing == 0
+    (a, b), (c, d) = vertex_map(cs)
+    assert (a + d, a * d - b * c) == (5, 6)
+    assert scale_analysis(cs).uneven_growth
 
 
 # -- scale analysis ----------------------------------------------------------
@@ -451,7 +489,7 @@ def test_scale_eigen_folding_u_turn():
     cs = catalog.curveset("fold-r9")
     sa = scale_analysis(cs)
     assert not sa.strong
-    assert {cs.production(X).net_turn() % 4 for X in cs.letters} == {2}
+    assert {trace_tokens(cs.production(X).tokens, 4)[1] for X in cs.letters} == {2}
     assert vertex_map(cs) == ((-3, 0), (0, -3))
     assert sa.eigen_ok and sa.eigen_period == 1
     assert sa.eigen == Point(4, (-3, 0))
@@ -530,8 +568,9 @@ def vertex_images(cs: CurveSet, radius: float) -> dict[tuple, tuple]:
     turn T across every transition at heads and tails, as a reference."""
     grid, n = cs.grid, cs.n
     units = unit_coeffs(n)
-    turn = {X: cs.production(X).net_turn() for X in cs.letters}
-    step = {X: rotations(cs.displacement(X).coeffs, n) for X in cs.letters}
+    traced = {X: trace_tokens(cs.production(X).tokens, n) for X in cs.letters}
+    turn = {X: d for X, (_, d, _) in traced.items()}
+    step = {X: rotations(end, n) for X, (end, _, _) in traced.items()}
     origin = (0,) * len(units[0])
     image = {origin: origin}
     state = {(origin, 0): (grid.seed_letter(), 0)}  # edge -> (letter, T)
@@ -662,6 +701,60 @@ def test_scale_undetermined_without_a_translation_lattice(monkeypatch):
     assert report.verdict == before.verdict
 
 
+@pytest.mark.parametrize("M, uneven", [
+    (((1, -1), (1, 1)), False),  # complex pair 1 +- i
+    (((0, -1), (1, 0)), False),  # a quarter turn
+    (((0, 1), (9, 0)), False),  # t = 0 < Delta: the pair +-3
+    (((3, 0), (0, -3)), False),  # a reflection times 3, as on fold-r9
+    (((2, 0), (0, 2)), False),  # scalar
+    (((0, 0), (0, 0)), False),  # scalar zero
+    (((2, 1), (0, 2)), True),  # Jordan block
+    (((2, 1), (0, 3)), True),  # distinct real moduli, as on keili
+    (((1, 0), (0, 6)), True),  # as on fischer
+    (((1, 2), (3, 0)), True),  # eigenvalues 3 and -2
+    (((1, 0), (0, 0)), True),  # eigenvalues 1 and 0
+    (((0, 1), (0, 0)), True),  # non-zero nilpotent
+])
+def test_uneven_branches(M, uneven):
+    assert _uneven(M) is uneven
+
+
+def test_uneven_growth_on_the_catalog():
+    # the strong shortcut, which skips the vertex map, agrees with it, and
+    # an exact scale eigenvalue always comes with even growth
+    uneven = set()
+    for name in GRID_SETS:
+        cs = catalog.curveset(name)
+        M, sa = vertex_map(cs), scale_analysis(cs)
+        assert sa.uneven_growth is _uneven(M), name
+        if sa.eigen_ok:
+            assert not sa.uneven_growth, name
+        if _uneven(M):
+            uneven.add(name)
+    assert uneven == {"keili", "sausage", "fischer"}
+
+
+def test_uneven_growth_matches_the_condition_of_powers():
+    # a float oracle: the condition number of M^k stays bounded when growth
+    # is even, and grows with k when it is not
+    def product(P, Q):
+        return tuple(tuple(sum(p * q for p, q in zip(row, col)) for col in zip(*Q)) for row in P)
+
+    def condition(P):
+        # sigma_max / sigma_min = x with x + 1/x = |P|_F^2 / |det P|
+        (a, b), (c, d) = P
+        s = (a * a + b * b + c * c + d * d) / abs(a * d - b * c)
+        return (s + math.sqrt(s * s - 4)) / 2
+
+    for name in GRID_SETS:
+        M = vertex_map(catalog.curveset(name))
+        M20 = ((1, 0), (0, 1))
+        for _ in range(20):
+            M20 = product(M20, M)
+        grows = condition(product(M20, M20)) > 2 * condition(M20)
+        assert grows is _uneven(M), name
+
+
 # -- validate ----------------------------------------------------------------
 
 
@@ -679,7 +772,7 @@ def test_is_invalid_matches_validate_on_catalog():
     for entry in catalog.CURVE_ENTRIES:
         cs = catalog.curveset(entry.name)
         rep = validate(cs, coverage_k=entry.coverage_k)
-        assert is_invalid(cs, entry.coverage_k) == (rep.verdict == INVALID), entry.name
+        assert is_invalid(cs) == (rep.verdict == INVALID), entry.name
         kinds.add(rep.verdict)
         reports.append(rep.to_json())
     # both answers occur: the two Invalid entries fail only coverage
@@ -687,10 +780,13 @@ def test_is_invalid_matches_validate_on_catalog():
     # every report of the catalog, pinned before validate lost its
     # dekking_form parameter; re-pinned when the scale fallback moved to the
     # vertex map, which changed one reason line each of fold-r9, sq-set-r3,
-    # sq-set-r4 and trihex-set6-r16 and nothing else
+    # sq-set-r4 and trihex-set6-r16 and nothing else; re-pinned when growth
+    # moved to the vertex map, which changed risingAspect and its reason
+    # line on sq-set-r3, sq-set-r6, trihex-ab-r16, 3464-aconst-r9,
+    # 3464-bconst-r19, 3366-r13-15, 3446-r7, 3446-r31, d488-r5 and fischer
     assert len(reports) == 66
     assert hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest() == (
-        "a65736e61cfd20466b84a4d8a4b37eefa07df391f39791509553a3c47a3f7fec")
+        "7b4155391f2108bbd0fc925a6ed74fcfeac1a7f54746286030622ab1f00732a7")
 
 
 def relabelled(cs: CurveSet) -> CurveSet:
@@ -711,9 +807,9 @@ def test_verdict_invariant_under_letter_relabelling():
     def summary(rep):
         cov, scale = rep.coverage, rep.scale
         return (rep.verdict, rep.order, rep.scale_consistent,
-                None if cov is None else (cov.missing, cov.total, cov.rising_aspect),
+                None if cov is None else (cov.missing, cov.total),
                 scale and (scale.common_turn, scale.strong, scale.eigen_ok, scale.eigen,
-                           scale.eigen_period, scale.undetermined))
+                           scale.eigen_period, scale.undetermined, scale.uneven_growth))
 
     for name in GRID_SETS:
         cs = catalog.curveset(name)
