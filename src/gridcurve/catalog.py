@@ -2,8 +2,9 @@
 
 The geometry lives in the .gcs files under data/; this module adds lookup,
 aliases, and the regression expectations used by the test suite (expected
-order, expected validation outcome, and the iterate depth at which coverage
-is checked for the slow-growing families).
+order and expected validation outcome).  ``CatalogEntry.coverage_k`` is
+read only by the benchmark's workloads, which pass it on to ``validate``;
+coverage has no depth, so it changes nothing.
 """
 
 from __future__ import annotations

@@ -133,7 +133,7 @@ def cmd_validate(args) -> int:
     worst = EXIT_OK
     reports = []
     for name in sorted(sets):
-        rep = validate(sets[name], coverage_k=args.k, coverage_r=args.r)
+        rep = validate(sets[name])
         reports.append(rep)
         if rep.verdict == INVALID:
             worst = EXIT_INVALID
@@ -395,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("validate", help="run all checks on curve-sets")
     v.add_argument("input")
     v.add_argument("--set")
-    v.add_argument("-k", type=int, default=3, help="coverage iterate depth")
-    v.add_argument("-r", type=float, default=3.0, help="coverage disc radius")
     v.add_argument("--json", action="store_true")
     v.set_defaults(func=cmd_validate)
 
@@ -488,7 +486,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse prints the usage and exits 2 on a usage error, but 2
+        # means the verdict Invalid here; --help exits 0
+        return EXIT_BAD_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (CliError, ParseError, WordError, catalog.CatalogError,

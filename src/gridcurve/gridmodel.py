@@ -16,12 +16,13 @@ Euclidean radius; ``detect_translation_lattice`` (cached as
 ``GridSpec.translation_lattice``) closes modulo a candidate lattice, a
 finite quotient whose closing proves the lattice exactly; and
 ``search.TorusPatch`` closes modulo a multiple of that lattice.
-``GridSpec.target_disc`` realizes once per grid and radius r the disc of
-edges within r that the coverage check must see covered.
 ``GridSpec.lattice_walks`` holds, per basis vector of the lattice, a
-shortest walk of edges from the seed edge to its translate, read back
-along the levels of the patch in which the lattice was found, along which
-``validator.vertex_map`` carries a curve-set's first iterate.
+shortest walk of edges from the seed edge to its translate, and
+``GridSpec.lattice_classes`` the quotient's letters with a shortest walk to
+an edge of each class, all read back along the levels of the patch in which
+the lattice was found.  ``validator.vertex_map`` carries a curve-set's first
+iterate along the former, and ``validator.check_coverage`` lays the children
+of each class from the end of the latter.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from operator import add
-from typing import NamedTuple
 
 from .exactgeom import (
     Lattice,
@@ -124,7 +124,7 @@ class GridSpec:
         return _build_face_table(self)
 
     @cached_property
-    def _lattice(self) -> tuple[tuple[Point, Point], tuple[Walk, Walk]]:
+    def _lattice(self) -> tuple[tuple[Point, Point], tuple[Walk, Walk], dict[EdgeKey, tuple[str, Walk]]]:
         return detect_translation_lattice(self)
 
     @property
@@ -137,20 +137,13 @@ class GridSpec:
         a walk from the seed edge to its translate by v (``Patch.walk``)."""
         return self._lattice[1]
 
-    @cached_property
-    def _target_discs(self) -> dict[float, "TargetDisc"]:
-        return {}
-
-    def target_disc(self, r: float) -> "TargetDisc":
-        """The coverage target of radius r, built on the first call per r.
-
-        Only a disc that was built stores: a colouring that contradicts
-        itself raises InconsistentColoring on every call.
-        """
-        disc = self._target_discs.get(r)
-        if disc is None:
-            disc = self._target_discs[r] = _build_target_disc(self, r)
-        return disc
+    @property
+    def lattice_classes(self) -> dict[EdgeKey, tuple[str, Walk]]:
+        """The edge classes modulo the translation lattice, keyed by their
+        representatives (``Lattice.reduce`` of the tail, and the
+        direction): each class's letter and the steps of a walk from the
+        seed edge to one of its edges (``Patch.walk``)."""
+        return self._lattice[2]
 
     def face_cycle(
         self, edge: EdgeKey, letter: str, side: str
@@ -255,42 +248,6 @@ def _build_face_table(spec: GridSpec) -> FaceTable:
         vertex_sum[(letter, side)] = rotations(tuple(map(sum, zip(*(p for p, _ in tails)))), n)
         steps[(letter, side)] = tuple((rotated(p), d, c) for (p, d), c in zip(tails, tokens[::2]))
     return FaceTable(turn, word, sense, vertex_sum, steps)
-
-
-class TargetDisc(NamedTuple):
-    """What a coverage check of radius r looks at around the origin.
-
-    ``edges`` holds the directed edges whose midpoints lie within r of the
-    origin, in the order ``realize(spec, r)`` reaches them: it grows the
-    patch through exactly those edges.  ``anchored_faces``
-    holds the boundary word of every face at the origin once per edge of
-    the face, rotated to start there, as (tokens, tail, direction): each
-    anchored iterate grows from a different corner, so the corner
-    artifacts of one anchoring are interior to another.
-    """
-
-    edges: tuple[EdgeKey, ...]
-    anchored_faces: tuple[tuple[tuple, tuple, int], ...]
-
-
-def _build_target_disc(spec: GridSpec, r: float) -> TargetDisc:
-    n = spec.n
-    patch = realize(spec, r)
-    edges = tuple(e for e in patch.edges if _midpoint_norm(e, n) <= r)
-    faces: dict[frozenset, tuple[list, tuple]] = {}
-    for e in patch.out_at.get((0,) * phi(n), ()):
-        letter = patch.edges[e]
-        for side in (LEFT, RIGHT):
-            cycle = spec.face_cycle(e, letter, side)
-            if cycle is not None:
-                tokens = spec.face_table.word[(letter, side)]
-                faces.setdefault(frozenset(e2 for e2, _ in cycle), (cycle, tokens))
-    anchored = tuple(
-        (tokens[2 * i :] + tokens[: 2 * i], tail, dirk)
-        for cycle, tokens in faces.values()
-        for i, ((tail, dirk), _) in enumerate(cycle)
-    )
-    return TargetDisc(edges, anchored)
 
 
 def grid_letters(spec: GridSpec, edges: list, letter: str, dirk: int) -> list[str]:
@@ -578,7 +535,9 @@ def prototiles(spec: GridSpec) -> list[Prototile]:
 _LATTICE_RADII = (2, 3, 4, 6, 9, 12)
 
 
-def detect_translation_lattice(spec: GridSpec) -> tuple[tuple[Point, Point], tuple[Walk, Walk]]:
+def detect_translation_lattice(
+    spec: GridSpec,
+) -> tuple[tuple[Point, Point], tuple[Walk, Walk], dict[EdgeKey, tuple[str, Walk]]]:
     """Two shortest independent translations mapping the coloring onto
     itself, and a walk from the seed edge to each one's translate.
 
@@ -600,9 +559,12 @@ def detect_translation_lattice(spec: GridSpec) -> tuple[tuple[Point, Point], tup
     is the coloring the seed decides.  A conflict raises
     InconsistentColoring: a consistent coloring would carry no conflict
     into the quotient.
-    The walks are read back along the same patch (``Patch.walk``), which
-    holds both translates.  ``GridSpec.translation_lattice`` and
-    ``GridSpec.lattice_walks`` cache the result.
+    The quotient's letters are returned per class, keyed by its
+    representative, with a shortest walk to an edge of the class.  These
+    walks and the walks to the two translates are read back along the same
+    patch (``Patch.walk``).  ``GridSpec.translation_lattice``,
+    ``GridSpec.lattice_walks`` and ``GridSpec.lattice_classes`` cache the
+    result.
     """
     n, seed = spec.n, spec.seed_letter()
     for radius in _LATTICE_RADII:
@@ -613,9 +575,15 @@ def detect_translation_lattice(spec: GridSpec) -> tuple[tuple[Point, Point], tup
             key=lambda p: (abs(p), p.coeffs))
         for v in found:
             if found[0] * v.conjugate() != found[0].conjugate() * v:  # independent
-                closure(spec, Lattice(found[0], v).reduce, limit=len(patch.edges))
+                reduce = Lattice(found[0], v).reduce
+                letters, _ = closure(spec, reduce, limit=len(patch.edges))
+                reps: dict[EdgeKey, EdgeKey] = {}
+                for pos, k in patch.edges:  # breadth-first: the shallowest edge per class
+                    reps.setdefault((reduce(pos), k), (pos, k))
+                assert len(reps) == len(letters), "the patch misses an edge class"
                 basis = found[0], v
-                return basis, tuple(patch.walk((u.coeffs, 0)) for u in basis)
+                return (basis, tuple(patch.walk((u.coeffs, 0)) for u in basis),
+                        {key: (letter, patch.walk(reps[key])) for key, letter in letters.items()})
     raise GridError(
         f"could not detect two independent translations for {spec.name!r}"
     )

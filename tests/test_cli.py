@@ -84,14 +84,16 @@ def test_validate_golden(capsys):
     # exit 0 for a valid set, 2 when a report says Invalid; stdout pinned
     # from the recursive coverage expander, fischer's re-pinned when growth
     # moved to the vertex map: its risingAspect became true, with the
-    # reason line for it
+    # reason line for it; all three re-pinned when coverage moved to one
+    # fundamental domain of the vertex map: the coverage line or object,
+    # and the coverage reason of sausage and fischer (non-expansion)
     runs = [
         (["validate", "catalog:sq-r5"], 0,
-         "245b7b8834c748c656dee923f79ffbb5c70a45262a70fe22d986cadc090205cc"),
+         "3a95fc4cd0a0789dc1326256098942c3e34aa1a938a0411d36f1d9a07bc19590"),
         (["validate", "catalog:sausage"], 2,
-         "1130af00356d16d594b51405964d91dbf376020917bd6a5b9f700e4e2e23c96d"),
+         "be2b97be751641135638e62adf38a12b98110af76b5ea34f629aa13f99dd334c"),
         (["validate", "catalog:fischer", "--json"], 2,
-         "0ee6471f82d92b1fee4d6818e6c39a91fe43436611c089cf5604202e8fd64ed7"),
+         "dc18ed454bd580f1bc95906bd91acf91c88a4f5e3686d644061745b79a719b99"),
     ]
     for argv, code, pin in runs:
         assert cli.main(argv) == code, argv
@@ -100,36 +102,39 @@ def test_validate_golden(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == pin, argv
 
 
-def test_validate_empty_coverage_disc_is_bad_input(capsys):
-    # a disc without edges, or a negative depth, used to pass sausage as
-    # ValidWithCaveats or end in a traceback
-    runs = [
-        (["catalog:sausage", "-k", "6", "-r", "0"],
-         "coverage disc of radius r=0.0 holds no edge"),
-        (["catalog:sausage", "-k", "6", "-r", "0.4"],
-         "coverage disc of radius r=0.4 holds no edge"),
-        (["catalog:sq-r5", "-k", "-1"], "coverage depth k must be >= 0, got -1"),
-    ]
-    for argv, why in runs:
-        assert cli.main(["validate", *argv]) == 1, argv
-        assert capsys.readouterr() == ("", f"error: {why}\n")
-
-
-def test_validate_infinite_radius_is_bad_input(capsys, bounded_closure):
-    # an infinite disc used to grow without end
-    assert cli.main(["validate", "catalog:sq-r5", "-r", "inf"]) == 1
-    assert capsys.readouterr() == ("", "error: coverage radius r must be finite, got inf\n")
-
-
-def test_validate_coverage_depth_beyond_the_float_embedding(capsys):
-    # at k = 1000 the offsets of sq-r5's iterates pass 1e308 and used to end
-    # in an OverflowError traceback
-    assert cli.main(["validate", "catalog:sq-r5", "-k", "600"]) == 0
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["validate", "catalog:sq-r5", "-k", "3"],  # coverage has no depth
+    ["validate", "catalog:sq-r5", "-r", "3"],  # nor a radius
+    ["search-curves", "--grid", "square", "--order", "x"],
+    ["frobnicate"],
+    [],
+])
+def test_usage_errors_are_bad_input(capsys, argv):
+    # argparse exits 2 on a usage error; 2 is kept for the verdict Invalid
+    assert cli.main(argv) == 1
     out, err = capsys.readouterr()
-    assert "verdict: Valid\n" in out and err == ""
-    assert cli.main(["validate", "catalog:sq-r5", "-k", "1000"]) == 1
-    assert capsys.readouterr() == ("", "error: coverage depth k=1000 is too deep: "
-                                       "the iterates' offsets overflow a float\n")
+    assert out == ""
+    assert err.startswith("usage: gridcurve") and "error: " in err
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["validate", "--help"]):
+        assert cli.main(argv) == 0, argv
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: gridcurve") and err == ""
+
+
+@pytest.mark.parametrize("name, code, reason", [
+    ("fold-r5", 2, "reason: coverage: the iterates draw only 20/36 of the edges\n"),
+    ("fischer", 2, "reason: coverage: the vertex map has an eigenvalue of modulus at most 1 "
+                   "(trace 7, determinant 6), so no iterate grows over the plane\n"),
+    ("sq-set-r4", 0, "coverage: partition missing=0/16 expanding=yes risingAspect=no\n"),
+])
+def test_validate_coverage_verdicts(capsys, name, code, reason):
+    assert cli.main(["validate", f"catalog:{name}"]) == code
+    out, err = capsys.readouterr()
+    assert reason in out and err == ""
 
 
 def test_dimension_golden(capsys):
@@ -180,7 +185,7 @@ def test_validate_conjugate_pair_eigenvalue(capsys):
         "constants: -\n"
         "interiorFilled: [F++G++H++]^2=yes, [f++++h++++g++++]^1=yes, [F---f---]^2=yes, "
         "[G---g---]^2=yes, [H---h---]^2=yes\n"
-        "coverage: k=3 r=3.0 missing=0/51 risingAspect=no\n"
+        "coverage: partition missing=0/108 expanding=yes risingAspect=no\n"
         "verdict: ValidWithCaveats\n"
         "reason: per-letter displacements differ; exact scale eigenvalue of "
         "squared modulus order^1 exists\n"

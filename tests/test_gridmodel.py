@@ -1,4 +1,3 @@
-import hashlib
 import json
 from pathlib import Path
 
@@ -239,24 +238,6 @@ def test_face_cycle_walks_the_boundary_word(all_grids):
             assert g.face_table.vertex_sum[(letter, side)][0] == tuple(map(sum, zip(*tails)))
 
 
-def test_target_discs_pinned(all_grids):
-    # edges (set and order) and anchored faces of the coverage target at
-    # r = 2 and 3 on every catalog grid, pinned from the earlier realize,
-    # which grew a patch to edge depth ceil(2.2 (r + 1)) + 4 and kept the
-    # edges within r
-    pinned = json.loads(Path(__file__).with_name("target_discs.json").read_text())
-    got = {}
-    for name, g in all_grids.items():
-        for r in (2.0, 3.0):
-            disc = g.target_disc(r)
-            edges = [[list(p), d] for p, d in disc.edges]
-            faces = [[list(t), list(tail), d] for t, tail, d in disc.anchored_faces]
-            digest = hashlib.sha256(json.dumps([edges, faces]).encode()).hexdigest()
-            got[f"{name} {r}"] = {"edges": len(edges), "faces": len(faces), "sha256": digest}
-    assert len(got) == 64
-    assert got == pinned
-
-
 def test_translation_lattices_pinned(all_grids):
     # pinned from the earlier detect_translation_lattice, which verified on
     # patches of edge depth 12, 18 and 26
@@ -372,8 +353,28 @@ def test_lattice_walks_reach_the_translates_over_grid_edges(all_grids):
             assert pos == v.coeffs, name
 
 
+def test_lattice_classes_walk_to_an_edge_of_each_class(all_grids):
+    # one class per edge of the closure modulo the lattice, each with the
+    # quotient's letter, and a walk over grid edges that ends on the tail
+    # of an edge of the class
+    for name, grid in all_grids.items():
+        n, units = grid.n, unit_coeffs(grid.n)
+        reduce = Lattice(*grid.translation_lattice).reduce
+        letters, _ = closure(grid, reduce)
+        classes = grid.lattice_classes
+        assert {key: letter for key, (letter, _) in classes.items()} == letters, name
+        patch = realize(grid, 14)
+        for (rep, k), (letter, walk) in classes.items():
+            pos = (0,) * phi(n)
+            for sign, L, j in walk:
+                tail = pos if sign > 0 else tuple(a - b for a, b in zip(pos, units[j]))
+                assert patch.edges[(tail, j)] == L, name
+                pos = add_vec(tail, units[j]) if sign > 0 else tail
+            assert reduce(pos) == rep and patch.edges[(pos, k)] == letter, name
+
+
 def test_translation_lattice_square():
-    (v1, v2), _ = detect_translation_lattice(catalog.grid("square"))
+    (v1, v2), _, _ = detect_translation_lattice(catalog.grid("square"))
     z1, z2 = v1.to_complex(), v2.to_complex()
     # the diagonal lattice: both vectors of squared length 2, independent
     assert abs(abs(z1) ** 2 - 2) < 1e-9

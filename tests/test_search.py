@@ -19,6 +19,7 @@ from gridcurve.search import (
 from gridcurve.lsystem import CurveSet
 from gridcurve.validator import INVALID, check_dekking1, is_invalid, validate
 from gridcurve.words import parse_word
+from level_one import level_one_hits
 
 
 @pytest.fixture(scope="module")
@@ -317,6 +318,17 @@ def test_enumerate_soundness():
     assert len(sets) == 128
     for cs in sets:
         assert validate(cs).verdict != INVALID, [str(w) for _, w in cs.productions]
+
+
+def test_enumerate_emits_only_sets_that_draw_every_edge_once():
+    # exact coverage drops 24 sets on sq-lr that pass every other check,
+    # each of which leaves some edge near the origin undrawn by its first
+    # iterate; the word DFS, and so its node count, does not depend on it
+    res = enumerate_curve_sets(catalog.grid("sq-lr"), 9)
+    assert (res.complete, res.nodes, len(res.curvesets)) == (True, 60_088, 28)
+    for cs in res.curvesets:
+        hits = level_one_hits(cs, 6, 3)
+        assert set(hits.values()) == {1}, [str(w) for _, w in cs.productions]
 
 
 @pytest.mark.parametrize("name, R, budget", [

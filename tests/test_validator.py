@@ -7,7 +7,6 @@ import random
 import re
 import string
 import weakref
-from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -35,11 +34,15 @@ from gridcurve.gridmodel import (
 )
 from gridcurve.lsystem import CurveSet, UnequalRowSums, expand, expand_tagged, order, subst_matrix
 from gridcurve.validator import (
+    DENSITY,
     INVALID,
+    LETTERS,
+    OVERLAP,
+    PARTITION,
+    UNDETERMINED,
     VALID,
     VALID_WITH_CAVEATS,
-    _covered,
-    _iterates,
+    _expanding,
     _uneven,
     check_coverage,
     check_dekking1,
@@ -52,6 +55,7 @@ from gridcurve.validator import (
     vertex_map,
 )
 from gridcurve.words import Word, parse_word
+from level_one import level_one_hits
 
 GRID_SETS = [e.name for e in catalog.CURVE_ENTRIES if catalog.curveset(e.name).grid is not None]
 
@@ -302,11 +306,11 @@ def test_interior_filled_pinned():
 
 def test_validate_keeps_no_reference_to_the_curveset():
     # the grid outlives the curve-set, and keeps its face table and the
-    # coverage target disc that validate built
+    # lattice classes that validate read
     cs = catalog.curveset("sq-r5").with_name("tmp")
     grid = cs.grid
     assert validate(cs).verdict == VALID
-    assert 3.0 in grid._target_discs
+    assert "_lattice" in vars(grid)
     ref = weakref.ref(cs)
     del cs
     gc.collect()
@@ -328,86 +332,149 @@ def test_interior_fill_reads_grid_letters():
 
 
 def test_interior_filled_sausage_yet_no_coverage():
+    # its first iterate partitions the grid, but its vertex map has the
+    # eigenvalues 1 and 2
     sausage = catalog.curveset("sausage")
     for tile in prototiles(sausage.grid):
         assert check_interior_filled(sausage, tile), str(tile)
-    cov = check_coverage(sausage, 6, 3.0)
-    assert cov.missing > 0
+    cov = check_coverage(sausage)
+    assert cov.status == PARTITION and not cov.expanding and not cov.ok
 
 
 def test_interior_filled_fischer_yet_no_coverage():
     fischer = catalog.curveset("fischer")
     for tile in prototiles(fischer.grid):
         assert check_interior_filled(fischer, tile), str(tile)
-    cov = check_coverage(fischer, 6, 3.0)
-    assert cov.missing > 0
+    cov = check_coverage(fischer)
+    assert cov.status == PARTITION and not cov.expanding and not cov.ok
+    assert vertex_map(fischer) == ((1, 0), (0, 6))
     assert not subst_matrix(fischer).entries[0][2]  # block structure
 
 
 def test_coverage_ju19():
-    cov = check_coverage(catalog.curveset("ju19"), 3, 3.0)
-    assert cov.missing == 0
+    cov = check_coverage(catalog.curveset("ju19"))
+    assert (cov.status, cov.missing, cov.total, cov.expanding) == (PARTITION, 0, 228, True)
+    assert cov.ok
 
 
-def test_coverage_pinned():
-    # (missing, total, missing_sample) at each catalog coverage_k, pinned
-    # from the earlier recursive expander
-    pinned = json.loads(Path(__file__).with_name("coverage.json").read_text())
+def test_coverage_domains_pinned():
+    # per catalog set: the status, the vertex map M, the number E of edge
+    # classes modulo the translation lattice, |det M|, the distinct children
+    # of one fundamental domain of phi of the lattice, and expansion
+    pinned = json.loads(Path(__file__).with_name("coverage_domains.json").read_text())
     got = {}
     for name in GRID_SETS:
-        k = catalog.ENTRY_BY_NAME[name].coverage_k
-        cov = check_coverage(catalog.curveset(name), k, 3.0)
-        got[name] = {"k": k, "missing": cov.missing, "total": cov.total,
-                     "missing_sample": [[list(p), d] for p, d in cov.missing_sample]}
+        cs = catalog.curveset(name)
+        cov = check_coverage(cs)
+        (a, b), (c, d) = M = vertex_map(cs)
+        E = len(cs.grid.lattice_classes)
+        assert cov.total == E * abs(a * d - b * c), name
+        got[name] = {"status": cov.status, "M": [list(row) for row in M], "E": E,
+                     "det": abs(a * d - b * c), "children": cov.total - cov.missing,
+                     "expanding": cov.expanding}
     assert len(got) == 63
     assert got == pinned
+    assert {name for name, pin in got.items() if pin["status"] != PARTITION} == {"fold-r5"}
+    assert {name for name, pin in got.items() if not pin["expanding"]} == {"fischer", "sausage"}
 
 
-@pytest.mark.parametrize("name", GRID_SETS)
-def test_lazy_expander_matches_full_expansion(name):
-    # inside the target disc, the pruned walk covers exactly the edges of
-    # the expanded and traced face words; outside it, pruning may drop
-    # edges whose tails sit on the threshold
-    cs = catalog.curveset(name)
-    disc = cs.grid.target_disc(3.0)
-    target = set(disc.edges)
-    for k in (1, 2):
-        table = list(islice(_iterates(cs), k + 1))
-        for tokens, tail, dirk in disc.anchored_faces:
-            covered = _covered(cs, table, k, 3.0, [(tokens, tail, dirk)])
-            _, _, edges = trace_tokens(expand(cs, Word(tokens), k).tokens, cs.n, tail, dirk)
-            traced = {(p, d) for p, d, _ in edges} & target
-            assert covered & target == traced, (k, tokens, tail, dirk)
+def test_coverage_agrees_with_the_level_one_oracle():
+    # the first iterate of a realized patch, drawn edge by edge with expand
+    # and trace_tokens, hits every edge near the origin exactly once on
+    # every set that partitions, and leaves edges unhit only on fold-r5
+    unhit = {}
+    for name in GRID_SETS:
+        cs = catalog.curveset(name)
+        hits = level_one_hits(cs, 6, 3)
+        status = check_coverage(cs).status
+        if status == PARTITION:
+            assert set(hits.values()) == {1}, name
+        else:
+            assert status == DENSITY, name
+            unhit[name] = (sum(1 for h in hits.values() if h == 0), len(hits))
+    assert unhit == {"fold-r5": (24, 52)}
 
 
-def test_displacement_table_follows_net_turns():
-    # fold-r9's productions turn by a half turn, so the second letter of an
-    # iterate starts half a turn away from where its production alone says
-    cs = catalog.curveset("fold-r9")
-    assert {trace_tokens(cs.production(X).tokens, cs.n)[1] for X in cs.letters} == {2}
-    for lv, level in enumerate(islice(_iterates(cs), 4)):
-        for X, (rots, turn, _) in level.items():
-            end, end_dir, _ = trace_tokens(expand(cs, Word((X,)), lv).tokens, cs.n)
-            assert (rots[0], turn) == (end, end_dir), (lv, X)
-            assert rots == rotations(end, cs.n), (lv, X)
+def test_fold_r5_draws_20_of_36_edges():
+    # M = 3I, so a fundamental domain of phi of the lattice holds 4 * 9 = 36
+    # edges, and the 4 classes have 5 children each
+    cs = catalog.curveset("fold-r5")
+    cov = check_coverage(cs)
+    assert vertex_map(cs) == ((3, 0), (0, 3))
+    assert (cov.status, cov.missing, cov.total, cov.expanding) == (DENSITY, 16, 36, True)
+    rep = validate(cs)
+    assert rep.verdict == INVALID
+    assert "coverage: the iterates draw only 20/36 of the edges" in rep.reasons
+    assert "coverage: density missing=16/36 expanding=yes" in rep.to_text()
 
 
-@pytest.mark.parametrize("name", ["fold-r9", "3464-r9"])
-def test_iterate_rows_follow_expansion(name):
-    # the child at letter i of X's production starts where the production's
-    # prefix before it, expanded lv - 1 times, ends: fold-r9 turns by a half
-    # turn (turn period 2), 3464-r9 lives on n = 12
-    cs = catalog.curveset(name)
-    for lv, level in enumerate(islice(_iterates(cs), 1, 4), 1):
-        for X, (_, _, row) in level.items():
-            tokens = cs.production(X).tokens
-            at = [i for i, tok in enumerate(tokens) if isinstance(tok, str)]
-            assert len(row) == len(at), (lv, X)
-            for (Y, d, tail, z), i in zip(row, at):
-                prefix = expand(cs, Word(tokens[:i]), lv - 1)
-                end, end_dir, _ = trace_tokens(prefix.tokens, cs.n)
-                assert (Y, d, tail) == (tokens[i], end_dir, end), (lv, X, i)
-                assert z == embed_vec(tail, cs.n), (lv, X, i)
+def test_sq_set_r4_partitions_along_its_letter_shifts(monkeypatch):
+    # its first iterate carries the grid's letters shifted along a 4-cycle,
+    # so four shifted curve-sets are tested, each with M = 2I
+    cs = catalog.curveset("sq-set-r4")
+    tested = []
+    inner = validator._children
+    monkeypatch.setattr(validator, "_children",
+                        lambda twin, M: (tested.append(twin.productions), inner(twin, M))[1])
+    cov = check_coverage(cs)
+    assert (cov.status, cov.missing, cov.total, cov.expanding) == (PARTITION, 0, 16, True)
+    assert len(tested) == len(set(tested)) == 4
+    assert tested[0] == cs.productions
+
+
+def test_coverage_undetermined_when_a_shift_changes_the_vertex_map(monkeypatch):
+    cs = catalog.curveset("sq-set-r4")
+    inner = validator.vertex_map
+    monkeypatch.setattr(validator, "vertex_map",
+                        lambda twin: inner(twin) if twin.productions == cs.productions else ((3, 0), (0, 3)))
+    cov = check_coverage(cs)
+    assert (cov.status, cov.expanding) == (UNDETERMINED, True)
+    rep = validate(cs)
+    assert rep.verdict == VALID_WITH_CAVEATS
+    assert "coverage undetermined: a shift of the letters changes the vertex map" in rep.reasons
+    assert not is_invalid(cs)
+
+
+def test_coverage_overlap_where_a_child_is_drawn_twice():
+    # F -> F-F-F on the square grid: M = diag(1, -1), so the 4 edge classes
+    # of a fundamental domain take 12 children, each edge three times
+    cs = CurveSet.make("f3", catalog.grid("square"), {"F": parse_word("F-F-F")})
+    assert vertex_map(cs) == ((1, 0), (0, -1))
+    cov = check_coverage(cs)
+    assert (cov.status, cov.missing, cov.total, cov.expanding) == (OVERLAP, 0, 4, False)
+    assert not cov.ok
+    assert validator._coverage_reasons(cs, cov)[0] == (
+        "coverage: the first iterate of the grid draws some edge twice")
+
+
+def test_coverage_letters_where_no_letter_map_fits():
+    # sq-star-r49 with the productions of C and D swapped: its children
+    # carry letters that no map of the transitions onto themselves gives;
+    # validate never gets that far, since the set is not grid consistent
+    cs = catalog.curveset("sq-star-r49")
+    swap = {"A": "A", "B": "B", "C": "D", "D": "C"}
+    twin = CurveSet.make(cs.name, cs.grid, {X: cs.production(swap[X]) for X in cs.letters})
+    cov = check_coverage(twin)
+    assert cov.status == LETTERS and not cov.ok
+    assert not check_grid_consistent(twin)[0]
+
+
+@pytest.mark.parametrize("M, expanding", [
+    (((2, 0), (0, 2)), True),
+    (((1, -2), (2, 1)), True),  # sq-r5: 1 +- 2i
+    (((2, 1), (0, 3)), True),  # keili
+    (((-3, 0), (0, -3)), True),  # fold-r9
+    (((0, 1), (-2, 0)), True),  # +- i*sqrt(2)
+    (((1, 0), (0, 6)), False),  # fischer: eigenvalue 1
+    (((1, 0), (1, 2)), False),  # sausage: eigenvalue 1
+    (((-1, 0), (0, 3)), False),  # eigenvalue -1
+    (((0, 1), (2, 4)), False),  # 2 - sqrt(6), inside the unit circle
+    (((1, 1), (-1, 0)), False),  # sixth roots of unity
+    (((2, 0), (0, -2)), True),  # det < 0
+    (((2, 0), (0, 0)), False),  # det 0
+])
+def test_expanding_branches(M, expanding):
+    assert _expanding(M) is expanding
 
 
 def test_coverage_raises_on_every_call_for_a_contradictory_coloring():
@@ -419,48 +486,46 @@ def test_coverage_raises_on_every_call_for_a_contradictory_coloring():
     cs = CurveSet.make("c", grid, {"A": parse_word("A"), "B": parse_word("B")})
     for _ in range(2):
         with pytest.raises(InconsistentColoring):
-            check_coverage(cs, 2, 3.0)
+            check_coverage(cs)
 
 
-def test_coverage_rejects_a_negative_depth_and_an_empty_disc():
-    cs = catalog.curveset("sausage")
-    with pytest.raises(ValueError, match="k must be >= 0"):
-        check_coverage(cs, -1, 3.0)
-    for r in (0.0, 0.4):  # the nearest edge midpoints lie at 1/2
-        with pytest.raises(ValueError, match="holds no edge"):
-            check_coverage(cs, 6, r)
-    assert check_coverage(cs, 6, 0.5).total > 0
+def test_validate_realizes_only_for_lattice_detection(monkeypatch):
+    # one pass over the catalog on fresh grids: every patch is one that
+    # lattice detection tries, 2 to 6 in radius, on the 28 grids that carry
+    # a curve-set; coverage realizes none of its own
+    fresh = {}
+    sets = []
+    for entry in catalog.CURVE_ENTRIES:
+        cs = catalog.curveset(entry.name)
+        if cs.grid is not None:
+            grid = fresh.setdefault(cs.grid.name, dataclasses.replace(cs.grid))
+            cs = CurveSet.make(cs.name, grid, cs.prod)
+        sets.append(cs)
+    calls, detecting = [], []
+    realize, detect = gridmodel.realize, gridmodel.detect_translation_lattice
+    monkeypatch.setattr(gridmodel, "realize",
+                        lambda *a: calls.append(bool(detecting)) or realize(*a))
 
+    def detect_and_note(spec):
+        detecting.append(spec)
+        try:
+            return detect(spec)
+        finally:
+            detecting.pop()
 
-def test_coverage_rejects_a_radius_that_is_not_finite(bounded_closure):
-    # the disc of an infinite radius never stops growing
-    cs = catalog.curveset("sq-r5")
-    for r in (float("inf"), float("-inf"), float("nan")):
-        with pytest.raises(ValueError, match=f"coverage radius r must be finite, got {r}"):
-            check_coverage(cs, 3, r)
-
-
-def test_target_disc_realized_once_per_radius(monkeypatch):
-    base = catalog.grid("square")
-    grid = GridSpec(base.name, base.n, base.letters, base.transitions)
-    cs = CurveSet.make("c", grid, dict(catalog.curveset("sq-r5").prod))
-    calls = []
-    real = gridmodel.realize
-    monkeypatch.setattr(gridmodel, "realize", lambda *a: calls.append(a) or real(*a))
-    first = check_coverage(cs, 2, 3.0)
-    again = check_coverage(cs, 3, 3.0)
-    assert len(calls) == 1
-    assert grid.target_disc(3.0) is grid.target_disc(3.0)
-    assert first.total == again.total
-    assert check_coverage(cs, 2, 2.0).total < first.total
-    assert len(calls) == 2
+    monkeypatch.setattr(gridmodel, "detect_translation_lattice", detect_and_note)
+    for cs in sets:
+        validate(cs)
+    assert len(fresh) == 28
+    assert len(calls) == 55 and all(calls)
 
 
 def test_coverage_keili():
     # keili covers, yet its tiles grow unevenly: the vertex map has trace 5
     # and determinant 6, so the eigenvalues 2 and 3
     cs = catalog.curveset("keili")
-    assert check_coverage(cs, 6, 3.0).missing == 0
+    cov = check_coverage(cs)
+    assert cov.status == PARTITION and cov.expanding
     (a, b), (c, d) = vertex_map(cs)
     assert (a + d, a * d - b * c) == (5, 6)
     assert scale_analysis(cs).uneven_growth
@@ -701,6 +766,23 @@ def test_scale_undetermined_without_a_translation_lattice(monkeypatch):
     assert report.verdict == before.verdict
 
 
+def test_coverage_undetermined_is_never_valid(monkeypatch):
+    # sq-r5 is strong, so its scale needs no vertex map; without a
+    # translation lattice its coverage is undetermined, which degrades Valid
+    cs = catalog.curveset("sq-r5")
+    assert validate(cs).verdict == VALID
+    monkeypatch.setattr(gridmodel, "_LATTICE_RADII", ())
+    fresh = CurveSet.make(cs.name, dataclasses.replace(cs.grid), cs.prod)
+    why = f"could not detect two independent translations for {cs.grid.name!r}"
+    cov = check_coverage(fresh)
+    assert (cov.status, cov.missing, cov.total, cov.expanding) == (UNDETERMINED, 0, 0, None)
+    report = validate(fresh)
+    assert report.verdict == VALID_WITH_CAVEATS
+    assert report.reasons == [f"coverage undetermined: {why}"]
+    assert "coverage: undetermined missing=0/0 expanding=undetermined" in report.to_text()
+    assert not is_invalid(fresh)
+
+
 @pytest.mark.parametrize("M, uneven", [
     (((1, -1), (1, 1)), False),  # complex pair 1 +- i
     (((0, -1), (1, 0)), False),  # a quarter turn
@@ -760,8 +842,10 @@ def test_uneven_growth_matches_the_condition_of_powers():
 
 def test_validate_counterexamples_invalid():
     for name in ("sausage", "fischer"):
-        rep = validate(catalog.curveset(name), coverage_k=6)
+        rep = validate(catalog.curveset(name))
         assert rep.verdict == INVALID, name
+        assert any(r.startswith("coverage: the vertex map has an eigenvalue of modulus at most 1")
+                   for r in rep.reasons), name
         assert rep.interior_filled and all(rep.interior_filled.values())
         assert not rep.irreducible
 
@@ -771,11 +855,12 @@ def test_is_invalid_matches_validate_on_catalog():
     reports = []
     for entry in catalog.CURVE_ENTRIES:
         cs = catalog.curveset(entry.name)
-        rep = validate(cs, coverage_k=entry.coverage_k)
+        rep = validate(cs)
         assert is_invalid(cs) == (rep.verdict == INVALID), entry.name
+        assert rep.coverage is None or rep.coverage.status != UNDETERMINED, entry.name
         kinds.add(rep.verdict)
         reports.append(rep.to_json())
-    # both answers occur: the two Invalid entries fail only coverage
+    # all three verdicts occur: the three Invalid entries fail only coverage
     assert kinds == {VALID, VALID_WITH_CAVEATS, INVALID}
     # every report of the catalog, pinned before validate lost its
     # dekking_form parameter; re-pinned when the scale fallback moved to the
@@ -783,10 +868,14 @@ def test_is_invalid_matches_validate_on_catalog():
     # sq-set-r4 and trihex-set6-r16 and nothing else; re-pinned when growth
     # moved to the vertex map, which changed risingAspect and its reason
     # line on sq-set-r3, sq-set-r6, trihex-ab-r16, 3464-aconst-r9,
-    # 3464-bconst-r19, 3366-r13-15, 3446-r7, 3446-r31, d488-r5 and fischer
+    # 3464-bconst-r19, 3366-r13-15, 3446-r7, 3446-r31, d488-r5 and fischer;
+    # re-pinned when coverage moved to one fundamental domain of the vertex
+    # map, which changed every coverage object (status and expanding for k
+    # and r), fold-r5's verdict (Invalid) with its density reason, and the
+    # coverage reason of fischer and sausage (non-expansion)
     assert len(reports) == 66
     assert hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest() == (
-        "7b4155391f2108bbd0fc925a6ed74fcfeac1a7f54746286030622ab1f00732a7")
+        "24e5ddfd6bae3b7b5122762c378f61c7ec727bab67a95395ab2f6eeb5581bef4")
 
 
 def relabelled(cs: CurveSet) -> CurveSet:
@@ -807,7 +896,7 @@ def test_verdict_invariant_under_letter_relabelling():
     def summary(rep):
         cov, scale = rep.coverage, rep.scale
         return (rep.verdict, rep.order, rep.scale_consistent,
-                None if cov is None else (cov.missing, cov.total),
+                None if cov is None else (cov.status, cov.missing, cov.total, cov.expanding),
                 scale and (scale.common_turn, scale.strong, scale.eigen_ok, scale.eigen,
                            scale.eigen_period, scale.undetermined, scale.uneven_growth))
 
@@ -833,9 +922,9 @@ def test_verdict_invariant_under_mirror_on_sign_symmetric_grids():
         twin = CurveSet.make(cs.name, grid, {
             X: Word(normalize_turn(-t, cs.n) if isinstance(t, int) else t for t in w.tokens)
             for X, w in cs.productions})
-        reps = [validate(c, coverage_k=entry.coverage_k) for c in (cs, twin)]
-        assert len({(r.verdict, r.order, r.coverage.missing, r.coverage.total) for r in reps}) == 1, (
-            entry.name)
+        reps = [validate(c) for c in (cs, twin)]
+        assert len({(r.verdict, r.order, r.coverage.status, r.coverage.missing, r.coverage.total)
+                    for r in reps}) == 1, entry.name
         checked += 1
     assert checked == 16
 
