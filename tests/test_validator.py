@@ -357,42 +357,45 @@ def test_coverage_ju19():
     assert cov.ok
 
 
-def test_coverage_domains_pinned():
-    # per catalog set: the status, the vertex map M, the number E of edge
-    # classes modulo the translation lattice, |det M|, the distinct children
-    # of one fundamental domain of phi of the lattice, and expansion
-    pinned = json.loads(Path(__file__).with_name("coverage_domains.json").read_text())
-    got = {}
-    for name in GRID_SETS:
-        cs = catalog.curveset(name)
-        cov = check_coverage(cs)
-        (a, b), (c, d) = M = vertex_map(cs)
-        E = len(cs.grid.lattice_classes)
-        assert cov.total == E * abs(a * d - b * c), name
-        got[name] = {"status": cov.status, "M": [list(row) for row in M], "E": E,
-                     "det": abs(a * d - b * c), "children": cov.total - cov.missing,
-                     "expanding": cov.expanding}
-    assert len(got) == 63
-    assert got == pinned
-    assert {name for name, pin in got.items() if pin["status"] != PARTITION} == {"fold-r5"}
-    assert {name for name, pin in got.items() if not pin["expanding"]} == {"fischer", "sausage"}
+COVERAGE_DOMAINS = json.loads(Path(__file__).with_name("coverage_domains.json").read_text())
 
 
-def test_coverage_agrees_with_the_level_one_oracle():
+def test_coverage_domains_pin_every_grid_set():
+    assert sorted(COVERAGE_DOMAINS) == sorted(GRID_SETS) and len(GRID_SETS) == 63
+    assert {name for name, pin in COVERAGE_DOMAINS.items() if pin["status"] != PARTITION} == {"fold-r5"}
+    assert {name for name, pin in COVERAGE_DOMAINS.items() if not pin["expanding"]} == {"fischer", "sausage"}
+
+
+@pytest.mark.parametrize("name", GRID_SETS)
+def test_coverage_domains_pinned(name):
+    # the status, the vertex map M, the number E of edge classes modulo the
+    # translation lattice, |det M|, the distinct children of one fundamental
+    # domain of phi of the lattice, and expansion
+    cs = catalog.curveset(name)
+    cov = check_coverage(cs)
+    (a, b), (c, d) = M = vertex_map(cs)
+    E = len(cs.grid.lattice_classes)
+    assert cov.total == E * abs(a * d - b * c)
+    got = {"status": cov.status, "M": [list(row) for row in M], "E": E,
+           "det": abs(a * d - b * c), "children": cov.total - cov.missing,
+           "expanding": cov.expanding}
+    assert got == COVERAGE_DOMAINS[name]
+
+
+@pytest.mark.parametrize("name", GRID_SETS)
+def test_coverage_agrees_with_the_level_one_oracle(name):
     # the first iterate of a realized patch, drawn edge by edge with expand
     # and trace_tokens, hits every edge near the origin exactly once on
     # every set that partitions, and leaves edges unhit only on fold-r5
-    unhit = {}
-    for name in GRID_SETS:
-        cs = catalog.curveset(name)
-        hits = level_one_hits(cs, 6, 3)
-        status = check_coverage(cs).status
-        if status == PARTITION:
-            assert set(hits.values()) == {1}, name
-        else:
-            assert status == DENSITY, name
-            unhit[name] = (sum(1 for h in hits.values() if h == 0), len(hits))
-    assert unhit == {"fold-r5": (24, 52)}
+    cs = catalog.curveset(name)
+    hits = level_one_hits(cs, 6, 3)
+    status = check_coverage(cs).status
+    if name == "fold-r5":
+        assert status == DENSITY
+        assert (sum(1 for h in hits.values() if h == 0), len(hits)) == (24, 52)
+    else:
+        assert status == PARTITION
+        assert set(hits.values()) == {1}
 
 
 def test_fold_r5_draws_20_of_36_edges():
