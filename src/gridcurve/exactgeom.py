@@ -278,16 +278,26 @@ REDRAWS_SEGMENT = "redraws a segment (opposite direction)"
 STROKES_CROSS = "strokes cross at a vertex"
 
 
-def _chords_cross(a: tuple[int, int], b: tuple[int, int], m: int) -> bool:
-    """Strict interleaving of two chords on the cycle Z_m."""
-    a1, a2 = a
-    b1, b2 = b
+def _chord(in_d: int, out_d: int, n: int) -> tuple[int, int]:
+    """The lanes, on the cycle of 4n around a vertex, of the stroke that
+    arrives in direction in_d and leaves in direction out_d."""
+    lanes = 4 * n
+    return (4 * in_d + 2 * n - 1) % lanes, (4 * out_d + 1) % lanes
 
-    def inside(x: int) -> bool:
-        return (x - a1) % m < (a2 - a1) % m and x != a1
 
-    i1, i2 = inside(b1), inside(b2)
-    return i1 != i2
+@lru_cache(maxsize=None)
+def _crossing_table(n: int) -> tuple[int, ...]:
+    """For each stroke in_d * n + out_d, the set of strokes that interleave
+    with it around a vertex, as a bit mask: those with one end strictly
+    inside its chord and the other end outside."""
+    lanes = 4 * n
+    chords = [_chord(i, o, n) for i in range(n) for o in range(n)]
+    table = []
+    for a1, a2 in chords:
+        span = (a2 - a1) % lanes
+        inside = [x != a1 and (x - a1) % lanes < span for x in range(lanes)]
+        table.append(sum(1 << b for b, (b1, b2) in enumerate(chords) if inside[b1] != inside[b2]))
+    return tuple(table)
 
 
 class StrokeSet:
@@ -308,6 +318,9 @@ class StrokeSet:
     A stroke is a chord on a cycle of 4n lanes around its vertex, from the
     in-lane of the arriving edge to the out-lane of the leaving one, so
     that the two lanes of an anti-parallel edge pair stay distinct.
+    ``chords`` holds, per vertex, the strokes through it as a bit mask, bit
+    in_d * n + out_d for each, and ``_crossing_table`` which of them
+    interleave.
     """
 
     def __init__(self, n: int, double: bool):
@@ -316,12 +329,13 @@ class StrokeSet:
         self.units = unit_coeffs(n)
         # the reverse of direction d is d + n/2; odd n has no reverse edges
         self.reverse = n // 2 if not double and n % 2 == 0 else None
+        self.crossing = _crossing_table(n)
         self.edges: set[tuple[tuple[int, ...], int]] = set()
-        self.chords: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-        self.pushed: list[tuple[tuple[int, ...], int, bool]] = []
+        self.chords: dict[tuple[int, ...], int] = {}
+        self.pushed: list[tuple[tuple[int, ...], int, int]] = []
 
     def chord(self, in_d: int, out_d: int) -> tuple[int, int]:
-        return ((4 * in_d + 2 * self.n - 1) % self.lanes, (4 * out_d + 1) % self.lanes)
+        return _chord(in_d, out_d, self.n)
 
     def push(self, tail: tuple[int, ...], d: int, prev_d: int | None) -> str | None:
         edge = (tail, d)
@@ -330,24 +344,27 @@ class StrokeSet:
         if self.reverse is not None and (
                 add_vec(tail, self.units[d]), (d + self.reverse) % self.n) in self.edges:
             return REDRAWS_SEGMENT
+        bit = 0
         if prev_d is not None:
-            chord = self.chord(prev_d, d)
-            at = self.chords.setdefault(tail, [])
-            for other in at:
-                if _chords_cross(chord, other, self.lanes):
-                    return STROKES_CROSS
-            at.append(chord)
+            stroke = prev_d * self.n + d
+            at = self.chords.get(tail, 0)
+            if self.crossing[stroke] & at:
+                return STROKES_CROSS
+            # the bit is clear (else the edge would repeat), so pop clears it with ^
+            bit = 1 << stroke
+            self.chords[tail] = at | bit
         self.edges.add(edge)
-        self.pushed.append((tail, d, prev_d is not None))
+        self.pushed.append((tail, d, bit))
         return None
 
     def pop(self) -> None:
-        tail, d, stroked = self.pushed.pop()
+        tail, d, bit = self.pushed.pop()
         self.edges.remove((tail, d))
-        if stroked:
-            at = self.chords[tail]
-            at.pop()
-            if not at:
+        if bit:
+            at = self.chords[tail] ^ bit
+            if at:
+                self.chords[tail] = at
+            else:
                 del self.chords[tail]
 
 

@@ -4,8 +4,10 @@ given order.
 The coloring search assigns letters to the directed edges of a toroidal
 patch subject to the unique transition property in both directions,
 pruning contradictions as soon as the partial transition tables force
-them.  Results are canonicalized under letter permutation, torus
-translation, and (by default) the torus rotations.
+them.  Results are canonicalized under letter permutation and under the
+torus's symmetry group: the torus translations and, by default, the point
+maps (rotations and reflections) that keep the torus lattice and the base
+grid's letters, each with its translation part.
 """
 
 from __future__ import annotations
@@ -91,14 +93,32 @@ class TorusPatch:
     def __len__(self) -> int:
         return len(self.edges)
 
+    def translations(self) -> tuple[list[int], list[int]]:
+        """The edge permutations of the translations by v1 and by v2."""
+        reduce, index = self.lattice.reduce, self.index
+        return tuple([index[(reduce(add_vec(pos, v.coeffs)), k)] for pos, k, _ in self.edges]
+                     for v in (self.v1, self.v2))
+
     def symmetries(self, point_group: bool = True) -> list[list[int]]:
         """Edge permutations induced by maps x -> zeta^j x + u and, with the
         point group enabled, x -> zeta^j conj(x) + u, that keep the torus
         lattice and preserve the base grid.  point_group=False keeps only the
-        torus translations."""
+        torus translations.
+
+        Write u = c + x v1 + y v2, with c one tail of u's vertex class
+        modulo the base lattice and 0 <= x < R, 0 <= y < C.  The map is then
+        m (the same point map, with translation part c) followed by the
+        translation T1^x T2^y (``translations``), which keeps the letters.
+        So m's letters are checked once per class, and its R*C permutations
+        T1^x T2^y m are composed by indexing."""
         n = self.base.n
         reduce = self.lattice.reduce
-        vertices = {pos for pos, _, _ in self.edges}
+        base_reduce = Lattice(self.v1, self.v2).reduce
+        classes: dict[tuple, tuple] = {}
+        for pos, _, _ in self.edges:
+            classes.setdefault(base_reduce(pos), pos)
+        t1, t2 = self.translations()
+        shifts = [[a[e] for e in b] for a in _powers(t1, self.R) for b in _powers(t2, self.C)]
         perms: list[list[int]] = []
         rot_range = range(n) if point_group else range(1)
         flips = (False, True) if point_group else (False,)
@@ -114,16 +134,24 @@ class TorusPatch:
                     continue
                 moved = [(linear(pos), ((j - k) if flip else (k + j)) % n, letter)
                          for pos, k, letter in self.edges]
-                for u in vertices:
-                    perm: list[int] = []
+                for c in classes.values():
+                    m: list[int] = []
                     for q, k2, letter in moved:
-                        target = self.index.get((reduce(add_vec(q, u)), k2))
+                        target = self.index.get((reduce(add_vec(q, c)), k2))
                         if target is None or self.edges[target][2] != letter:
                             break
-                        perm.append(target)
+                        m.append(target)
                     else:
-                        perms.append(perm)
+                        perms.extend([shift[e] for e in m] for shift in shifts)
         return perms
+
+
+def _powers(perm: list[int], count: int) -> list[list[int]]:
+    """perm^0, ..., perm^(count - 1), each composed from the one before."""
+    out = [list(range(len(perm)))]
+    for _ in range(count - 1):
+        out.append([perm[e] for e in out[-1]])
+    return out
 
 
 @dataclass
@@ -154,21 +182,33 @@ class Coloring:
 
 
 def _canonical_form(colors: Sequence[int], perms: list[list[int]]) -> tuple[int, ...]:
-    best: tuple[int, ...] | None = None
+    """The least of the images of colors under the permutations, each with
+    its colours relabelled in order of first appearance.
+
+    The permutations are a group's (``TorusPatch.symmetries``), so the
+    images colors[perm[i]] are the same set as those that move each colour
+    to perm[i].  An image is dropped at its first entry above the least one
+    so far."""
+    best: list[int] | None = None
     for perm in perms:
-        moved = [0] * len(colors)
-        for i, c in enumerate(colors):
-            moved[perm[i]] = c
         relabel: dict[int, int] = {}
-        out = []
-        for c in moved:
-            if c not in relabel:
-                relabel[c] = len(relabel)
-            out.append(relabel[c])
-        cand = tuple(out)
-        if best is None or cand < best:
-            best = cand
-    return best
+        out: list[int] = []
+        below = best is None
+        for e in perm:
+            c = colors[e]
+            r = relabel.get(c)
+            if r is None:
+                r = relabel[c] = len(relabel)
+            if not below:
+                b = best[len(out)]
+                if r > b:
+                    break
+                below = r < b
+            out.append(r)
+        else:
+            if below:
+                best = out
+    return tuple(best)
 
 
 def search_colorings(
@@ -179,7 +219,9 @@ def search_colorings(
     dedup_rotations: bool = True,
 ) -> list[Coloring]:
     """All colorings of the R x C torus with exactly m letters, canonical
-    under letter permutation, translation, and optionally rotation."""
+    under letter permutation and ``TorusPatch.symmetries``: the torus
+    translations, times the rotations and reflections that keep the torus
+    when dedup_rotations is set."""
     if R < 1 or C < 1 or m < 1:
         raise ValueError("R, C, m must be >= 1")
     torus = TorusPatch.build(base, R, C)
@@ -275,27 +317,17 @@ def search_colorings(
     if propagate(initial, fwd0, bwd0, [0]):
         dfs(initial, fwd0, bwd0, 1)
 
-    out: list[Coloring] = []
-    for canon, colors in sorted(results.items()):
-        minvec = _minimal_vector(torus, colors)
-        out.append(Coloring(torus, colors, m, minvec))
-    return out
+    t1, t2 = torus.translations()
+    return [Coloring(torus, colors, m, (_period(colors, t1, R), _period(colors, t2, C)))
+            for _, colors in sorted(results.items())]
 
 
-def _minimal_vector(torus: TorusPatch, colors: Sequence[int]) -> tuple[int, int]:
-    reduce = torus.lattice.reduce
-
-    def preserved(shift: Point) -> bool:
-        for (pos, k, _), c in zip(torus.edges, colors):
-            target = torus.index.get((reduce(add_vec(pos, shift.coeffs)), k))
-            if target is None or colors[target] != c:
-                return False
-        return True
-
-    R, C = torus.R, torus.C
-    r = next(d for d in range(1, R + 1) if R % d == 0 and preserved(torus.v1.scaled(d)))
-    c = next(d for d in range(1, C + 1) if C % d == 0 and preserved(torus.v2.scaled(d)))
-    return (r, c)
+def _period(colors: Sequence[int], shift: list[int], count: int) -> int:
+    """The least d dividing count such that the d-th power of the edge
+    permutation shift keeps every colour; shift^count is the identity."""
+    powers = _powers(shift, count)
+    return next((d for d in range(1, count) if count % d == 0
+                 and all(colors[e] == c for e, c in zip(powers[d], colors))), count)
 
 
 # -- curve-set enumeration --------------------------------------------------

@@ -18,6 +18,28 @@ def test_search_colorings_golden(capsys):
         "bf8c1d9855cc20d24652c71aa7dc60b6431ac7f8f3a51274f65324041cca2927")
 
 
+def test_search_colorings_translations_only_golden(capsys):
+    # --no-rotations folds under the torus translations alone: the 5
+    # colourings of the default fold split into 9
+    argv = ["search-colorings", "--grid", "square", "--torus", "4x4", "--colors", "4",
+            "--no-rotations"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "9 colorings\n"
+    assert out.startswith("# minimal vector (2, 2)\ngrid square-c4-1 {\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8eef91c3583fe543e31ba49e2e5615fadd7cb417b4bce5d405dcaaa6ea8f9d92")
+
+
+@pytest.mark.parametrize("torus, colors", [("0x4", "4"), ("4x4", "0")])
+def test_search_colorings_empty_torus_or_no_colors(capsys, torus, colors):
+    argv = ["search-colorings", "--grid", "square", "--torus", torus, "--colors", colors]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: R, C, m must be >= 1\n"
+
+
 def test_search_colorings_bad_torus(capsys):
     argv = ["search-colorings", "--grid", "square", "--torus", "4", "--colors", "4"]
     assert cli.main(argv) == 1

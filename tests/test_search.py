@@ -1,13 +1,14 @@
 import hashlib
 import itertools
 import json
+import random
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from gridcurve import catalog
-from gridcurve.exactgeom import normalize_turn
+from gridcurve.exactgeom import add_vec, galois_apply, normalize_turn, phi, rotate_vec
 from gridcurve.gridmodel import check_grid
 from gridcurve import search
 from gridcurve.search import (
@@ -130,6 +131,100 @@ def test_torus_quotients_pinned():
                            [list(p.items()) for p in tp.pred]])
         got[key] = (len(tp), hashlib.sha256(blob.encode()).hexdigest())
     assert got == TORUS_PINS
+
+
+def scanned_symmetries(tp: TorusPatch, point_group: bool) -> list[list[int]]:
+    """The torus symmetries by a direct scan: every point map that keeps
+    the torus lattice, followed by the translation to every torus vertex,
+    each edge reduced modulo the torus lattice on its own."""
+    n = tp.base.n
+    reduce = tp.lattice.reduce
+    zero = (0,) * phi(n)
+    perms = []
+    for flip in ((False, True) if point_group else (False,)):
+        for j in (range(n) if point_group else range(1)):
+            def linear(p):
+                return rotate_vec(galois_apply(p, n - 1, n) if flip else p, j, n)
+
+            if any(reduce(linear(row)) != zero for _, row in tp.lattice.pivots):
+                continue
+            moved = [(linear(pos), ((j - k) if flip else (k + j)) % n, letter)
+                     for pos, k, letter in tp.edges]
+            for u in {pos for pos, _, _ in tp.edges}:
+                perm = [tp.index.get((reduce(add_vec(q, u)), k2)) for q, k2, _ in moved]
+                if all(e is not None and tp.edges[e][2] == letter
+                       for e, (_, _, letter) in zip(perm, moved)):
+                    perms.append(perm)
+    return perms
+
+
+# the tori of seven colouring searches (square m = 2, 4, 5, 6, triangle m = 3
+# and 4, trihex m = 3), and five on grids with up to six vertex classes
+# modulo the base lattice, or with letters that only some point maps keep
+SYMMETRY_TORI = [
+    ("square", 4, 4), ("square", 5, 5), ("square", 6, 6), ("triangle", 3, 3),
+    ("triangle", 4, 4), ("triangle", 6, 6), ("trihex", 2, 2), ("3464", 2, 3),
+    ("d488", 2, 2), ("d31212", 1, 2), ("sq-lr", 3, 2), ("tri-abc-star", 3, 2),
+]
+
+
+@pytest.mark.parametrize("name, R, C", SYMMETRY_TORI)
+def test_symmetries_match_the_direct_scan(name, R, C):
+    tp = TorusPatch.build(catalog.grid(name), R, C)
+    for point_group in (True, False):
+        perms = tp.symmetries(point_group)
+        assert sorted(perms) == sorted(scanned_symmetries(tp, point_group)), point_group
+        # _canonical_form relies on this: the permutations form a group, so
+        # they are closed under inversion
+        inverses = set()
+        for perm in perms:
+            inverse = [0] * len(perm)
+            for i, e in enumerate(perm):
+                inverse[e] = i
+            inverses.add(tuple(inverse))
+        assert inverses == {tuple(perm) for perm in perms}
+
+
+def naive_canonical_form(colors, perms):
+    """The least image of colors, each colour moved from edge i to edge
+    perm[i] and then relabelled in order of first appearance."""
+    best = None
+    for perm in perms:
+        moved = [0] * len(colors)
+        for i, c in enumerate(colors):
+            moved[perm[i]] = c
+        relabel = {}
+        image = tuple(relabel.setdefault(c, len(relabel)) for c in moved)
+        if best is None or image < best:
+            best = image
+    return best
+
+
+# the colouring searches of the benchmark's search workload
+BENCHMARK_COLORINGS = [("square", 5, 5, 5), ("triangle", 6, 6, 3), ("square", 4, 4, 4)]
+
+
+@pytest.mark.parametrize("name, R, C, m", BENCHMARK_COLORINGS)
+def test_canonical_form_matches_the_naive_minimum_on_found_colorings(name, R, C, m):
+    tp = TorusPatch.build(catalog.grid(name), R, C)
+    perms = tp.symmetries()
+    found = search_colorings(catalog.grid(name), R, C, m)
+    assert found
+    for col in found:
+        assert search._canonical_form(col.assignment, perms) == naive_canonical_form(
+            col.assignment, perms)
+
+
+@pytest.mark.parametrize("name, R, C", [("square", 4, 4), ("triangle", 3, 3)])
+def test_canonical_form_matches_the_naive_minimum_on_random_colors(name, R, C):
+    tp = TorusPatch.build(catalog.grid(name), R, C)
+    rng = random.Random(22)
+    for point_group in (True, False):
+        perms = tp.symmetries(point_group)
+        for _ in range(50):
+            m = rng.randint(1, 4)
+            colors = [rng.randrange(m) for _ in range(len(tp))]
+            assert search._canonical_form(colors, perms) == naive_canonical_form(colors, perms)
 
 
 def test_search_colorings_budget_exceeded(monkeypatch):

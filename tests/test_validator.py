@@ -15,7 +15,7 @@ from gridcurve import catalog, gridmodel, validator
 from gridcurve.exactgeom import (
     Point,
     StrokeSet,
-    _chords_cross,
+    _crossing_table,
     add_vec,
     embed_vec,
     normalize_turn,
@@ -61,6 +61,34 @@ GRID_SETS = [e.name for e in catalog.CURVE_ENTRIES if catalog.curveset(e.name).g
 
 
 # -- self-avoidance ----------------------------------------------------------
+
+
+def _chords_cross(a: tuple[int, int], b: tuple[int, int], m: int) -> bool:
+    """Strict interleaving of two chords on the cycle Z_m."""
+    a1, a2 = a
+    b1, b2 = b
+
+    def inside(x: int) -> bool:
+        return (x - a1) % m < (a2 - a1) % m and x != a1
+
+    i1, i2 = inside(b1), inside(b2)
+    return i1 != i2
+
+
+def test_crossing_table_matches_chords_cross():
+    # the table StrokeSet.push reads, against the interleaving test of the
+    # two strokes' chords, on every pair of strokes, for every n a catalog
+    # grid uses
+    ns = sorted({catalog.grid(name).n for name in catalog.grid_names()})
+    assert ns == [3, 4, 6, 8, 12]
+    for n in ns:
+        strokes = StrokeSet(n, double=False)
+        table = _crossing_table(n)
+        assert strokes.crossing is table and len(table) == n * n
+        for a in range(n * n):
+            chord = strokes.chord(*divmod(a, n))
+            assert table[a] == sum(1 << b for b in range(n * n) if _chords_cross(
+                chord, strokes.chord(*divmod(b, n)), strokes.lanes)), (n, a)
 
 
 def closed_self_avoiding(word: Word, grid: GridSpec) -> tuple[bool, str | None]:
