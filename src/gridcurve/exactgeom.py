@@ -325,7 +325,6 @@ class StrokeSet:
 
     def __init__(self, n: int, double: bool):
         self.n = n
-        self.lanes = 4 * n
         self.units = unit_coeffs(n)
         # the reverse of direction d is d + n/2; odd n has no reverse edges
         self.reverse = n // 2 if not double and n % 2 == 0 else None
@@ -333,9 +332,6 @@ class StrokeSet:
         self.edges: set[tuple[tuple[int, ...], int]] = set()
         self.chords: dict[tuple[int, ...], int] = {}
         self.pushed: list[tuple[tuple[int, ...], int, int]] = []
-
-    def chord(self, in_d: int, out_d: int) -> tuple[int, int]:
-        return _chord(in_d, out_d, self.n)
 
     def push(self, tail: tuple[int, ...], d: int, prev_d: int | None) -> str | None:
         edge = (tail, d)

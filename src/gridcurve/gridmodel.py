@@ -6,8 +6,8 @@ and turning t, the next edge has class G, and (F, t) determines G uniquely
 therefore follows from the edge's letter alone: ``GridSpec.face_table``
 holds, per letter and side, the turn that continues the face, the face's
 boundary word, and its exact edges and vertex sum from an edge in each
-direction.  Prototiles, face instances and face centres come from that
-table, and ``grid_letters`` carries the grid's letters along a traced path.
+direction.  Prototiles and face centres come from that table, and
+``grid_letters`` carries the grid's letters along a traced path.
 For the same reason one edge's letter decides the letter of every edge
 reachable from it, and ``closure`` walks the transitions breadth-first
 from a seed edge to find them, raising InconsistentColoring where two
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from operator import add
 
 from .exactgeom import (
     Lattice,
@@ -144,18 +143,6 @@ class GridSpec:
         direction): each class's letter and the steps of a walk from the
         seed edge to one of its edges (``Patch.walk``)."""
         return self._lattice[2]
-
-    def face_cycle(
-        self, edge: EdgeKey, letter: str, side: str
-    ) -> list[tuple[EdgeKey, str]] | None:
-        """Edges and letters of the face on one side of an edge, starting
-        with that edge, from the face table's steps; None when the face
-        does not close."""
-        steps = self.face_table.steps.get((letter, side))
-        if steps is None:
-            return None
-        pos, k = edge
-        return [((tuple(map(add, pos, rots[k])), (d + k) % self.n), c) for rots, d, c in steps]
 
     def face_vertices(self, edge: EdgeKey, letter: str, side: str) -> tuple[tuple, int] | None:
         """The exact sum of the vertices of the face on one side of an edge,

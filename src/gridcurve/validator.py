@@ -6,9 +6,10 @@ Scale consistency (one exact displacement shared by all non-constant
 letters, squared length equal to the order) is required for the verdict
 Valid; curve-sets that fail only that are degraded to ValidWithCaveats since
 families with unequal per-letter displacements or uneven growth can still
-cover every edge.  Interior-filled tiles and matrix irreducibility are
-diagnostics, never verdicts: both tile criteria have counterexamples and are
-encoded as such in the test suite.
+cover every edge.  A reducible substitution matrix degrades Valid the same
+way.  Filled tile interiors (``check_interior_filled``) are only reported:
+sausage and fischer fill every tile yet grow over no plane, and dtrihex-r13
+leaves [F+]^6 unfilled yet draws every edge once.
 
 Coverage, the scale eigenvalue and the growth of the tiles all read the
 first iterate (``_first_iterate``) as a map phi of the grid's vertices
@@ -57,9 +58,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations
-from operator import mul
+from operator import add, mul
 
 from .exactgeom import (
     REDRAWS_SEGMENT,
@@ -69,13 +69,13 @@ from .exactgeom import (
     Point,
     StrokeSet,
     add_vec,
-    embed_vec,
     phi,
     ring_div_exact,
     rotate_vec,
     rotations,
     sub_vec,
     trace_tokens,
+    unit_coeffs,
 )
 from .gridmodel import (
     LEFT,
@@ -195,21 +195,53 @@ def check_dekking1(cs: CurveSet) -> tuple[bool, str | None]:
     return True, None
 
 
-def check_interior_filled(cs: CurveSet, tile: Prototile) -> bool:
-    """Expand the tile boundary once and flood the faces its first iterate
-    encloses: every directed edge with interior faces on both sides must be
-    traversed.
+def _faces(edges: list[EdgeKey], n: int) -> list[tuple[int, int]]:
+    """One (total turn, dart) pair per face of the plane graph that the
+    distinct edges of a closed walk draw, by tracing its rotation system
+    (Mohar and Thomassen, *Graphs on Surfaces*, 2001).  Dart 2i walks edge
+    i = (tail, d) forward and dart 2i + 1 backward, each with its face on
+    the left.  Around a vertex the ends lie on a cycle of 8n, four positions
+    per half step of pi/n: edge i leaves at 8d + 1 and arrives at 4a - 1,
+    a = 2d + n mod 2n, so an arriving lane lies just clockwise of an
+    anti-parallel leaving one (``exactgeom._chord``).  A dart leaves its end
+    by the next end clockwise, turning n - delta half steps for the
+    clockwise angle delta between them (0 or 2n between anti-parallel
+    lanes).  A bounded face turns by +2n, the unbounded one by -2n.
+    """
+    units = unit_coeffs(n)
+    ends: dict[tuple, list[tuple[int, int]]] = {}  # vertex -> (position, dart arriving)
+    for i, (p, d) in enumerate(edges):
+        ends.setdefault(p, []).append((8 * d + 1, 2 * i + 1))
+        ends.setdefault(tuple(map(add, p, units[d])), []).append(((8 * d + 4 * n) % (8 * n) - 1, 2 * i))
+    succ, turn = [0] * (2 * len(edges)), [0] * (2 * len(edges))
+    for around in ends.values():
+        around.sort()
+        py, y = around[-1]
+        for px, x in around:
+            delta = ((px + 1) // 4 - (py + 1) // 4) % (2 * n) or (0 if x & 1 else 2 * n)
+            succ[x], turn[x] = y ^ 1, n - delta
+            py, y = px, x
+    faces, seen = [], [False] * len(succ)
+    for start in range(len(succ)):
+        if seen[start]:
+            continue
+        total, x = 0, start
+        while not seen[x]:
+            seen[x] = True
+            total += turn[x]
+            x = succ[x]
+        faces.append((total, start))
+    return faces
 
-    The boundary is anchored at the origin with its first edge in direction
-    0; every edge of one letter sees the same grid around it, so this copy
-    stands for every occurrence of the tile.  Face instances are walked from
-    the face table on demand, starting on both sides of every curve edge,
-    and a component of faces joined across non-curve edges is flooded
-    until it is known to lie outside the curve.  It lies outside when one
-    of its faces does not close or reaches a vertex farther from the origin
-    than every curve vertex: the curve, and all it encloses, lies in that
-    disc.  A component that stays inside and crosses a non-curve edge holds
-    an edge that the curve leaves undrawn, and the answer is False.
+
+def check_interior_filled(cs: CurveSet, tile: Prototile) -> bool:
+    """Expand the tile boundary once: every grid edge that its first
+    iterate encloses must be drawn.  The copy anchored at the origin, first
+    edge in direction 0, stands for every occurrence of the tile.  Each
+    face of the iterate (``_faces``) is the grid faces joined across the
+    edges it leaves undrawn, so a bounded face holds one iff the grid face
+    beside any of its darts does; a grid face that never closes lies in the
+    unbounded face, which is skipped.
     """
     grid = cs.grid
     if grid is None:
@@ -228,45 +260,14 @@ def check_interior_filled(cs: CurveSet, tile: Prototile) -> bool:
     # arrives at the origin
     letters = grid_letters(grid, edges, tokens[-2], -tokens[-1])
     curve = {(p, d): letter for (p, d, _), letter in zip(edges, letters)}
-    radius = max(abs(embed_vec(p, n)) for p, _, _ in edges) + 1e-9
-
-    @cache
-    def beyond(pos: tuple) -> bool:
-        return abs(embed_vec(pos, n)) > radius
-
-    outside: set[tuple[EdgeKey, str]] = set()  # (edge, side) of outer faces
-    visited: set[tuple[EdgeKey, str]] = set()
-    other = {LEFT: RIGHT, RIGHT: LEFT}
-    for start, start_letter in curve.items():
-        for start_side in (LEFT, RIGHT):
-            if (start, start_side) in visited:
-                continue
-            component: set[tuple[EdgeKey, str]] = set()
-            todo = [(start, start_letter, start_side)]
-            crossed = is_outside = False
-            while todo and not is_outside:
-                e, letter, side = todo.pop()
-                if (e, side) in component:
-                    continue
-                if (e, side) in outside:
-                    is_outside = True
-                    break
-                cycle = grid.face_cycle(e, letter, side)
-                if cycle is None:
-                    is_outside = True
-                    break
-                for e2, letter2 in cycle:
-                    component.add((e2, side))
-                    if beyond(e2[0]):
-                        is_outside = True
-                    if e2 not in curve:
-                        crossed = True
-                        todo.append((e2, letter2, other[side]))
-            visited |= component
-            if is_outside:
-                outside |= component
-            elif crossed:
-                return False
+    keys = list(curve)
+    for total, dart in _faces(keys, n):
+        if total < 0:
+            continue
+        pos, k = edge = keys[dart >> 1]
+        steps = table.steps.get((curve[edge], RIGHT if dart & 1 else LEFT), ())
+        if any((tuple(map(add, pos, rots[k])), (d + k) % n) not in curve for rots, d, _ in steps):
+            return False
     return True
 
 

@@ -108,7 +108,9 @@ def test_validate_golden(capsys):
     # moved to the vertex map: its risingAspect became true, with the
     # reason line for it; all three re-pinned when coverage moved to one
     # fundamental domain of the vertex map: the coverage line or object,
-    # and the coverage reason of sausage and fischer (non-expansion)
+    # and the coverage reason of sausage and fischer (non-expansion); fold-r5
+    # and dtrihex-r13 (a double grid) each print a tile whose interior is
+    # not filled, pinned from the flood fill before the boundary walk
     runs = [
         (["validate", "catalog:sq-r5"], 0,
          "3a95fc4cd0a0789dc1326256098942c3e34aa1a938a0411d36f1d9a07bc19590"),
@@ -116,6 +118,10 @@ def test_validate_golden(capsys):
          "be2b97be751641135638e62adf38a12b98110af76b5ea34f629aa13f99dd334c"),
         (["validate", "catalog:fischer", "--json"], 2,
          "dc18ed454bd580f1bc95906bd91acf91c88a4f5e3686d644061745b79a719b99"),
+        (["validate", "catalog:fold-r5"], 2,
+         "f5ad2e8124823c2b7a0d3ad04b717c29ddbfb08469d126636e4aeaab81405276"),
+        (["validate", "catalog:dtrihex-r13", "--json"], 0,
+         "c3e1019c0ce7c1162dfa3c899eede46f1d9ef1ef1ebb0177b34aab778436b5f8"),
     ]
     for argv, code, pin in runs:
         assert cli.main(argv) == code, argv

@@ -22,6 +22,7 @@ from gridcurve.gridmodel import (
     realize,
 )
 from gridcurve.specio import parse
+from interior_flood import face_cycle
 
 
 def T(s, t, d):
@@ -233,8 +234,8 @@ def test_face_cycle_walks_the_boundary_word(all_grids):
                 for i in range(0, len(tokens), 2):
                     want.append(((pos, d), tokens[i]))
                     pos, d = add_vec(pos, units[d]), (d + tokens[i + 1]) % g.n
-                assert g.face_cycle((units[1], k), letter, side) == want, (name, letter, side, k)
-            tails = [e[0] for e, _ in g.face_cycle(((0,) * phi(g.n), 0), letter, side)]
+                assert face_cycle(g, (units[1], k), letter, side) == want, (name, letter, side, k)
+            tails = [e[0] for e, _ in face_cycle(g, ((0,) * phi(g.n), 0), letter, side)]
             assert g.face_table.vertex_sum[(letter, side)][0] == tuple(map(sum, zip(*tails)))
 
 

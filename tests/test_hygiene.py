@@ -52,26 +52,27 @@ def unused_imports(source: str) -> list[tuple[str, int]]:
     return sorted(out)
 
 
-def _names(node: ast.AST) -> set[str]:
-    return {n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+def _names(*roots: ast.AST) -> tuple[set[str], set[str]]:
+    """The bare names and the attribute names that some nodes read."""
+    nodes = [node for root in roots for node in ast.walk(root)]
+    return ({n.id for n in nodes if isinstance(n, ast.Name)},
+            {n.attr for n in nodes if isinstance(n, ast.Attribute)})
 
 
 def _units(module: str, tree: ast.Module):
-    """(owners, names) for each statement of a module: a module-level
-    statement is owned by the name it defines, and each statement of a
-    module-level class by the class and, if it is a method, by
-    "Class.method" as well."""
+    """(owners, bare names, attribute names) for each statement of a module:
+    a module-level statement is owned by the name it defines, and each
+    statement of a module-level class by the class and, if it is a method,
+    by "Class.method" as well."""
     for node in tree.body:
         own = getattr(node, "name", None)
         if not isinstance(node, ast.ClassDef):
-            yield {(module, own)}, _names(node)
+            yield {(module, own)}, *_names(node)
             continue
-        header = node.bases + node.keywords + node.decorator_list
-        yield {(module, own)}, set().union(*map(_names, header))
+        yield {(module, own)}, *_names(*node.bases, *node.keywords, *node.decorator_list)
         for stmt in node.body:
             member = getattr(stmt, "name", None)
-            yield {(module, own), (module, f"{own}.{member}")}, _names(stmt)
+            yield {(module, own), (module, f"{own}.{member}")}, *_names(stmt)
 
 
 def _unreferenced(sources: dict[str, str], wanted, members=None,
@@ -79,22 +80,25 @@ def _unreferenced(sources: dict[str, str], wanted, members=None,
     """Module-level definitions for which ``wanted(node)`` holds, and methods
     of module-level classes, "Class.method", for which ``members(node)``
     holds, whose name no statement of any of the modules references outside
-    the definition itself and that are not among the users."""
+    the definition itself and that are not among the users.  A method is
+    referenced only through an attribute (``x.method``): a bare name of the
+    same spelling is some other variable."""
     defined, units = [], []
     for module, source in sources.items():
         tree = ast.parse(source)
         units += _units(module, tree)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and wanted(node):
-                defined.append((module, node.name, node.name))
+                defined.append((module, node.name, node.name, False))
             if isinstance(node, ast.ClassDef) and members is not None:
-                defined += [(module, f"{node.name}.{m.name}", m.name) for m in node.body
+                defined += [(module, f"{node.name}.{m.name}", m.name, True) for m in node.body
                             if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)) and members(m)]
     users = set(users)
     return sorted(
-        (module, qualified) for module, qualified, name in defined
+        (module, qualified) for module, qualified, name, method in defined
         if name not in users
-        and not any(name in used for owners, used in units if (module, qualified) not in owners)
+        and not any(name in attrs or (not method and name in bare)
+                    for owners, bare, attrs in units if (module, qualified) not in owners)
     )
 
 
@@ -469,19 +473,22 @@ def test_scan_flags_unreferenced_public_names():
             "    def walk(self): return self.head()\n"
             "    def faces(self): return Patch()\n"
             "    def successors(self): return self.successors()\n"
+            "    def chord(self): return 7\n"
             "    def _build(self): return 5\n"
             "    def __len__(self): return 6\n"
             "class Lonely:\n"
             "    def make(self): return Lonely()\n"
         ),
-        "b.py": "from .a import Patch, used_elsewhere\nx = used_elsewhere(), Patch().walk()\n",
+        "b.py": ("from .a import Patch, used_elsewhere\nx = used_elsewhere(), Patch().walk()\n"
+                 "chord = 1\nprint(chord)\n"),
     }
-    # a test that calls tested() and Patch().successors() makes no difference
+    # a test that calls tested() and Patch().successors() makes no difference,
+    # nor does a variable that shares a method's name (chord)
     users = benchmark_names(["from gridcurve.a import benchmarked\nbenchmarked()\n"],
                             traced_names("TARGETS = {'a.Patch.faces': None}\n"))
     assert unreferenced_public_names(sources, users) == [
-        ("a.py", "Lonely"), ("a.py", "Lonely.make"), ("a.py", "Patch.successors"),
-        ("a.py", "only_itself"), ("a.py", "tested")]
+        ("a.py", "Lonely"), ("a.py", "Lonely.make"), ("a.py", "Patch.chord"),
+        ("a.py", "Patch.successors"), ("a.py", "only_itself"), ("a.py", "tested")]
 
 
 def test_benchmark_names_are_imports_their_attributes_and_traced_names():

@@ -15,6 +15,7 @@ from gridcurve import catalog, gridmodel, validator
 from gridcurve.exactgeom import (
     Point,
     StrokeSet,
+    _chord,
     _crossing_table,
     add_vec,
     embed_vec,
@@ -55,6 +56,7 @@ from gridcurve.validator import (
     vertex_map,
 )
 from gridcurve.words import Word, parse_word
+from interior_flood import boundary_iterate, flood_filled
 from level_one import level_one_hits
 
 GRID_SETS = [e.name for e in catalog.CURVE_ENTRIES if catalog.curveset(e.name).grid is not None]
@@ -86,9 +88,9 @@ def test_crossing_table_matches_chords_cross():
         table = _crossing_table(n)
         assert strokes.crossing is table and len(table) == n * n
         for a in range(n * n):
-            chord = strokes.chord(*divmod(a, n))
+            chord = _chord(*divmod(a, n), n)
             assert table[a] == sum(1 << b for b in range(n * n) if _chords_cross(
-                chord, strokes.chord(*divmod(b, n)), strokes.lanes)), (n, a)
+                chord, _chord(*divmod(b, n), n), 4 * n)), (n, a)
 
 
 def closed_self_avoiding(word: Word, grid: GridSpec) -> tuple[bool, str | None]:
@@ -104,9 +106,8 @@ def closed_self_avoiding(word: Word, grid: GridSpec) -> tuple[bool, str | None]:
     base, first_d, _ = edges[0]
     if end != base:
         return False, "closed word does not return to start"
-    strokes = StrokeSet(grid.n, grid.double)
-    closing = strokes.chord(edges[-1][1], first_d)
-    if any(_chords_cross(closing, strokes.chord(a, b), strokes.lanes)
+    closing = _chord(edges[-1][1], first_d, grid.n)
+    if any(_chords_cross(closing, _chord(a, b, grid.n), 4 * grid.n)
            for (_, a, _), (tail, b, _) in zip(edges, edges[1:]) if tail == base):
         return False, "strokes cross at the base vertex"
     return True, None
@@ -330,6 +331,65 @@ def test_interior_filled_pinned():
         }
     assert sum(map(len, got.values())) == 169
     assert got == pinned
+
+
+def walk_against_flood(cs: CurveSet) -> list[bool]:
+    """``check_interior_filled`` on every prototile whose boundary's first
+    iterate closes, checked against the flood, with the invariants of the
+    boundary walk: one face turns by -2n and every other by +2n, and there
+    are as many faces as Euler's formula gives for a connected plane graph.
+    Empty unless the set is grid-consistent and passes Dekking-1, as in
+    ``validate``."""
+    if not (check_grid_consistent(cs)[0] and check_dekking1(cs)[0]):
+        return []
+    n, answers = cs.n, []
+    for tile in prototiles(cs.grid):
+        try:
+            filled = check_interior_filled(cs, tile)
+        except ValueError:  # the iterate does not close
+            continue
+        assert filled == flood_filled(cs, tile), (cs.productions, str(tile))
+        curve = list(boundary_iterate(cs, tile))
+        faces = validator._faces(curve, n)
+        assert sorted(total for total, _ in faces) == [-2 * n] + [2 * n] * (len(faces) - 1)
+        assert len(faces) == len(curve) - len({p for p, _ in curve}) + 2
+        answers.append(filled)
+    return answers
+
+
+def mirrored(cs: CurveSet) -> CurveSet:
+    return CurveSet.make(cs.name, cs.grid, {
+        letter: Word(normalize_turn(-t, cs.n) if isinstance(t, int) else t for t in w.tokens)
+        for letter, w in cs.productions})
+
+
+def test_interior_walk_matches_flood():
+    # the boundary walk against the flood it replaced: on the catalog pairs,
+    # on every set the search pins and every catalog set mirrored, and on
+    # seeded random single-letter words until 20 cases answer False
+    sets = [catalog.curveset(e.name) for e in catalog.CURVE_ENTRIES]
+    sets = [cs for cs in sets if cs.grid is not None]
+    assert len([a for cs in sets for a in walk_against_flood(cs)]) == 169
+    pins = json.loads(Path(__file__).with_name("enumerate_pins.json").read_text())["cases"]
+    more = [CurveSet.make("pinned", catalog.grid(case["grid"]), {
+        letter: parse_word(w, catalog.grid(case["grid"]).n) for letter, w in productions})
+        for case in pins for productions in case["curvesets"]]
+    answers = [a for cs in more + list(map(mirrored, sets)) for a in walk_against_flood(cs)]
+    assert (len(answers), answers.count(False)) == (287, 6)
+    rng = random.Random(23)
+    for name in ("square", "triangle", "d-square", "d-triangle"):
+        grid = catalog.grid(name)
+        letter, turns = grid.letters[0], grid.turns_from[grid.letters[0]]
+        false = 0
+        for _ in range(2000):  # a bound: each grid gives its five in under 200 words
+            tokens = [letter]
+            for _ in range(rng.randint(2, 12)):
+                tokens += [rng.choice(turns), letter]
+            answers = walk_against_flood(CurveSet.make("random", grid, {letter: Word(tokens)}))
+            false += answers.count(False)
+            if false >= 5:
+                break
+        assert false >= 5, name
 
 
 def test_validate_keeps_no_reference_to_the_curveset():
