@@ -276,6 +276,8 @@ def cmd_search_curves(args) -> int:
 
 
 def cmd_numsys(args) -> int:
+    if args.svg and args.region is None:
+        raise CliError("--svg draws the region: it needs --region")
     ring = {"g": GAUSSIAN, "e": EISENSTEIN}[args.ring]
     radix = parse_elem(args.radix, ring)
     digits = [parse_elem(d, ring)

@@ -5,6 +5,16 @@ Positions and displacements are integer vectors over the power basis
 Equality of points, and hence of directed edges, is decided exactly;
 floating point enters only when exporting coordinates, for drawing and for
 distance bounds.
+
+Each exact operation has one home here.  ``mul_vec`` multiplies two
+elements as polynomials in zeta and reduces the product modulo the n-th
+cyclotomic polynomial, which is monic, so the remainder has integer
+coefficients; ``rotations`` multiplies by zeta n times with the same
+recurrence, and ``unit_coeffs`` holds the powers of zeta it gives.
+``Lattice`` is the one solver for a lattice spanned by two elements: its
+echelon basis gives both the canonical residue of a point (``reduce``),
+which decides congruence, and a lattice point's integer coordinates on
+the spanning pair (``coords``).
 """
 
 from __future__ import annotations
@@ -56,54 +66,8 @@ def phi(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _power_reps(n: int) -> tuple[tuple[int, ...], ...]:
-    """zeta^j reduced to the power basis, for j in range(2n)."""
-    deg = phi(n)
-    top = cyclotomic(n)  # x^deg = -(top[0] + top[1] x + ...)
-    reps: list[tuple[int, ...]] = []
-    for j in range(2 * n):
-        if j < deg:
-            vec = [0] * deg
-            vec[j] = 1
-        else:
-            prev = reps[j - 1]
-            shifted = [0] + list(prev[:-1])
-            lead = prev[-1]
-            if lead:
-                for i in range(deg):
-                    shifted[i] -= lead * top[i]
-            vec = shifted
-        reps.append(tuple(vec))
-    return tuple(reps)
-
-
-@lru_cache(maxsize=None)
 def _embed_basis(n: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(2j * cmath.pi * k / n) for k in range(phi(n)))
-
-
-def canonicalize(coeffs: Sequence[int], n: int) -> tuple[int, ...]:
-    """Fold an integer vector over powers of zeta into the power basis."""
-    deg = phi(n)
-    reps = _power_reps(n)
-    out = [0] * deg
-    for j, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        rep = reps[j % (2 * n)] if j >= deg else None
-        if rep is None:
-            out[j] += c
-        else:
-            for i in range(deg):
-                out[i] += c * rep[i]
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def unit_coeffs(n: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical coefficient vectors of zeta^k for k in range(n)."""
-    reps = _power_reps(n)
-    return tuple(reps[k] for k in range(n))
 
 
 def add_vec(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -115,6 +79,8 @@ def sub_vec(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def mul_vec(a: tuple[int, ...], b: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The product of two ring elements: their convolution, reduced modulo
+    the monic cyclotomic polynomial from the top coefficient down."""
     conv = [0] * (2 * len(a) - 1)
     for i, x in enumerate(a):
         if x == 0:
@@ -122,15 +88,14 @@ def mul_vec(a: tuple[int, ...], b: tuple[int, ...], n: int) -> tuple[int, ...]:
         for j, y in enumerate(b):
             if y:
                 conv[i + j] += x * y
-    return canonicalize(conv, n)
-
-
-def rotate_vec(a: tuple[int, ...], k: int, n: int) -> tuple[int, ...]:
-    """Multiply by zeta^k."""
-    k %= n
-    if k == 0:
-        return tuple(a)
-    return mul_vec(a, unit_coeffs(n)[k], n)
+    low = cyclotomic(n)[:-1]  # zeta^deg = -(low[0] + low[1] zeta + ...)
+    deg = len(low)
+    for top in range(len(conv) - 1, deg - 1, -1):
+        c = conv[top]
+        if c:
+            for i, t in enumerate(low, top - deg):
+                conv[i] -= c * t
+    return tuple(conv[:deg])
 
 
 def rotations(a: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
@@ -143,6 +108,12 @@ def rotations(a: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def unit_coeffs(n: int) -> tuple[tuple[int, ...], ...]:
+    """Canonical coefficient vectors of zeta^k for k in range(n)."""
+    return rotations((1,) + (0,) * (phi(n) - 1), n)
+
+
 def embed_vec(a: Sequence[int], n: int) -> complex:
     basis = _embed_basis(n)
     return sum(map(mul, a, basis)) if any(a) else 0j
@@ -151,22 +122,28 @@ def embed_vec(a: Sequence[int], n: int) -> complex:
 def galois_apply(a: tuple[int, ...], k: int, n: int) -> tuple[int, ...]:
     """Image of a under zeta -> zeta^k (k coprime to n); k = n - 1 is the
     complex conjugate."""
-    reps = _power_reps(n)
+    units = unit_coeffs(n)
     deg = phi(n)
     out = [0] * deg
     for j, c in enumerate(a):
         if c == 0:
             continue
-        rep = reps[(j * k) % n]
+        rep = units[(j * k) % n]
         for i in range(deg):
             out[i] += c * rep[i]
     return tuple(out)
 
 
-@lru_cache(maxsize=256)
-def _adjugate_norm(den: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
-    """The product of the other Galois conjugates of den, and den's rational
-    field norm; cached, since a numeration system divides by one radix."""
+def ring_div_exact(num: tuple[int, ...], den: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """num / den in Z[zeta_n] when the quotient lies in the ring.
+
+    Multiplies by the product of the other Galois conjugates of den, then
+    divides by the rational field norm, that product times den.  Raises on
+    inexact division.  Its one caller, ``validator.scale_analysis``, divides
+    a few times per curve-set, so the conjugates are not cached.
+    """
+    if not any(den):
+        raise ZeroDivisionError("division by zero in Z[zeta]")
     adj = unit_coeffs(n)[0]
     for k in range(2, n):
         if math.gcd(k, n) == 1:
@@ -174,18 +151,7 @@ def _adjugate_norm(den: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
     norm_vec = mul_vec(den, adj, n)
     if any(norm_vec[1:]):
         raise ArithmeticError("field norm did not come out rational")
-    return adj, norm_vec[0]
-
-
-def ring_div_exact(num: tuple[int, ...], den: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """num / den in Z[zeta_n] when the quotient lies in the ring.
-
-    Multiplies by the product of the other Galois conjugates of den, then
-    divides by the rational field norm.  Raises on inexact division.
-    """
-    if not any(den):
-        raise ZeroDivisionError("division by zero in Z[zeta]")
-    adj, norm = _adjugate_norm(den, n)
+    norm = norm_vec[0]
     prod = mul_vec(num, adj, n)
     if any(c % norm for c in prod):
         raise ArithmeticError("non-exact division in Z[zeta]")
@@ -373,7 +339,8 @@ def normalize_turn(t: int, n: int) -> int:
 
 
 class Lattice:
-    """The lattice spanned by two exact vectors, kept in echelon form.
+    """The lattice spanned by two exact vectors g1 and g2 (``basis``), kept
+    in echelon form.
 
     Euclid on the first column where a generator is non-zero leaves one
     basis row with a positive pivot there and the other row zero there; the
@@ -381,26 +348,31 @@ class Lattice:
     ``reduce`` takes each pivot coordinate modulo its pivot, in order, so
     two points are congruent modulo the lattice iff their reductions are
     equal (Hermite normal form; Cohen, *A Course in Computational Algebraic
-    Number Theory*, ch. 2).
+    Number Theory*, ch. 2).  Each row's coordinates on (g1, g2), carried
+    through the same unimodular steps, are in ``transform``, so ``coords``
+    reads a lattice point's coordinates off the quotients of its reduction.
     """
 
     def __init__(self, g1: Point, g2: Point):
         if g1.n != g2.n:
             raise ValueError("mixed turn resolutions")
+        self.basis = g1, g2
         a, b = g1.coeffs, g2.coeffs
+        ta, tb = (1, 0), (0, 1)  # a = ta[0]*g1 + ta[1]*g2, likewise b
         c1 = next((i for i, pair in enumerate(zip(a, b)) if any(pair)), None)
         if c1 is None:
             raise ValueError("lattice vectors are collinear")
         while b[c1]:
             q = a[c1] // b[c1]
             a, b = b, tuple(x - q * y for x, y in zip(a, b))
+            ta, tb = tb, (ta[0] - q * tb[0], ta[1] - q * tb[1])
         c2 = next((i for i, y in enumerate(b) if y), None)
         if c2 is None:
             raise ValueError("lattice vectors are collinear")
-        self.pivots = tuple(
-            (c, row if row[c] > 0 else tuple(-x for x in row))
-            for c, row in ((c1, a), (c2, b))
-        )
+        rows = [(c, row, t) if row[c] > 0 else (c, tuple(-x for x in row), (-t[0], -t[1]))
+                for c, row, t in ((c1, a, ta), (c2, b, tb))]
+        self.pivots = tuple((c, row) for c, row, _ in rows)
+        self.transform = tuple(t for _, _, t in rows)
 
     def reduce(self, coeffs: tuple[int, ...]) -> tuple[int, ...]:
         """The canonical representative of coeffs modulo the lattice."""
@@ -409,3 +381,14 @@ class Lattice:
             if q:
                 coeffs = tuple(x - q * y for x, y in zip(coeffs, row))
         return coeffs
+
+    def coords(self, coeffs: tuple[int, ...]) -> tuple[int, int] | None:
+        """The integers (x, y) with coeffs = x*g1 + y*g2, or None where
+        coeffs is not in the lattice (its reduction is not zero)."""
+        x = y = 0
+        for (c, row), (tx, ty) in zip(self.pivots, self.transform):
+            q = coeffs[c] // row[c]
+            if q:
+                coeffs = tuple(u - q * v for u, v in zip(coeffs, row))
+                x, y = x + q * tx, y + q * ty
+        return None if any(coeffs) else (x, y)

@@ -13,7 +13,7 @@ reachable from it, and ``closure`` walks the transitions breadth-first
 from a seed edge to find them, raising InconsistentColoring where two
 letters meet on one edge.  Its three uses: ``realize`` closes out to a
 Euclidean radius; ``detect_translation_lattice`` (cached as
-``GridSpec.translation_lattice``) closes modulo a candidate lattice, a
+``GridSpec.lattice``) closes modulo a candidate lattice, a
 finite quotient whose closing proves the lattice exactly; and
 ``search.TorusPatch`` closes modulo a multiple of that lattice.
 ``GridSpec.lattice_walks`` holds, per basis vector of the lattice, a
@@ -123,12 +123,18 @@ class GridSpec:
         return _build_face_table(self)
 
     @cached_property
-    def _lattice(self) -> tuple[tuple[Point, Point], tuple[Walk, Walk], dict[EdgeKey, tuple[str, Walk]]]:
+    def _lattice(self) -> tuple[Lattice, tuple[Walk, Walk], dict[EdgeKey, tuple[str, Walk]]]:
         return detect_translation_lattice(self)
 
     @property
-    def translation_lattice(self) -> tuple[Point, Point]:
+    def lattice(self) -> Lattice:
+        """The translation lattice that ``detect_translation_lattice``
+        proved, for reduction modulo it and coordinates on its basis."""
         return self._lattice[0]
+
+    @property
+    def translation_lattice(self) -> tuple[Point, Point]:
+        return self._lattice[0].basis
 
     @property
     def lattice_walks(self) -> tuple[Walk, Walk]:
@@ -524,9 +530,10 @@ _LATTICE_RADII = (2, 3, 4, 6, 9, 12)
 
 def detect_translation_lattice(
     spec: GridSpec,
-) -> tuple[tuple[Point, Point], tuple[Walk, Walk], dict[EdgeKey, tuple[str, Walk]]]:
-    """Two shortest independent translations mapping the coloring onto
-    itself, and a walk from the seed edge to each one's translate.
+) -> tuple[Lattice, tuple[Walk, Walk], dict[EdgeKey, tuple[str, Walk]]]:
+    """The lattice of two shortest independent translations mapping the
+    coloring onto itself, and a walk from the seed edge to each one's
+    translate.
 
     The transitions are deterministic, so the letter of one edge decides
     the letters of all edges reachable from it.  If the coloring is
@@ -549,9 +556,9 @@ def detect_translation_lattice(
     The quotient's letters are returned per class, keyed by its
     representative, with a shortest walk to an edge of the class.  These
     walks and the walks to the two translates are read back along the same
-    patch (``Patch.walk``).  ``GridSpec.translation_lattice``,
-    ``GridSpec.lattice_walks`` and ``GridSpec.lattice_classes`` cache the
-    result.
+    patch (``Patch.walk``).  ``GridSpec.lattice`` (with its basis
+    ``GridSpec.translation_lattice``), ``GridSpec.lattice_walks`` and
+    ``GridSpec.lattice_classes`` cache the result.
     """
     n, seed = spec.n, spec.seed_letter()
     for radius in _LATTICE_RADII:
@@ -562,14 +569,14 @@ def detect_translation_lattice(
             key=lambda p: (abs(p), p.coeffs))
         for v in found:
             if found[0] * v.conjugate() != found[0].conjugate() * v:  # independent
-                reduce = Lattice(found[0], v).reduce
+                lattice = Lattice(found[0], v)
+                reduce = lattice.reduce
                 letters, _ = closure(spec, reduce, limit=len(patch.edges))
                 reps: dict[EdgeKey, EdgeKey] = {}
                 for pos, k in patch.edges:  # breadth-first: the shallowest edge per class
                     reps.setdefault((reduce(pos), k), (pos, k))
                 assert len(reps) == len(letters), "the patch misses an edge class"
-                basis = found[0], v
-                return (basis, tuple(patch.walk((u.coeffs, 0)) for u in basis),
+                return (lattice, tuple(patch.walk((u.coeffs, 0)) for u in lattice.basis),
                         {key: (letter, patch.walk(reps[key])) for key, letter in letters.items()})
     raise GridError(
         f"could not detect two independent translations for {spec.name!r}"

@@ -8,6 +8,13 @@ members are pairwise incongruent mod b and |D| = norm(b).  Integer
 expansion is greedy: pick the unique digit congruent to z, divide, repeat;
 orbits may cycle instead of reaching 0, in which case the cycle is
 reported as a value.
+
+Both rings have the basis (1, beta), so the ideal b*Z[beta] is the rank-2
+lattice b*Z + b*beta*Z (``NumerationSystem.ideal``).  Congruence mod b is
+equality of reductions modulo that lattice (``Lattice.reduce``), so a
+digit is chosen by looking up the reduction of z, and the quotient
+(z - d) / b = x + y*beta is read off as the coordinates (x, y) of z - d
+on (b, b*beta) (``Lattice.coords``).
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import cmath
 from dataclasses import dataclass
 from typing import Iterable
 
-from .exactgeom import Point, ring_div_exact
+from .exactgeom import Lattice, Point
 
 GAUSSIAN = "gaussian"
 EISENSTEIN = "eisenstein"
@@ -45,16 +52,6 @@ def plot_elem(z: Point) -> complex:
     return a + b * (1j if z.n == 4 else cmath.exp(1j * cmath.pi / 3))
 
 
-def divide_exact(z: Point, b: Point) -> Point | None:
-    """z / b when it is a ring element, else None."""
-    try:
-        return Point(z.n, ring_div_exact(z.coeffs, b.coeffs, z.n))
-    except ZeroDivisionError:
-        raise
-    except ArithmeticError:
-        return None
-
-
 @dataclass(frozen=True)
 class NumerationSystem:
     radix: Point  # its ring is radix.n
@@ -65,6 +62,11 @@ class NumerationSystem:
         if radix.norm2_int() < 2:
             raise ValueError("norm of the radix must be >= 2")
         return NumerationSystem(radix, tuple(digits))
+
+    def ideal(self) -> Lattice:
+        """The multiples of the radix: the lattice spanned by radix and
+        radix*beta."""
+        return Lattice(self.radix, self.radix * Point(self.radix.n, (0, 1)))
 
 
 @dataclass
@@ -81,10 +83,12 @@ class ResidueReport:
 def check_residue_system(ns: NumerationSystem) -> ResidueReport:
     """Digits pairwise incongruent mod the radix, |digits| = norm(radix)."""
     n = ns.radix.norm2_int()
+    reduce = ns.ideal().reduce
+    residues = [reduce(d.coeffs) for d in ns.digits]
     dup = []
     for i in range(len(ns.digits)):
         for j in range(i + 1, len(ns.digits)):
-            if divide_exact(ns.digits[i] - ns.digits[j], ns.radix) is not None:
+            if residues[i] == residues[j]:
                 dup.append((ns.digits[i], ns.digits[j]))
     ok = not dup and len(ns.digits) == n
     return ResidueReport(ok, n, dup, max(0, n - len(ns.digits)) + len(dup))
@@ -105,7 +109,12 @@ _MAX_STATES = 10**6
 
 
 def expand_integer(ns: NumerationSystem, z: Point) -> Expansion:
-    """Greedy expansion of z; a revisited state is returned as a cycle."""
+    """Greedy expansion of z; a revisited state is returned as a cycle.
+    The digit is the first one congruent to the current state."""
+    ideal = ns.ideal()
+    digit_of: dict[tuple, int] = {}
+    for i, d in enumerate(ns.digits):
+        digit_of.setdefault(ideal.reduce(d.coeffs), i)
     seen: dict[Point, int] = {}
     out: list[int] = []
     trail: list[Point] = []
@@ -117,15 +126,12 @@ def expand_integer(ns: NumerationSystem, z: Point) -> Expansion:
             raise RuntimeError("expansion did not terminate or cycle in bounds")
         seen[cur] = len(out)
         trail.append(cur)
-        for i, d in enumerate(ns.digits):
-            q = divide_exact(cur - d, ns.radix)
-            if q is not None:
-                out.append(i)
-                cur = q
-                break
-        else:
+        i = digit_of.get(ideal.reduce(cur.coeffs))
+        if i is None:
             raise ValueError(f"no digit congruent to {format_elem(cur)} "
                              f"mod {format_elem(ns.radix)}")
+        out.append(i)
+        cur = Point(cur.n, ideal.coords((cur - ns.digits[i]).coeffs))
     return Expansion(out)
 
 
@@ -136,6 +142,7 @@ def fundamental_region_points(ns: NumerationSystem, k: int) -> list[Point]:
     power = Point(ns.radix.n, (1, 0))
     acc = [Point.zero(ns.radix.n)]
     for _ in range(k):
-        acc = list(dict.fromkeys(p + d * power for p in acc for d in ns.digits))
+        terms = [d * power for d in ns.digits]
+        acc = list(dict.fromkeys(p + t for p in acc for t in terms))
         power = power * ns.radix
     return acc

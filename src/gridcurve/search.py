@@ -22,9 +22,9 @@ from .exactgeom import (
     StrokeSet,
     add_vec,
     galois_apply,
+    mul_vec,
     normalize_turn,
     phi,
-    rotate_vec,
     sub_vec,
     unit_coeffs,
 )
@@ -105,18 +105,18 @@ class TorusPatch:
         lattice and preserve the base grid.  point_group=False keeps only the
         torus translations.
 
-        Write u = c + x v1 + y v2, with c one tail of u's vertex class
-        modulo the base lattice and 0 <= x < R, 0 <= y < C.  The map is then
-        m (the same point map, with translation part c) followed by the
+        Write u = c + x v1 + y v2, with c the representative of u's vertex
+        class modulo the base lattice, the tail of a key of
+        ``base.lattice_classes``, and 0 <= x < R, 0 <= y < C.  The map is
+        then m (the same point map, with translation part c) followed by the
         translation T1^x T2^y (``translations``), which keeps the letters.
         So m's letters are checked once per class, and its R*C permutations
-        T1^x T2^y m are composed by indexing."""
+        T1^x T2^y m are composed by indexing.  The point map multiplies by
+        the unit zeta^j (``mul_vec``), after conjugating for a reflection."""
         n = self.base.n
         reduce = self.lattice.reduce
-        base_reduce = Lattice(self.v1, self.v2).reduce
-        classes: dict[tuple, tuple] = {}
-        for pos, _, _ in self.edges:
-            classes.setdefault(base_reduce(pos), pos)
+        units = unit_coeffs(n)
+        classes = dict.fromkeys(pos for pos, _ in self.base.lattice_classes)
         t1, t2 = self.translations()
         shifts = [[a[e] for e in b] for a in _powers(t1, self.R) for b in _powers(t2, self.C)]
         perms: list[list[int]] = []
@@ -126,7 +126,7 @@ class TorusPatch:
         for flip in flips:
             for j in rot_range:
                 def linear(p: tuple) -> tuple:
-                    return rotate_vec(galois_apply(p, n - 1, n) if flip else p, j, n)
+                    return mul_vec(galois_apply(p, n - 1, n) if flip else p, units[j], n)
 
                 # the map acts on the torus, as a bijection, only if it
                 # keeps the lattice
@@ -134,7 +134,7 @@ class TorusPatch:
                     continue
                 moved = [(linear(pos), ((j - k) if flip else (k + j)) % n, letter)
                          for pos, k, letter in self.edges]
-                for c in classes.values():
+                for c in classes:
                     m: list[int] = []
                     for q, k2, letter in moved:
                         target = self.index.get((reduce(add_vec(q, c)), k2))

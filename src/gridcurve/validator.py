@@ -32,8 +32,9 @@ phi(L) (``_children``).
   bijections, draws every edge exactly once.  Where the children carry
   sigma(grid letter) for a bijection sigma that keeps the transitions, the
   next level expands each edge by the production of sigma(its letter), and
-  the same test runs on that shifted curve-set until a shift repeats; each
-  shift must have the same M, else the answer is ``undetermined``.
+  the same test runs on that shifted curve-set, whose first-iterate table
+  is the original's relabelled by sigma, until a shift repeats; each shift
+  must have the same M, else the answer is ``undetermined``.
 - Overlap.  Suppose all E*|det M| classes are hit, by more children: the
   first iterate of the grid draws some edge twice, so two of the curves
   that grow over the plane share an edge.
@@ -58,7 +59,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import combinations
 from operator import add, mul
 
 from .exactgeom import (
@@ -69,9 +69,9 @@ from .exactgeom import (
     Point,
     StrokeSet,
     add_vec,
+    mul_vec,
     phi,
     ring_div_exact,
-    rotate_vec,
     rotations,
     sub_vec,
     trace_tokens,
@@ -285,14 +285,16 @@ UNDETERMINED = "undetermined"
 class CoverageDiagnostic:
     """What ``check_coverage`` decided.  ``total`` is the number E*|det M|
     of edge classes modulo phi of the translation lattice, ``missing`` how
-    many of them the first iterate of the grid leaves undrawn, and
+    many of them the first iterate of the grid leaves undrawn,
     ``expanding`` whether both eigenvalues of M exceed 1 in modulus (None
-    where M is undefined)."""
+    where M is undefined), and ``vertex_map`` M itself, or the reason it is
+    undefined (``vertex_map``)."""
 
     status: str
     missing: int
     total: int
     expanding: bool | None
+    vertex_map: tuple[tuple[int, int], tuple[int, int]] | str
 
     @property
     def ok(self) -> bool:
@@ -324,30 +326,31 @@ def _expanding(M: tuple[tuple[int, int], tuple[int, int]]) -> bool:
     return abs(delta) > 1 and abs(t) < abs(delta) + (1 if delta > 0 else -1)
 
 
-def _children(cs: CurveSet, M) -> tuple[int, int, dict[str, str] | None]:
+def _children(grid: GridSpec, first: dict[str, tuple], M) -> tuple[int, int, dict[str, str] | None]:
     """The number of children of the edge classes modulo phi of the
-    translation lattice, whose matrix is M (``vertex_map(cs)``), how many
-    of them are distinct, and the letter map sigma with which every child carries sigma(its grid
-    letter), or None where no one bijection of the letters that keeps the
-    grid's transitions does.
+    translation lattice, whose matrix is M (``vertex_map(grid, first)``), how
+    many of them are distinct, and the letter map sigma with which every
+    child carries sigma(its grid letter), or None where no one bijection of
+    the letters that keeps the grid's transitions does.  ``first`` is a
+    first-iterate table (``_first_iterate``).
 
     The edge of each class that ``GridSpec.lattice_classes`` walks to has
     phi(tail) and the net turn T that ``_walk_image`` reads along the walk;
     its children are its letter's row turned by its direction plus T and
     laid from phi(tail).  Where det M = 0 they are counted unreduced.
     """
-    grid, n = cs.grid, cs.n
-    first = _first_iterate(cs)
+    n, units = grid.n, unit_coeffs(grid.n)
     v1, v2 = grid.translation_lattice
     (a, b), (c, d) = M
-    on_grid = Lattice(v1, v2).reduce
+    on_grid = grid.lattice.reduce
     image = Lattice(v1.scaled(a) + v2.scaled(c), v1.scaled(b) + v2.scaled(d)) if a * d != b * c else None
     classes = grid.lattice_classes
     children, seen, pairs = 0, set(), set()  # pairs: (grid letter, child letter)
     for (_, k), (letter, walk) in classes.items():
         tail, T = _walk_image(walk, first, n)
+        unit = units[(k + T) % n]
         for Y, dY, offset in first[letter][2]:
-            pos = add_vec(tail, rotate_vec(offset, k + T, n))
+            pos = add_vec(tail, mul_vec(offset, unit, n))
             dirk = (dY + k + T) % n
             children += 1
             seen.add((pos if image is None else image.reduce(pos), dirk))
@@ -371,27 +374,29 @@ def check_coverage(cs: CurveSet) -> CoverageDiagnostic:
     grid = cs.grid
     if grid is None:
         raise ValueError("needs a grid")
-    M = vertex_map(cs)
+    first = _first_iterate(cs)
+    M = vertex_map(grid, first)
     if isinstance(M, str):
-        return CoverageDiagnostic(UNDETERMINED, 0, 0, None)
+        return CoverageDiagnostic(UNDETERMINED, 0, 0, None, M)
     (a, b), (c, d) = M
     total = len(grid.lattice_classes) * abs(a * d - b * c)
     expanding = _expanding(M)
-    twin, shifts = cs, [{X: X for X in cs.letters}]
+    table, shifts = first, [{X: X for X in cs.letters}]
     while True:
-        children, distinct, shift = _children(twin, M)
+        children, distinct, shift = _children(grid, table, M)
         if shift is None:
-            return CoverageDiagnostic(LETTERS, max(total - distinct, 0), total, expanding)
+            return CoverageDiagnostic(LETTERS, max(total - distinct, 0), total, expanding, M)
         if distinct < total:
-            return CoverageDiagnostic(DENSITY, total - distinct, total, expanding)
+            return CoverageDiagnostic(DENSITY, total - distinct, total, expanding, M)
         if children > distinct:
-            return CoverageDiagnostic(OVERLAP, 0, total, expanding)
+            return CoverageDiagnostic(OVERLAP, 0, total, expanding, M)
         if shift in shifts:
-            return CoverageDiagnostic(PARTITION, 0, total, expanding)
+            return CoverageDiagnostic(PARTITION, 0, total, expanding, M)
         shifts.append(shift)
-        twin = CurveSet.make(cs.name, grid, {X: cs.production(shift[X]) for X in cs.letters})
-        if vertex_map(twin) != M:
-            return CoverageDiagnostic(UNDETERMINED, 0, total, expanding)
+        # the shifted curve-set expands X by the production of shift[X]
+        table = {X: first[shift[X]] for X in cs.letters}
+        if vertex_map(grid, table) != M:
+            return CoverageDiagnostic(UNDETERMINED, 0, total, expanding, M)
 
 
 # -- scale analysis -------------------------------------------------------
@@ -431,8 +436,8 @@ def _walk_image(
     (``Patch.walk``), and the net turn T it carries to its last edge from T
     = 0 on its first (see ``vertex_map``): crossing an edge forward passes
     on its T plus its letter's net turn, and an edge crossed backward has
-    the T it passes on less that net turn.  ``first`` is
-    ``_first_iterate(cs)``."""
+    the T it passes on less that net turn.  ``first`` is a first-iterate
+    table (``_first_iterate``)."""
     pos, T = (0,) * phi(n), 0
     for sign, L, k in walk:
         rots, turn, _ = first[L]
@@ -444,29 +449,17 @@ def _walk_image(
     return pos, T % n
 
 
-def _lattice_coords(w: Point, v1: Point, v2: Point) -> tuple[int, int] | None:
-    """Integers (x, y) with w = x*v1 + y*v2, or None: Cramer's rule on two
-    coordinates where v1 and v2 are independent, checked on all of them."""
-    a, b, c = v1.coeffs, v2.coeffs, w.coeffs
-    i, j = next((i, j) for i, j in combinations(range(len(a)), 2)
-                if a[i] * b[j] != a[j] * b[i])
-    det = a[i] * b[j] - a[j] * b[i]
-    x, rx = divmod(c[i] * b[j] - c[j] * b[i], det)
-    y, ry = divmod(a[i] * c[j] - a[j] * c[i], det)
-    if rx or ry or v1.scaled(x) + v2.scaled(y) != w:
-        return None
-    return x, y
-
-
-def vertex_map(cs: CurveSet) -> tuple[tuple[int, int], tuple[int, int]] | str:
-    """The first iterate as a map phi on the grid's vertices: its matrix
-    ((a, b), (c, d)) on the basis (v1, v2) of ``grid.translation_lattice``,
-    phi(v1) = a*v1 + c*v2 and phi(v2) = b*v1 + d*v2, or the reason phi is
-    undefined.
+def vertex_map(
+    grid: GridSpec | None, first: dict[str, tuple]
+) -> tuple[tuple[int, int], tuple[int, int]] | str:
+    """The first iterate that the table ``first`` holds (``_first_iterate``)
+    read as a map phi on the grid's vertices: its matrix ((a, b), (c, d))
+    on the basis (v1, v2) of ``grid.lattice``, phi(v1) = a*v1 + c*v2 and
+    phi(v2) = b*v1 + d*v2, or the reason phi is undefined.
 
     phi fixes the origin, and an edge (p, d) of letter L adds
     zeta^(d+T) * D_L, where D_L is the displacement of L's first iterate,
-    read with its rotations and net turn from ``_first_iterate``, and
+    read with its rotations and net turn from the table, and
     T is the net turn carried along the transitions: 0 on the seed edge,
     and an edge of letter L passes T plus the net turn of L's production to
     the edges after it.  phi and T are well defined when the first iterate
@@ -474,31 +467,30 @@ def vertex_map(cs: CurveSet) -> tuple[tuple[int, int], tuple[int, int]] | str:
     faces span the cycles of the grid, and the corners of the faces at a
     vertex give every transition through it.  A lattice translation v that leaves T
     unchanged commutes with phi, which is then Z-linear on the lattice;
-    phi(v) is read along ``grid.lattice_walks``.  A colouring that
-    contradicts itself is no grid, and raises InconsistentColoring.
+    phi(v) is read along ``grid.lattice_walks``, and its coordinates on
+    (v1, v2) with ``Lattice.coords``.  A colouring that contradicts itself
+    is no grid, and raises InconsistentColoring.
     """
-    grid = cs.grid
     if grid is None:
         return "no grid"
-    n = cs.n
-    first = _first_iterate(cs)
+    n = grid.n
     for key, steps in grid.face_table.steps.items():
         if _walk_image(((1, L, d) for _, d, L in steps), first, n) != ((0,) * phi(n), 0):
             face = Word(grid.face_table.word[key]).to_string(n, grid.double)
             return f"the first iterate of the face {face} does not close"
     try:
-        lattice = grid.translation_lattice
+        lattice = grid.lattice
         walks = grid.lattice_walks
     except InconsistentColoring:
         raise
     except GridError as exc:
         return str(exc)
     cols = []
-    for v, walk in zip(lattice, walks):
+    for v, walk in zip(lattice.basis, walks):
         w, T = _walk_image(walk, first, n)
         if T:
             return f"the translation by {v.coeffs} changes the net turn T"
-        xy = _lattice_coords(Point(n, w), *lattice)
+        xy = lattice.coords(w)
         if xy is None:
             return f"the image of {v.coeffs} is not in the translation lattice"
         cols.append(xy)
@@ -539,7 +531,8 @@ def scale_analysis(cs: CurveSet, expected_order: int | None = None) -> ScaleAnal
     """Strong form: all non-constant displacements equal, |lambda|^2 = order.
 
     Fallback for families with per-letter displacements: the least p <=
-    _MAX_PERIOD for which M^p, with M = ``vertex_map(cs)``, acts on the
+    _MAX_PERIOD for which M^p, with M the ``vertex_map`` of the
+    first-iterate table that the strong form reads, acts on the
     translation lattice as multiplication by one mu in Z[zeta]:
     mu = M^p*v1 / v1 exactly (``ring_div_exact``), and M^p*v2 = mu*v2.
     ``eigen`` is that mu, with period p, when |mu|^2 = order^p.  An
@@ -581,7 +574,7 @@ def scale_analysis(cs: CurveSet, expected_order: int | None = None) -> ScaleAnal
     if strong and not cs.constants:
         analysis.uneven_growth = False
         return analysis
-    mat = vertex_map(cs)
+    mat = vertex_map(cs.grid, first)
     if isinstance(mat, str):
         analysis.undetermined = mat
         return analysis
@@ -689,11 +682,11 @@ def _iterates_self_avoid(cs: CurveSet) -> bool:
     )
 
 
-def _coverage_reasons(cs: CurveSet, coverage: CoverageDiagnostic) -> list[str]:
+def _coverage_reasons(coverage: CoverageDiagnostic) -> list[str]:
     """The reasons a coverage diagnostic gives: why it is undetermined, or
     each cause that makes the verdict Invalid."""
+    M = coverage.vertex_map
     if coverage.status == UNDETERMINED:
-        M = vertex_map(cs)
         why = M if isinstance(M, str) else "a shift of the letters changes the vertex map"
         return [f"coverage undetermined: {why}"]
     out = []
@@ -706,7 +699,7 @@ def _coverage_reasons(cs: CurveSet, coverage: CoverageDiagnostic) -> list[str]:
         out.append("coverage: the first iterate of the grid carries letters that no map "
                    "of the grid's transitions onto themselves gives")
     if not coverage.expanding:
-        (a, b), (c, d) = vertex_map(cs)
+        (a, b), (c, d) = M
         out.append(f"coverage: the vertex map has an eigenvalue of modulus at most 1 "
                    f"(trace {a + d}, determinant {a * d - b * c}), so no iterate grows "
                    "over the plane")
@@ -783,7 +776,7 @@ def validate(cs: CurveSet, coverage_k: int = 3) -> ValidationReport:
             except ValueError as exc:
                 reasons.append(f"interior check failed for {label}: {exc}")
         coverage = check_coverage(cs)
-        reasons.extend(_coverage_reasons(cs, coverage))
+        reasons.extend(_coverage_reasons(coverage))
         if scale.uneven_growth:
             reasons.append("aspect ratio of iterates keeps rising (uneven growth)")
     if not irr:

@@ -331,6 +331,15 @@ def test_numsys_region_svg_golden(capsys, tmp_path):
         "6bfee4c93a90fd8f60da69822e4bc52b20b5f374be69aad87b5ed909ba1ba51e")
 
 
+def test_numsys_svg_without_region_is_bad_input(capsys, tmp_path):
+    # the SVG draws the region, so without --region there is nothing to draw
+    svg = tmp_path / "f.svg"
+    argv = ["numsys", "--ring", "g", "--radix=3,0", "--digits", RADIX3_DIGITS, "--svg", str(svg)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", "error: --svg draws the region: it needs --region\n")
+    assert not svg.exists()
+
+
 def test_numsys_zero_radix_expand_is_bad_input(capsys):
     argv = ["numsys", "--ring", "g", "--radix=0,0", "--digits", "0,0 1,0", "--expand", "1,0"]
     assert cli.main(argv) == 1

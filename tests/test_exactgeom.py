@@ -16,19 +16,20 @@ from gridcurve.exactgeom import (
     Lattice,
     Point,
     StrokeSet,
-    canonicalize,
     cyclotomic,
     embed_vec,
+    galois_apply,
+    mul_vec,
     normalize_turn,
     phi,
     ring_div_exact,
-    rotate_vec,
     rotations,
     trace_tokens,
     unit_coeffs,
 )
 from gridcurve import catalog
 from gridcurve.words import parse_word
+from ring_oracle import canonicalize, folded_product, power_reps, rotate_vec
 
 NS = [3, 4, 6, 8, 12]
 
@@ -74,25 +75,54 @@ def test_mixed_n_rejected():
         Point.zero(4) + Point.zero(6)
 
 
+def _elements(n: int, bound: int = 9):
+    return st.tuples(*[st.integers(-bound, bound)] * phi(n))
+
+
 @settings(max_examples=200)
-@given(
-    st.sampled_from(NS),
-    st.lists(st.integers(-9, 9), min_size=1, max_size=20),
-)
-def test_canonicalize_idempotent(n, vec):
-    once = canonicalize(tuple(vec), n)
-    assert canonicalize(once, n) == once
+@given(st.sampled_from(NS + [5, 10]), st.data())
+def test_mul_vec_by_one_leaves_a_reduced_vector(n, data):
+    # a product is already in the power basis, so multiplying it by 1
+    # reduces nothing further (the reduction is idempotent)
+    vec = data.draw(_elements(n))
+    one = unit_coeffs(n)[0]
+    assert mul_vec(vec, one, n) == mul_vec(one, vec, n) == vec
+    prod = mul_vec(vec, data.draw(_elements(n)), n)
+    assert mul_vec(prod, one, n) == prod
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(NS + [5, 10]), st.data())
+def test_mul_vec_matches_the_folded_convolution(n, data):
+    # the oracle folds the convolution with a table of powers of zeta; both
+    # keep the value of the complex product
+    a, b = data.draw(_elements(n, 30)), data.draw(_elements(n, 30))
+    prod = mul_vec(a, b, n)
+    assert prod == folded_product(a, b, n)
+    z_raw = embed_vec(a, n) * embed_vec(b, n)
+    assert abs(z_raw - embed_vec(prod, n)) < 1e-9 * max(1.0, abs(z_raw))
 
 
 @settings(max_examples=150)
-@given(
-    st.sampled_from(NS),
-    st.lists(st.integers(-30, 30), min_size=1, max_size=24),
-)
-def test_canonicalize_preserves_value(n, vec):
+@given(st.sampled_from(NS), st.lists(st.integers(-30, 30), min_size=1, max_size=24))
+def test_canonicalize_oracle_preserves_value(n, vec):
     z_raw = sum(c * cmath.exp(2j * cmath.pi * j / n) for j, c in enumerate(vec))
     z_canon = embed_vec(canonicalize(tuple(vec), n), n)
     assert abs(z_raw - z_canon) < 1e-9 * max(1.0, abs(z_raw))
+
+
+@pytest.mark.parametrize("n", NS + [5, 10])
+def test_units_and_galois_match_the_power_table(n):
+    reps = power_reps(n)
+    assert unit_coeffs(n) == reps[:n]
+    vec = tuple(range(1, phi(n) + 1))
+    for k in range(1, n):
+        if math.gcd(k, n) == 1:
+            # zeta^j -> zeta^(jk) on each power, folded by the oracle
+            raw = [0] * (n * len(vec))
+            for j, c in enumerate(vec):
+                raw[j * k] += c
+            assert galois_apply(vec, k, n) == canonicalize(raw, n)
 
 
 @settings(max_examples=100)
@@ -248,6 +278,43 @@ def test_lattice_examples():
         Lattice(Point(4, (0, 0)), Point(4, (0, 0)))
     with pytest.raises(ValueError, match="mixed"):
         Lattice(Point(4, (1, 0)), Point(6, (0, 1)))
+
+
+COORDS_NS = [3, 4, 5, 6, 8, 10, 12]
+
+
+@st.composite
+def _lattice_and_point(draw):
+    n = draw(st.sampled_from(COORDS_NS))
+    g1, g2 = draw(_generators(phi(n)))
+    return n, g1, g2, draw(st.tuples(*[COEFF] * phi(n)))
+
+
+@given(_lattice_and_point(), st.integers(-50, 50), st.integers(-50, 50))
+@settings(max_examples=300, deadline=None)
+def test_lattice_coords_inverts_the_basis(case, x, y):
+    n, g1, g2, p = case
+    lat = Lattice(Point(n, g1), Point(n, g2))
+    assert lat.basis == (Point(n, g1), Point(n, g2))
+    assert lat.coords(tuple(x * a + y * b for a, b in zip(g1, g2))) == (x, y)
+    # off the lattice exactly where the reduction is not zero, and the
+    # coordinates of a point on it rebuild the point
+    xy = lat.coords(p)
+    assert (xy is None) == any(lat.reduce(p)) == (not _in_lattice(p, g1, g2))
+    if xy is not None:
+        assert tuple(xy[0] * a + xy[1] * b for a, b in zip(g1, g2)) == p
+
+
+def test_lattice_coords_degenerate_inputs():
+    lat = Lattice(Point(12, (0, 2, 0, 4)), Point(12, (1, 0, 0, 0)))
+    assert lat.coords((0, 0, 0, 0)) == (0, 0)
+    assert lat.coords((0, 1, 0, 2)) is None  # half a generator
+    assert lat.coords((0, 0, 1, 0)) is None  # off the plane the lattice spans
+    assert lat.coords((3, -4, 0, -8)) == (-2, 3)
+    # a basis that Euclid swaps and negates
+    lat = Lattice(Point(4, (-2, 0)), Point(4, (-5, 1)))
+    assert lat.coords((-2, 0)) == (1, 0) and lat.coords((-5, 1)) == (0, 1)
+    assert lat.coords((1, 0)) is None
 
 
 def push_walk(strokes: StrokeSet, edges, prev_d=None) -> list:

@@ -243,7 +243,7 @@ def test_translation_lattices_pinned(all_grids):
     # pinned from the earlier detect_translation_lattice, which verified on
     # patches of edge depth 12, 18 and 26
     pinned = json.loads(Path(__file__).with_name("translation_lattices.json").read_text())
-    got = {name: [list(v.coeffs) for v in detect_translation_lattice(g)[0]]
+    got = {name: [list(v.coeffs) for v in detect_translation_lattice(g)[0].basis]
            for name, g in all_grids.items()}
     assert len(got) == 32
     assert got == pinned
@@ -298,7 +298,7 @@ def test_detection_proves_its_lattice_on_the_quotient(monkeypatch):
         base = catalog.grid(name)
         torus = TorusPatch.build(GridSpec(name, base.n, base.letters, base.transitions, base.double), 1, 1)
         quotients.clear()
-        assert detect_translation_lattice(base)[0] == (torus.v1, torus.v2)
+        assert detect_translation_lattice(base)[0].basis == (torus.v1, torus.v2)
         assert [list(q.items()) for q in quotients] == [
             [((pos, k), letter) for pos, k, letter in torus.edges]], name
 
@@ -375,7 +375,7 @@ def test_lattice_classes_walk_to_an_edge_of_each_class(all_grids):
 
 
 def test_translation_lattice_square():
-    (v1, v2), _, _ = detect_translation_lattice(catalog.grid("square"))
+    (v1, v2) = detect_translation_lattice(catalog.grid("square"))[0].basis
     z1, z2 = v1.to_complex(), v2.to_complex()
     # the diagonal lattice: both vectors of squared length 2, independent
     assert abs(abs(z1) ** 2 - 2) < 1e-9

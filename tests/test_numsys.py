@@ -3,14 +3,13 @@ import random
 
 import pytest
 
-from gridcurve.exactgeom import Point, _adjugate_norm
+from gridcurve.exactgeom import Lattice, Point, ring_div_exact
 from gridcurve.numsys import (
     EISENSTEIN,
     GAUSSIAN,
     Expansion,
     NumerationSystem,
     check_residue_system,
-    divide_exact,
     expand_integer,
     format_elem,
     fundamental_region_points,
@@ -208,18 +207,54 @@ def test_crs_iff_injective(name):
             assert distinct < m ** k
 
 
-def test_divide_exact():
-    assert divide_exact(G(1, 0), G(-2, 1)) is None
-    assert divide_exact(G(5, 0), G(-2, 1)) == G(-2, -1)  # 5 = (-2+i)(-2-i)
-    assert divide_exact(G(-7, 1), G(-2, 1)) == G(3, 1)
+def quotient(z: Point, b: Point) -> Point | None:
+    """z / b by the coordinates of z on the radix ideal's basis (b, b*beta),
+    or None where b does not divide z."""
+    xy = NumerationSystem(b, ()).ideal().coords(z.coeffs)
+    return None if xy is None else Point(z.n, xy)
 
 
-def test_expand_integer_builds_the_radix_adjugate_once():
+def test_ideal_coords_divide_exactly():
+    assert quotient(G(1, 0), G(-2, 1)) is None
+    assert quotient(G(5, 0), G(-2, 1)) == G(-2, -1)  # 5 = (-2+i)(-2-i)
+    assert quotient(G(-7, 1), G(-2, 1)) == G(3, 1)
+
+
+@pytest.mark.parametrize("name", ["radix3", "radix-1+3w", "radix-2", "radix-2+i"])
+def test_ideal_congruence_agrees_with_ring_division(name):
+    # z = w mod b iff b divides z - w in the ring, and then the quotient
+    # read off the ideal is the ring quotient
+    ns = builtin_systems()[name]
+    n, b = ns.radix.n, ns.radix.coeffs
+    ideal = ns.ideal()
+    rng = random.Random(name)
+    hits = 0
+    for _ in range(400):
+        z, w = (Point(n, (rng.randint(-30, 30), rng.randint(-30, 30))) for _ in range(2))
+        if rng.random() < 0.3:  # a congruent pair, so both answers are seen
+            w = z + ns.radix * Point(n, (rng.randint(-9, 9), rng.randint(-9, 9)))
+        try:
+            ring = Point(n, ring_div_exact((z - w).coeffs, b, n))
+        except ArithmeticError:
+            ring = None
+        assert (ideal.reduce(z.coeffs) == ideal.reduce(w.coeffs)) == (ring is not None)
+        assert quotient(z - w, ns.radix) == ring
+        hits += ring is not None
+    assert 100 < hits < 400
+
+
+def test_expand_integer_reads_one_quotient_per_digit(monkeypatch):
+    # each digit is looked up by the reduction of the state and the next
+    # state read as one quotient off the radix ideal: no trial division by
+    # every digit
     ns = builtin_systems()["radix3"]
-    _adjugate_norm.cache_clear()
-    expand_integer(ns, G(40, -27))
-    info = _adjugate_norm.cache_info()
-    assert info.misses == 1 and info.hits > 1
+    calls = []
+    coords = Lattice.coords
+    monkeypatch.setattr(Lattice, "coords", lambda self, w: (calls.append(w), coords(self, w))[1])
+    ex = expand_integer(ns, G(40, -27))
+    # one state per step: those before the cycle, then the cycle's own
+    assert len(ex.digits) == 5 and ex.cycle == [G(0, -1)]
+    assert len(calls) == len(ex.digits) + len(ex.cycle)
 
 
 def test_parse_elem():
@@ -228,12 +263,13 @@ def test_parse_elem():
         parse_elem("1", GAUSSIAN)
 
 
-def test_divide_exact_eisenstein_and_by_zero():
+def test_ideal_coords_eisenstein_and_by_zero():
     b = E(-1, 3)
-    assert divide_exact(E(2, 5) * b, b) == E(2, 5)
-    assert divide_exact(E(1, 0), b) is None
-    with pytest.raises(ZeroDivisionError):
-        divide_exact(E(1, 0), E(0, 0))
+    assert quotient(E(2, 5) * b, b) == E(2, 5)
+    assert quotient(E(1, 0), b) is None
+    # the multiples of zero span no lattice
+    with pytest.raises(ValueError, match="collinear"):
+        quotient(E(1, 0), E(0, 0))
 
 
 def test_format_elem():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from gridcurve import catalog
-from gridcurve.exactgeom import add_vec, galois_apply, normalize_turn, phi, rotate_vec
+from gridcurve.exactgeom import add_vec, galois_apply, normalize_turn, phi
 from gridcurve.gridmodel import check_grid
 from gridcurve import search
 from gridcurve.search import (
@@ -21,6 +21,7 @@ from gridcurve.lsystem import CurveSet
 from gridcurve.validator import INVALID, check_dekking1, is_invalid, validate
 from gridcurve.words import parse_word
 from level_one import level_one_hits
+from ring_oracle import rotate_vec
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -60,6 +61,11 @@ from interior_flood import boundary_iterate, flood_filled
 from level_one import level_one_hits
 
 GRID_SETS = [e.name for e in catalog.CURVE_ENTRIES if catalog.curveset(e.name).grid is not None]
+
+
+def cs_vertex_map(cs: CurveSet):
+    """``vertex_map`` of the curve-set's own first-iterate table."""
+    return vertex_map(cs.grid, validator._first_iterate(cs))
 
 
 # -- self-avoidance ----------------------------------------------------------
@@ -435,7 +441,7 @@ def test_interior_filled_fischer_yet_no_coverage():
         assert check_interior_filled(fischer, tile), str(tile)
     cov = check_coverage(fischer)
     assert cov.status == PARTITION and not cov.expanding and not cov.ok
-    assert vertex_map(fischer) == ((1, 0), (0, 6))
+    assert cs_vertex_map(fischer) == ((1, 0), (0, 6))
     assert not subst_matrix(fischer).entries[0][2]  # block structure
 
 
@@ -461,8 +467,9 @@ def test_coverage_domains_pinned(name):
     # domain of phi of the lattice, and expansion
     cs = catalog.curveset(name)
     cov = check_coverage(cs)
-    (a, b), (c, d) = M = vertex_map(cs)
+    (a, b), (c, d) = M = cs_vertex_map(cs)
     E = len(cs.grid.lattice_classes)
+    assert cov.vertex_map == M
     assert cov.total == E * abs(a * d - b * c)
     got = {"status": cov.status, "M": [list(row) for row in M], "E": E,
            "det": abs(a * d - b * c), "children": cov.total - cov.missing,
@@ -491,7 +498,7 @@ def test_fold_r5_draws_20_of_36_edges():
     # edges, and the 4 classes have 5 children each
     cs = catalog.curveset("fold-r5")
     cov = check_coverage(cs)
-    assert vertex_map(cs) == ((3, 0), (0, 3))
+    assert cs_vertex_map(cs) == ((3, 0), (0, 3))
     assert (cov.status, cov.missing, cov.total, cov.expanding) == (DENSITY, 16, 36, True)
     rep = validate(cs)
     assert rep.verdict == INVALID
@@ -501,25 +508,36 @@ def test_fold_r5_draws_20_of_36_edges():
 
 def test_sq_set_r4_partitions_along_its_letter_shifts(monkeypatch):
     # its first iterate carries the grid's letters shifted along a 4-cycle,
-    # so four shifted curve-sets are tested, each with M = 2I
+    # so the first-iterate tables of four shifted curve-sets are tested,
+    # each the one traced table relabelled, each with M = 2I
     cs = catalog.curveset("sq-set-r4")
-    tested = []
-    inner = validator._children
+    tested, traced = [], []
+    inner, trace = validator._children, validator._first_iterate
     monkeypatch.setattr(validator, "_children",
-                        lambda twin, M: (tested.append(twin.productions), inner(twin, M))[1])
+                        lambda grid, table, M: (tested.append(table), inner(grid, table, M))[1])
+    monkeypatch.setattr(validator, "_first_iterate", lambda cs: (traced.append(cs), trace(cs))[1])
     cov = check_coverage(cs)
     assert (cov.status, cov.missing, cov.total, cov.expanding) == (PARTITION, 0, 16, True)
-    assert len(tested) == len(set(tested)) == 4
-    assert tested[0] == cs.productions
+    assert cov.vertex_map == ((2, 0), (0, 2))
+    assert len(traced) == 1 and len(tested) == 4
+    assert all(a != b for a, b in itertools.combinations(tested, 2))
+    first = tested[0]
+    assert first == trace(cs)
+    shift = dict(zip("ABCD", "DABC"))
+    letters = {X: X for X in cs.letters}
+    for table in tested:
+        assert table == {X: first[letters[X]] for X in cs.letters}
+        letters = {X: shift[Y] for X, Y in letters.items()}
 
 
 def test_coverage_undetermined_when_a_shift_changes_the_vertex_map(monkeypatch):
     cs = catalog.curveset("sq-set-r4")
+    first = validator._first_iterate(cs)
     inner = validator.vertex_map
     monkeypatch.setattr(validator, "vertex_map",
-                        lambda twin: inner(twin) if twin.productions == cs.productions else ((3, 0), (0, 3)))
+                        lambda grid, table: inner(grid, table) if table == first else ((3, 0), (0, 3)))
     cov = check_coverage(cs)
-    assert (cov.status, cov.expanding) == (UNDETERMINED, True)
+    assert (cov.status, cov.expanding, cov.vertex_map) == (UNDETERMINED, True, ((2, 0), (0, 2)))
     rep = validate(cs)
     assert rep.verdict == VALID_WITH_CAVEATS
     assert "coverage undetermined: a shift of the letters changes the vertex map" in rep.reasons
@@ -530,11 +548,11 @@ def test_coverage_overlap_where_a_child_is_drawn_twice():
     # F -> F-F-F on the square grid: M = diag(1, -1), so the 4 edge classes
     # of a fundamental domain take 12 children, each edge three times
     cs = CurveSet.make("f3", catalog.grid("square"), {"F": parse_word("F-F-F")})
-    assert vertex_map(cs) == ((1, 0), (0, -1))
+    assert cs_vertex_map(cs) == ((1, 0), (0, -1))
     cov = check_coverage(cs)
     assert (cov.status, cov.missing, cov.total, cov.expanding) == (OVERLAP, 0, 4, False)
     assert not cov.ok
-    assert validator._coverage_reasons(cs, cov)[0] == (
+    assert validator._coverage_reasons(cov)[0] == (
         "coverage: the first iterate of the grid draws some edge twice")
 
 
@@ -617,7 +635,7 @@ def test_coverage_keili():
     cs = catalog.curveset("keili")
     cov = check_coverage(cs)
     assert cov.status == PARTITION and cov.expanding
-    (a, b), (c, d) = vertex_map(cs)
+    (a, b), (c, d) = cs_vertex_map(cs)
     assert (a + d, a * d - b * c) == (5, 6)
     assert scale_analysis(cs).uneven_growth
 
@@ -646,7 +664,7 @@ def test_scale_eigen_folding_u_turn():
     sa = scale_analysis(cs)
     assert not sa.strong
     assert {trace_tokens(cs.production(X).tokens, 4)[1] for X in cs.letters} == {2}
-    assert vertex_map(cs) == ((-3, 0), (0, -3))
+    assert cs_vertex_map(cs) == ((-3, 0), (0, -3))
     assert sa.eigen_ok and sa.eigen_period == 1
     assert sa.eigen == Point(4, (-3, 0))
 
@@ -664,11 +682,12 @@ def test_scale_eigen_pinned(monkeypatch):
     reached = []
     inner = validator.vertex_map
     monkeypatch.setattr(validator, "vertex_map",
-                        lambda cs: (reached.append(cs.name), inner(cs))[1])
+                        lambda grid, table: (reached.append(grid), inner(grid, table))[1])
     got = {}
     for entry in catalog.CURVE_ENTRIES:
+        reached.clear()
         sa = scale_analysis(catalog.curveset(entry.name))
-        if entry.name in reached:
+        if reached:
             got[entry.name] = [sa.eigen_ok, sa.eigen and list(sa.eigen.coeffs), sa.eigen_period]
     doc = json.loads(Path(__file__).with_name("scale_eigen.json").read_text())
     assert len(got) == 26
@@ -681,7 +700,7 @@ def test_scale_eigen_sixth_power():
     # M has trace 3 and determinant 3, so its eigenvalues are sqrt(3) times
     # sixth roots of unity: M^6 = -27, and no smaller power is scalar
     cs = catalog.curveset("sq-set-r3")
-    assert vertex_map(cs) == ((1, -1), (1, 2))
+    assert cs_vertex_map(cs) == ((1, -1), (1, 2))
     sa = scale_analysis(cs)
     assert sa.eigen_ok and sa.eigen_period == 6
     assert sa.eigen == Point(4, (-27, 0))
@@ -692,7 +711,7 @@ def test_scale_eigen_conjugate_pair_is_the_complex_multiplication():
     # pair 3*zeta^2 and 3*zeta^10, and phi multiplies the lattice by the
     # first
     cs = catalog.curveset("3464-fhg-r9")
-    (a, b), (c, d) = vertex_map(cs)
+    (a, b), (c, d) = cs_vertex_map(cs)
     assert (a + d, a * d - b * c) == (3, 9)
     sa = scale_analysis(cs)
     assert sa.eigen_ok and sa.eigen == Point(12, unit_coeffs(12)[2]).scaled(3)
@@ -712,7 +731,7 @@ def test_sq_set_r4_vertex_map_is_the_same_along_its_letter_cycle():
     for _ in range(4):
         twin = CurveSet.make(cs.name, cs.grid,
                              {X: cs.production(letters[X]) for X in cs.letters})
-        assert vertex_map(twin) == ((2, 0), (0, 2))
+        assert cs_vertex_map(twin) == ((2, 0), (0, 2))
         letters = {X: shift[Y] for X, Y in letters.items()}
     sa = scale_analysis(cs)
     assert sa.eigen_ok and sa.eigen == Point(4, (2, 0)) and sa.eigen_period == 1
@@ -784,7 +803,7 @@ def test_vertex_map_sends_the_first_iterate_onto_the_second(name):
     assert [image[p] for p, _, _ in first] + [image[end]] == [
         child[i] for i in range(len(first))] + [end2]
 
-    (a, b), (c, d) = vertex_map(cs)
+    (a, b), (c, d) = cs_vertex_map(cs)
     v1, v2 = grid.translation_lattice
     image = vertex_images(cs, radius)
     for v, w in ((v1, v1.scaled(a) + v2.scaled(c)), (v2, v1.scaled(b) + v2.scaled(d))):
@@ -836,7 +855,7 @@ def test_scale_undetermined_when_a_face_does_not_close():
     grid = catalog.grid("sq-lr")
     cs = CurveSet.make("open-face", grid, {"L": parse_word("L+R", 4), "R": parse_word("R+L", 4)})
     why = "the first iterate of the face L-R-L-R- does not close"
-    assert vertex_map(cs) == why
+    assert cs_vertex_map(cs) == why
     report = validate(cs)
     assert report.scale.undetermined == why and not report.scale.eigen_ok
     assert f"scale eigenvalue undetermined: {why}" in report.reasons
@@ -850,7 +869,7 @@ def test_scale_undetermined_without_a_translation_lattice(monkeypatch):
     monkeypatch.setattr(gridmodel, "_LATTICE_RADII", (2,))
     fresh = CurveSet.make(cs.name, dataclasses.replace(cs.grid), cs.prod)
     why = f"could not detect two independent translations for {cs.grid.name!r}"
-    assert vertex_map(fresh) == why
+    assert cs_vertex_map(fresh) == why
     report = validate(fresh)
     assert report.scale.undetermined == why and not report.scale.eigen_ok
     assert f"scale eigenvalue undetermined: {why}" in report.reasons
@@ -898,7 +917,7 @@ def test_uneven_growth_on_the_catalog():
     uneven = set()
     for name in GRID_SETS:
         cs = catalog.curveset(name)
-        M, sa = vertex_map(cs), scale_analysis(cs)
+        M, sa = cs_vertex_map(cs), scale_analysis(cs)
         assert sa.uneven_growth is _uneven(M), name
         if sa.eigen_ok:
             assert not sa.uneven_growth, name
@@ -920,7 +939,7 @@ def test_uneven_growth_matches_the_condition_of_powers():
         return (s + math.sqrt(s * s - 4)) / 2
 
     for name in GRID_SETS:
-        M = vertex_map(catalog.curveset(name))
+        M = cs_vertex_map(catalog.curveset(name))
         M20 = ((1, 0), (0, 1))
         for _ in range(20):
             M20 = product(M20, M)
