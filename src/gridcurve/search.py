@@ -2,12 +2,13 @@
 given order.
 
 The coloring search assigns letters to the directed edges of a toroidal
-patch subject to the unique transition property in both directions,
-pruning contradictions as soon as the partial transition tables force
-them.  Results are canonicalized under letter permutation and under the
-torus's symmetry group: the torus translations and, by default, the point
-maps (rotations and reflections) that keep the torus lattice and the base
-grid's letters, each with its translation part.
+patch subject to the unique transition property in both directions.  It
+colours the edges one at a time, branches only where the partial
+transition tables force no colour, and undoes its own changes when it
+backtracks.  It keeps one coloring per class under letter permutation and
+under the torus's symmetry group, the least one: the torus translations
+and, by default, the point maps (rotations and reflections) that keep the
+torus lattice and the base grid's letters, each with its translation part.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ class SearchBudgetExceeded(RuntimeError):
 # Bound on the nodes ``search_colorings`` visits before it raises
 # SearchBudgetExceeded.
 _COLORING_BUDGET = 10_000_000
+
+# the names of a coloring's letters, in colour order
+_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWX"
 
 
 @dataclass
@@ -164,51 +168,38 @@ class Coloring:
     minimal_vector: tuple[int, int]
 
     def letters(self) -> tuple[str, ...]:
-        return tuple("ABCDEFGHIJKLMNOPQRSTUVWX"[i] for i in range(self.num_colors))
+        return tuple(_LETTERS[:self.num_colors])
 
     def to_gridspec(self, name: str) -> GridSpec:
-        letters = self.letters()
-        trans: set[Transition] = set()
-        base = self.torus.base
-        for ei, after in enumerate(self.torus.succ):
-            for t, sj in after.items():
-                trans.add(
-                    Transition(letters[self.assignment[ei]], t,
-                               letters[self.assignment[sj]])
-                )
-        double = base.double
-        return GridSpec(name, base.n, letters, tuple(sorted(
-            trans, key=lambda tr: (tr.src, tr.turn, tr.dst))), double)
+        """The grid of the coloring's transitions; ``GridSpec`` sorts them."""
+        letters, colors, base = self.letters(), self.assignment, self.torus.base
+        trans = {Transition(letters[colors[ei]], t, letters[colors[sj]])
+                 for ei, after in enumerate(self.torus.succ) for t, sj in after.items()}
+        return GridSpec(name, base.n, letters, tuple(trans), base.double)
 
 
-def _canonical_form(colors: Sequence[int], perms: list[list[int]]) -> tuple[int, ...]:
-    """The least of the images of colors under the permutations, each with
-    its colours relabelled in order of first appearance.
+def _is_least(colors: Sequence[int], perms: list[list[int]]) -> bool:
+    """Whether no image colors[perm[i]] under the permutations, with its
+    colours renumbered in order of first appearance, sorts below colors,
+    whose colours are so numbered.  Each image is dropped at its first
+    entry that differs from colors.
 
     The permutations are a group's (``TorusPatch.symmetries``), so the
     images colors[perm[i]] are the same set as those that move each colour
-    to perm[i].  An image is dropped at its first entry above the least one
-    so far."""
-    best: list[int] | None = None
+    to perm[i]."""
+    m = max(colors) + 1
     for perm in perms:
-        relabel: dict[int, int] = {}
-        out: list[int] = []
-        below = best is None
-        for e in perm:
-            c = colors[e]
-            r = relabel.get(c)
-            if r is None:
-                r = relabel[c] = len(relabel)
-            if not below:
-                b = best[len(out)]
-                if r > b:
-                    break
-                below = r < b
-            out.append(r)
-        else:
-            if below:
-                best = out
-    return tuple(best)
+        relabel, fresh = [-1] * m, 0
+        for e, c in zip(perm, colors):
+            r = relabel[colors[e]]
+            if r < 0:
+                r = relabel[colors[e]] = fresh
+                fresh += 1
+            if r != c:
+                if r < c:
+                    return False
+                break
+    return True
 
 
 def search_colorings(
@@ -218,108 +209,102 @@ def search_colorings(
     m: int,
     dedup_rotations: bool = True,
 ) -> list[Coloring]:
-    """All colorings of the R x C torus with exactly m letters, canonical
-    under letter permutation and ``TorusPatch.symmetries``: the torus
+    """All colorings of the R x C torus with exactly m letters, one per
+    class under letter permutation and ``TorusPatch.symmetries``: the torus
     translations, times the rotations and reflections that keep the torus
-    when dedup_rotations is set."""
+    when dedup_rotations is set.  Each is its class's least member, its
+    colours numbered in order of first appearance, and they come sorted.
+
+    The edges are coloured in the order ``closure`` reached them, so each
+    edge after the first has a coloured neighbour.  A rule (c, t, c') of
+    the partial transition tables read off such a neighbour forces the
+    edge's colour.  Where none does, the edge is a branch point: it takes
+    each colour used so far, then one new colour.  Each coloured edge adds
+    the rules it makes with its coloured neighbours, and backtracking
+    removes them, so one colour list and one pair of rule tables serve the
+    whole search.  Leaves arrive in lexicographic order, and the first of
+    each class is its least image; a leaf is kept when ``_is_least``.
+
+    A node is a branch point, and the search raises SearchBudgetExceeded
+    past ``_COLORING_BUDGET`` of them, which bounds its work by that
+    budget times N edge placements.  The forced edges after a branch point
+    are coloured in a loop, and each branch point but the first adds a
+    rule, so the recursion is at most m * |turns| + 1 deep whatever N is."""
     if R < 1 or C < 1 or m < 1:
         raise ValueError("R, C, m must be >= 1")
+    if m > len(_LETTERS):
+        raise ValueError(f"m must be <= {len(_LETTERS)}, the letters {_LETTERS[0]}-{_LETTERS[-1]}")
     torus = TorusPatch.build(base, R, C)
     N = len(torus)
     succ, pred = torus.succ, torus.pred
-    results: dict[tuple[int, ...], tuple[int, ...]] = {}
+    perms = torus.symmetries(point_group=dedup_rotations)
+    # colours of the edges before the current one; the rest are stale
+    colors = [-1] * N
+    fwd: dict[tuple[int, int], int] = {}  # (c, t) -> c'
+    bwd: dict[tuple[int, int], int] = {}  # (t, c') -> c
+    added: list[tuple[int, int, int]] = []  # the rules (c, t, c'), oldest first
+    found: list[tuple[int, ...]] = []
     nodes = 0
 
-    def propagate(colors: list[int], fwd: dict, bwd: dict, queue: list[int]) -> bool:
-        rules: list[tuple[int, int, int]] = []
+    def forced(e: int) -> int | None:
+        """The colour that a rule read off a coloured neighbour gives e."""
+        for t, p in pred[e].items():
+            if p < e and (c := fwd.get((colors[p], t))) is not None:
+                return c
+        for t, s in succ[e].items():
+            if s < e and (c := bwd.get((t, colors[s]))) is not None:
+                return c
+        return None
 
-        def set_color(e: int, c: int) -> bool:
-            if colors[e] == c:
-                return True
-            if colors[e] >= 0:
+    def place(e: int, c: int) -> bool:
+        """Colour e with c and add the rules it makes with its coloured
+        neighbours (e itself among them); False at the first rule that
+        breaks unique transitions."""
+        colors[e] = c
+        rules = [(colors[p], t, c) for t, p in pred[e].items() if p <= e]
+        rules += [(c, t, colors[s]) for t, s in succ[e].items() if s <= e]
+        for a, t, b in rules:
+            got = fwd.get((a, t))
+            if got is None:
+                if (t, b) in bwd:
+                    return False
+                fwd[(a, t)] = b
+                bwd[(t, b)] = a
+                added.append((a, t, b))
+            elif got != b:
                 return False
-            colors[e] = c
-            queue.append(e)
-            return True
-
-        def add_rule(c: int, t: int, cs: int) -> bool:
-            key, rkey = (c, t), (t, cs)
-            if key in fwd:
-                return fwd[key] == cs
-            if rkey in bwd and bwd[rkey] != c:
-                return False
-            fwd[key] = cs
-            bwd[rkey] = c
-            rules.append((c, t, cs))
-            return True
-
-        while queue or rules:
-            while rules:
-                c, t, cs = rules.pop()
-                for ej in range(N):
-                    if colors[ej] == c:
-                        sj = succ[ej].get(t)
-                        if sj is not None and not set_color(sj, cs):
-                            return False
-                    if colors[ej] == cs:
-                        pj = pred[ej].get(t)
-                        if pj is not None and not set_color(pj, c):
-                            return False
-            if not queue:
-                break
-            ei = queue.pop()
-            c = colors[ei]
-            for t, sj in succ[ei].items():
-                cs = colors[sj]
-                if cs >= 0:
-                    if not add_rule(c, t, cs):
-                        return False
-                elif (c, t) in fwd:
-                    if not set_color(sj, fwd[(c, t)]):
-                        return False
-            for t, pj in pred[ei].items():
-                cp = colors[pj]
-                if cp >= 0:
-                    if not add_rule(cp, t, c):
-                        return False
-                elif (t, c) in bwd:
-                    if not set_color(pj, bwd[(t, c)]):
-                        return False
         return True
 
-    sym_perms = torus.symmetries(point_group=dedup_rotations)
-
-    def dfs(colors: list[int], fwd: dict, bwd: dict, used: int):
+    def branch(e: int, used: int) -> None:
+        """Colour e, a branch point, with each colour it may take, and the
+        edges after it in a loop while rules force them."""
         nonlocal nodes
         nodes += 1
         if nodes > _COLORING_BUDGET:
             raise SearchBudgetExceeded(f"over {_COLORING_BUDGET} nodes")
-        try:
-            ei = colors.index(-1)
-        except ValueError:
-            if used == m:
-                canon = _canonical_form(colors, sym_perms)
-                if canon not in results:
-                    results[canon] = tuple(colors)
-            return
-        upper = min(used + 1, m)
-        for c in range(upper):
-            trial = colors[:]
-            trial[ei] = c
-            f2, b2 = dict(fwd), dict(bwd)
-            if propagate(trial, f2, b2, [ei]):
-                dfs(trial, f2, b2, max(used, c + 1))
+        for c in range(min(used + 1, m)):
+            mark = len(added)
+            now = max(used, c + 1)
+            f, ok = e, place(e, c)
+            while ok:
+                f += 1
+                if f == N:
+                    if now == m and _is_least(colors, perms):
+                        found.append(tuple(colors))
+                    break
+                c2 = forced(f)
+                if c2 is None:
+                    branch(f, now)
+                    break
+                ok = place(f, c2)
+            while len(added) > mark:
+                a, t, b = added.pop()
+                del fwd[(a, t)], bwd[(t, b)]
 
-    initial = [-1] * N
-    initial[0] = 0
-    fwd0: dict = {}
-    bwd0: dict = {}
-    if propagate(initial, fwd0, bwd0, [0]):
-        dfs(initial, fwd0, bwd0, 1)
-
+    branch(0, 0)
     t1, t2 = torus.translations()
     return [Coloring(torus, colors, m, (_period(colors, t1, R), _period(colors, t2, C)))
-            for _, colors in sorted(results.items())]
+            for colors in found]
 
 
 def _period(colors: Sequence[int], shift: list[int], count: int) -> int:

@@ -70,6 +70,7 @@ from .exactgeom import (
     StrokeSet,
     add_vec,
     mul_vec,
+    normalize_turn,
     phi,
     ring_div_exact,
     rotations,
@@ -85,6 +86,7 @@ from .gridmodel import (
     GridSpec,
     InconsistentColoring,
     Prototile,
+    Transition,
     grid_letters,
     prototiles,
 )
@@ -162,7 +164,8 @@ def check_grid_consistent(cs: CurveSet) -> tuple[bool, list[str]]:
             continue
         for a, t, b in w.pairs():
             if not grid.has_transition(a, t, b):
-                problems.append(f"production of {letter} uses missing transition {a}{t:+d}{b}")
+                missing = Transition(a, normalize_turn(t, grid.n), b)
+                problems.append(f"production of {letter} uses missing transition {missing}")
     for tr in grid.transitions:
         pa = cs.production(tr.src)
         pb = cs.production(tr.dst)
@@ -172,7 +175,7 @@ def check_grid_consistent(cs: CurveSet) -> tuple[bool, list[str]]:
             continue
         if not grid.has_transition(last, tr.turn, first):
             problems.append(
-                f"junction of {tr} expands to missing transition {last}{tr.turn:+d}{first}"
+                f"junction of {tr} expands to missing transition {Transition(last, tr.turn, first)}"
             )
     return not problems, problems
 

@@ -99,19 +99,18 @@ class Word:
         )
 
     def pairs(self) -> list[tuple[str, int, str]]:
-        """Interior (letter, turn, letter) triples, in order."""
+        """(letter, turn, letter) for each two consecutive letters, in order.
+        The turn is 0 between adjacent letters, which ``trace_tokens`` draws
+        straight on."""
         out = []
-        toks = self.tokens
-        i = 0
-        while i + 2 < len(toks) or (i + 2 == len(toks) and isinstance(toks[i], str)):
-            if (
-                i + 2 < len(toks)
-                and isinstance(toks[i], str)
-                and isinstance(toks[i + 1], int)
-                and isinstance(toks[i + 2], str)
-            ):
-                out.append((toks[i], toks[i + 1], toks[i + 2]))
-            i += 1
+        last, turn = None, 0
+        for tok in self.tokens:
+            if isinstance(tok, int):
+                turn = tok
+            else:
+                if last is not None:
+                    out.append((last, turn, tok))
+                last, turn = tok, 0
         return out
 
     def to_string(self, n: int | None = None, double: bool = True) -> str:

@@ -40,6 +40,15 @@ def test_search_colorings_empty_torus_or_no_colors(capsys, torus, colors):
     assert err == "error: R, C, m must be >= 1\n"
 
 
+def test_search_colorings_more_colors_than_letters(capsys):
+    # the letters A-X name at most 24 colours; more is refused before the search
+    argv = ["search-colorings", "--grid", "square", "--torus", "4x2", "--colors", "32"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: m must be <= 24, the letters A-X\n"
+
+
 def test_search_colorings_bad_torus(capsys):
     argv = ["search-colorings", "--grid", "square", "--torus", "4", "--colors", "4"]
     assert cli.main(argv) == 1

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from gridcurve.search import (
 from gridcurve.lsystem import CurveSet
 from gridcurve.validator import INVALID, check_dekking1, is_invalid, validate
 from gridcurve.words import parse_word
+from coloring_oracle import propagate_search
 from level_one import level_one_hits
 from ring_oracle import rotate_vec
 
@@ -175,8 +177,8 @@ def test_symmetries_match_the_direct_scan(name, R, C):
     for point_group in (True, False):
         perms = tp.symmetries(point_group)
         assert sorted(perms) == sorted(scanned_symmetries(tp, point_group)), point_group
-        # _canonical_form relies on this: the permutations form a group, so
-        # they are closed under inversion
+        # _is_least relies on this: the permutations form a group, so they
+        # are closed under inversion
         inverses = set()
         for perm in perms:
             inverse = [0] * len(perm)
@@ -205,27 +207,63 @@ def naive_canonical_form(colors, perms):
 BENCHMARK_COLORINGS = [("square", 5, 5, 5), ("triangle", 6, 6, 3), ("square", 4, 4, 4)]
 
 
+def first_appearance(colors):
+    relabel = {}
+    return tuple(relabel.setdefault(c, len(relabel)) for c in colors)
+
+
 @pytest.mark.parametrize("name, R, C, m", BENCHMARK_COLORINGS)
-def test_canonical_form_matches_the_naive_minimum_on_found_colorings(name, R, C, m):
+def test_least_image_test_matches_the_naive_minimum_on_found_colorings(name, R, C, m):
+    # every colouring found is its class's least member, and an image of it
+    # passes the test exactly when it is the colouring itself
     tp = TorusPatch.build(catalog.grid(name), R, C)
     perms = tp.symmetries()
     found = search_colorings(catalog.grid(name), R, C, m)
     assert found
     for col in found:
-        assert search._canonical_form(col.assignment, perms) == naive_canonical_form(
-            col.assignment, perms)
+        assert naive_canonical_form(col.assignment, perms) == col.assignment
+        assert search._is_least(col.assignment, perms)
+        images = {first_appearance([col.assignment[e] for e in perm]) for perm in perms[::7]}
+        for image in images:
+            assert search._is_least(image, perms) == (image == col.assignment)
 
 
 @pytest.mark.parametrize("name, R, C", [("square", 4, 4), ("triangle", 3, 3)])
-def test_canonical_form_matches_the_naive_minimum_on_random_colors(name, R, C):
+def test_least_image_test_matches_the_naive_minimum_on_random_colors(name, R, C):
     tp = TorusPatch.build(catalog.grid(name), R, C)
     rng = random.Random(22)
     for point_group in (True, False):
         perms = tp.symmetries(point_group)
         for _ in range(50):
             m = rng.randint(1, 4)
-            colors = [rng.randrange(m) for _ in range(len(tp))]
-            assert search._canonical_form(colors, perms) == naive_canonical_form(colors, perms)
+            colors = first_appearance(rng.randrange(m) for _ in range(len(tp)))
+            assert search._is_least(colors, perms) == (
+                naive_canonical_form(colors, perms) == colors)
+
+
+@pytest.mark.parametrize("name, R, C", SYMMETRY_TORI)
+def test_search_colorings_matches_the_propagating_search(name, R, C):
+    # the m values of the benchmark's searches and of the counts below
+    grid = catalog.grid(name)
+    for m in (2, 3, 4, 5):
+        for point_group in (True, False):
+            got = [(col.assignment, col.minimal_vector)
+                   for col in search_colorings(grid, R, C, m, dedup_rotations=point_group)]
+            assert got == propagate_search(grid, R, C, m, point_group), (m, point_group)
+
+
+def test_search_colorings_recursion_is_bounded_by_branch_points(square):
+    # more edges than the default recursion limit: forced edges are
+    # coloured in a loop, so the depth follows the branch points
+    assert len(TorusPatch.build(square, 16, 16)) > sys.getrecursionlimit()
+    found = search_colorings(square, 16, 16, 2)
+    assert [c.minimal_vector for c in found] == [c.minimal_vector
+                                                 for c in search_colorings(square, 4, 4, 2)]
+
+
+def test_search_colorings_rejects_more_colors_than_letters(square):
+    with pytest.raises(ValueError, match="m must be <= 24"):
+        search_colorings(square, 4, 2, 25)
 
 
 def test_search_colorings_budget_exceeded(monkeypatch):

@@ -212,6 +212,15 @@ def test_grid_consistent_junction_violation():
     broken = CurveSet.make("broken", ju.grid, prods)
     ok, problems = check_grid_consistent(broken)
     assert not ok
+    assert "junction of B---A expands to missing transition A---A" in problems
+
+
+@pytest.mark.parametrize("word", ["F+FF-F-F", "F+F0F-F-F"])
+def test_grid_consistent_reads_adjacent_letters_as_a_straight_turn(word):
+    # the square grid has no straight transition; adjacent letters are drawn
+    # straight on, so both spellings use the missing F0F
+    cs = CurveSet.make("s", catalog.grid("square"), {"F": parse_word(word, 4)})
+    assert check_grid_consistent(cs) == (False, ["production of F uses missing transition F0F"])
 
 
 # -- Dekking criteria --------------------------------------------------------

@@ -70,6 +70,8 @@ def test_format_turn():
 def test_pairs():
     w = parse_word("A+B--C", 6)
     assert w.pairs() == [("A", 1, "B"), ("B", -2, "C")]
+    # adjacent letters are drawn straight on
+    assert parse_word("AB+C").pairs() == [("A", 0, "B"), ("B", 1, "C")]
 
 
 @st.composite
